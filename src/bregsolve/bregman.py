@@ -48,13 +48,28 @@ def interval_project(t: float, lo: float, hi: float) -> float:
     return min(max(t, lo), hi)
 
 
-def interval_dist_zero(lo: float, hi: float) -> float:
-    """Distance from 0 to the interval ``[lo, hi]`` (0 if it contains 0)."""
-    if lo > 0:
-        return lo
-    if hi < 0:
-        return -hi
-    return 0.0
+def interval_dist_zero(lo, hi):
+    """Distance from 0 to the interval ``[lo, hi]`` (0 if it contains 0),
+    elementwise; requires ``lo <= hi``."""
+    return np.maximum(lo, 0.0) + np.maximum(-hi, 0.0)
+
+
+def l1_interval(g: float, d: float, w: float) -> tuple[float, float]:
+    """Subdifferential ``g + w * sgn(d)`` of a term with derivative ``g``
+    plus ``w * |d|``, where ``d`` is the offset from the l1 kink; on the
+    kink (``d == 0``) the sign spans ``[-1, 1]``."""
+    if d > 0:
+        return (g + w, g + w)
+    if d < 0:
+        return (g - w, g - w)
+    return (g - w, g + w)
+
+
+def l1_intervals(g: np.ndarray, d: np.ndarray, w: float):
+    """Vectorised :func:`l1_interval`, returning ``(lo, hi)`` arrays."""
+    s = np.sign(d)
+    return (g + w * np.where(s == 0, -1.0, s),
+            g + w * np.where(s == 0, 1.0, s))
 
 
 @dataclass(frozen=True)
@@ -101,14 +116,7 @@ class ScalarBregman:
         """Subdifferential of the scalar piece alone, as ``(lo, hi)``."""
         if self.gamma == 0.0:
             return (x, x)
-        d = x - self.shift
-        if d > 0:
-            g = x + self.gamma
-            return (g, g)
-        if d < 0:
-            g = x - self.gamma
-            return (g, g)
-        return (x - self.gamma, x + self.gamma)
+        return l1_interval(x, x - self.shift, self.gamma)
 
     def subdiff_interval(self, x: float) -> tuple[float, float]:
         """Subdifferential of piece + box indicator at ``x`` in the box."""

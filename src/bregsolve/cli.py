@@ -26,7 +26,7 @@ from .metrics import RunReference, relative_objective
 from .objectives import (L1QuadraticObjective, ObjectiveError,
                          QuadraticObjective, StudentTObjective, add_noise,
                          gaussian_system, impulse_noise, make_test_image)
-from .solvers import SolverConfig, SolverError, run
+from .solvers import VARIANTS, SolverConfig, SolverError, run
 
 PRESETS = ("gaussian_noiseless", "gaussian_noiseless_binary",
            "gaussian_noisy", "gaussian_noisy_l1", "student_t_denoise")
@@ -208,7 +208,6 @@ def solver_config(variant: str, params: dict, max_iters: int | None = None,
         variant=variant,
         tau=params["tau"],
         omega=params["omega"],
-        alpha=params["omega"],
         tau_schedule=schedule,
         max_iters=params["iters"] if max_iters is None else max_iters,
         stop_tol=params["stop_tol"] if stop_tol is None else stop_tol,
@@ -278,9 +277,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code else 0
     params = effective_params(args)
-    unknown = [s for s in params["solvers"]
-               if s not in ("sor", "gauss_seidel", "ia", "bia",
-                            "bia_modified", "bsor", "l1_bsor", "blcd")]
+    unknown = [s for s in params["solvers"] if s not in VARIANTS]
     if unknown:
         print(f"error: unknown solver variants: {', '.join(unknown)}",
               file=sys.stderr)

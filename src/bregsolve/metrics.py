@@ -70,24 +70,12 @@ def support_stats(xk: np.ndarray, xstar: np.ndarray) -> tuple[float, float]:
     match = float(np.mean(_signs(xk) == _signs(xstar)))
     return match, 1.0 - match
 
-def clarke_intervals(V: CoordinateObjective, x: np.ndarray):
-    """(lo, hi) arrays of the coordinate Clarke intervals at ``x``."""
-    vectorized = getattr(V, "clarke_intervals", None)
-    if vectorized is not None:
-        return vectorized(x)
-    lo = np.empty(len(x))
-    hi = np.empty(len(x))
-    for i in range(len(x)):
-        lo[i], hi[i] = V.coord_clarke_interval(x, i)
-    return lo, hi
-
 
 def clarke_dist(V: CoordinateObjective, x: np.ndarray) -> float:
     """l2 norm of the coordinate-wise distances of the Clarke intervals
     from zero; equals the gradient norm at smooth points."""
-    lo, hi = clarke_intervals(V, np.asarray(x, dtype=float))
-    d = np.array([interval_dist_zero(a, b) for a, b in zip(lo, hi)])
-    return float(np.linalg.norm(d))
+    lo, hi = V.clarke_intervals(np.asarray(x, dtype=float))
+    return float(np.linalg.norm(interval_dist_zero(lo, hi)))
 
 
 def dissipation_slack(decrease: float, step_sq: float, mu: float,

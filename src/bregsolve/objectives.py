@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bregman import l1_interval, l1_intervals
+
 #: Relative threshold below which a coordinate move counts as stationary
 #: and the 0/0 difference quotient falls back to a Clarke element.
 STATIONARY_REL_TOL = 1e-14
@@ -67,9 +69,18 @@ class CoordinateObjective:
         y_old[i] = old
         return (self.value(y_new) - self.value(y_old)) / (new - old)
 
-    def lipschitz_hint(self, i: int):
-        """Local Lipschitz bound for coordinate ``i``, or None."""
-        return None
+    def clarke_intervals(self, x: np.ndarray):
+        """(lo, hi) arrays of the coordinate Clarke intervals at ``x``.
+
+        Per-coordinate loop over :meth:`coord_clarke_interval`; subclasses
+        override it with a vectorised form.
+        """
+        x = self._check(x)
+        lo = np.empty(self.n)
+        hi = np.empty(self.n)
+        for i in range(self.n):
+            lo[i], hi[i] = self.coord_clarke_interval(x, i)
+        return lo, hi
 
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -144,9 +155,6 @@ class QuadraticObjective(CoordinateObjective):
             return g
         return g + 0.5 * self.A[i, i] * (new - old)
 
-    def lipschitz_hint(self, i):
-        return float(np.abs(self.A[i]).sum())
-
     def clarke_intervals(self, x):
         r = self.residual(x)
         return r.copy(), r.copy()
@@ -156,27 +164,32 @@ class QuadraticObjective(CoordinateObjective):
 
 
 class _QuadraticSweepContext(SweepContext):
-    """Maintains the residual cache ``r = A y - b`` across coordinate commits."""
+    """Maintains the residual cache ``r = A y - b`` across coordinate commits
+    for the quadratic plus ``lam * ||y||_1`` (``lam = 0``: plain quadratic)."""
 
-    def __init__(self, objective: QuadraticObjective, x):
+    def __init__(self, objective: QuadraticObjective, x, lam: float = 0.0):
         super().__init__(objective, x)
+        self.lam = lam
         self.r = objective.A @ self.y - objective.b
 
     def dq(self, i: int):
         g = float(self.r[i])
         aii = float(self.objective.A[i, i])
+        lam = self.lam
         old = float(self.y[i])
 
         def quotient(new: float) -> float:
             if is_stationary_move(old, new):
-                return g
-            return g + 0.5 * aii * (new - old)
+                # On the kink the Clarke midpoint is g itself; computed as
+                # 0.5 * ((g - lam) + (g + lam)) it can be off by rounding.
+                return g if old == 0.0 else l1_interval(g, old, lam)[0]
+            dq = g + 0.5 * aii * (new - old)
+            return dq + lam * (abs(new) - abs(old)) / (new - old)
 
         return quotient
 
     def clarke(self, i: int):
-        g = float(self.r[i])
-        return (g, g)
+        return l1_interval(float(self.r[i]), float(self.y[i]), self.lam)
 
     def commit(self, i: int, new: float):
         delta = new - self.y[i]
@@ -200,12 +213,7 @@ class L1QuadraticObjective(CoordinateObjective):
 
     def coord_clarke_interval(self, y, i):
         g = float(self.quad.A[i] @ y - self.quad.b[i])
-        yi = float(y[i])
-        if yi > 0:
-            return (g + self.lam, g + self.lam)
-        if yi < 0:
-            return (g - self.lam, g - self.lam)
-        return (g - self.lam, g + self.lam)
+        return l1_interval(g, float(y[i]), self.lam)
 
     def coord_diff_quotient(self, y, i, old, new):
         if is_stationary_move(old, new):
@@ -213,58 +221,11 @@ class L1QuadraticObjective(CoordinateObjective):
         dq = self.quad.coord_diff_quotient(y, i, old, new)
         return dq + self.lam * (abs(new) - abs(old)) / (new - old)
 
-    def lipschitz_hint(self, i):
-        return self.quad.lipschitz_hint(i) + self.lam
-
     def clarke_intervals(self, x):
-        r = self.quad.residual(x)
-        s = np.sign(x)
-        lo = r + self.lam * np.where(s == 0, -1.0, s)
-        hi = r + self.lam * np.where(s == 0, 1.0, s)
-        return lo, hi
+        return l1_intervals(self.quad.residual(x), x, self.lam)
 
     def sweep_context(self, x):
-        return _L1QuadraticSweepContext(self, x)
-
-
-class _L1QuadraticSweepContext(SweepContext):
-    def __init__(self, objective: L1QuadraticObjective, x):
-        super().__init__(objective, x)
-        self.r = objective.quad.A @ self.y - objective.quad.b
-
-    def dq(self, i: int):
-        g = float(self.r[i])
-        aii = float(self.objective.quad.A[i, i])
-        lam = self.objective.lam
-        old = float(self.y[i])
-
-        def quotient(new: float) -> float:
-            if is_stationary_move(old, new):
-                if old > 0:
-                    return g + lam
-                if old < 0:
-                    return g - lam
-                return g
-            dq = g + 0.5 * aii * (new - old)
-            return dq + lam * (abs(new) - abs(old)) / (new - old)
-
-        return quotient
-
-    def clarke(self, i: int):
-        g = float(self.r[i])
-        lam = self.objective.lam
-        yi = float(self.y[i])
-        if yi > 0:
-            return (g + lam, g + lam)
-        if yi < 0:
-            return (g - lam, g - lam)
-        return (g - lam, g + lam)
-
-    def commit(self, i: int, new: float):
-        delta = new - self.y[i]
-        if delta != 0.0:
-            self.r += self.objective.quad.A[:, i] * delta
-            self.y[i] = new
+        return _QuadraticSweepContext(self.quad, x, self.lam)
 
 
 def _psi(t):
@@ -342,12 +303,7 @@ class StudentTObjective(CoordinateObjective):
         terms = self._stencil_terms(y, i)
         xi = float(y[i])
         g = self._smooth_partial(terms, xi)
-        d = xi - self.x_delta[i]
-        if d > 0:
-            return (g + 1.0, g + 1.0)
-        if d < 0:
-            return (g - 1.0, g - 1.0)
-        return (g - 1.0, g + 1.0)
+        return l1_interval(g, xi - self.x_delta[i], 1.0)
 
     def coord_diff_quotient(self, y, i, old, new):
         if is_stationary_move(old, new):
@@ -388,10 +344,6 @@ class StudentTObjective(CoordinateObjective):
             delta += (d_new + d_old) if d_new > 0 else -(d_new + d_old)
         return delta
 
-    def lipschitz_hint(self, i):
-        # psi' is bounded by 1 in magnitude.
-        return self.phi[0] + self.phi[1] + 1.0 + 1.0
-
     def clarke_intervals(self, x):
         x = self._check(x)
         img = x.reshape(self.h, self.w)
@@ -402,11 +354,7 @@ class StudentTObjective(CoordinateObjective):
         g[:, 1:] += self.phi[0] * _psi_prime(dx[:, :-1])
         g -= self.phi[1] * _psi_prime(dy)
         g[1:, :] += self.phi[1] * _psi_prime(dy[:-1, :])
-        g = g.reshape(-1)
-        s = np.sign(x - self.x_delta)
-        lo = g + np.where(s == 0, -1.0, s)
-        hi = g + np.where(s == 0, 1.0, s)
-        return lo, hi
+        return l1_intervals(g.reshape(-1), x - self.x_delta, 1.0)
 
     def sweep_context(self, x):
         return _StudentTSweepContext(self, x)

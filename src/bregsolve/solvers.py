@@ -45,8 +45,9 @@ class InvariantViolation(SolverError):
 class SolverConfig:
     variant: str
     tau: float = 1.0
+    #: Relaxation for sor, step for blcd: one parameter, since
+    #: sor(omega) is blcd with gamma = 0 and step omega.
     omega: float = 1.0
-    alpha: float = 1.0
     tau_schedule: str = "constant"  # constant | diag_scaled
     max_iters: int = 200
     stop_tol: float = 1e-8
@@ -56,12 +57,13 @@ class SolverConfig:
             raise SolverError(f"unknown variant {self.variant!r}")
         if self.tau_schedule not in ("constant", "diag_scaled"):
             raise SolverError(f"unknown schedule {self.tau_schedule!r}")
-        if self.variant in ("sor", "gauss_seidel") and not 0 < self.omega < 2:
+        if self.variant in ("sor", "gauss_seidel", "blcd") \
+                and not 0 < self.omega < 2:
             raise SolverError("omega must lie in (0, 2)")
-        if self.variant == "blcd" and not 0 < self.alpha < 2:
-            raise SolverError("alpha must lie in (0, 2)")
-        if self.tau <= 0:
-            raise SolverError("tau must be > 0")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise SolverError(f"tau must be finite and > 0, got {self.tau}")
+        if self.max_iters < 1:
+            raise SolverError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass
@@ -72,10 +74,9 @@ class SweepResult:
     dual_step_sq: float
 
 
-def _result(V, state, x_new, p_new, v_before=None):
+def _result(V, state, x_new, p_new):
     v_after = V.value(x_new)
-    if v_before is None:
-        v_before = V.value(state.x)
+    v_before = V.value(state.x)
     step = x_new - state.x
     dstep = p_new - state.p
     return SweepResult(
@@ -87,6 +88,22 @@ def _result(V, state, x_new, p_new, v_before=None):
 
 
 # ---------------------------------------------------------------------------
+# The shared coordinate pass of the quadratic family
+# ---------------------------------------------------------------------------
+
+def _quadratic_pass(q: QuadraticObjective, x: np.ndarray,
+                    rule) -> np.ndarray:
+    """One lexicographic coordinate pass over the residual cache of ``q``;
+    ``rule(i, r_i, y_i, a_ii)`` gives the new ``y_i`` from the current
+    residual ``r_i = (A y - b)_i``.  Returns the swept vector."""
+    ctx = q.sweep_context(x)
+    r, y, diag, commit = ctx.r, ctx.y, q.diag, ctx.commit
+    for i in range(q.n):
+        commit(i, rule(i, r[i], y[i], diag[i]))
+    return y
+
+
+# ---------------------------------------------------------------------------
 # Classical SOR / Gauss-Seidel
 # ---------------------------------------------------------------------------
 
@@ -95,15 +112,7 @@ def sor_sweep(q: QuadraticObjective, x: np.ndarray,
     """One sequential relaxation sweep for the linear system ``A x = b``."""
     if not 0 < omega < 2:
         raise SolverError(f"omega must lie in (0, 2), got {omega}")
-    y = np.asarray(x, dtype=float).copy()
-    r = q.A @ y - q.b
-    diag = q.diag
-    for i in range(q.n):
-        delta = -(omega / diag[i]) * r[i]
-        if delta != 0.0:
-            y[i] += delta
-            r += q.A[:, i] * delta
-    return y
+    return _quadratic_pass(q, x, lambda i, g, xi, aii: xi - (omega / aii) * g)
 
 
 def gauss_seidel_sweep(q: QuadraticObjective, x: np.ndarray) -> np.ndarray:
@@ -120,7 +129,6 @@ def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
     """One Bregman coordinate sweep solving n scalar inclusions in order."""
     taus = np.asarray(taus, dtype=float)
     ctx = V.sweep_context(state.x)
-    v_before = V.value(state.x)
     p_new = state.p.copy()
     for i in range(spec.n):
         prob = InclusionProblem(
@@ -135,7 +143,7 @@ def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
         p_new[i] = sol.p_new
         if not sol.stationary:
             ctx.commit(i, sol.y)
-    return _result(V, state, ctx.y.copy(), p_new, v_before)
+    return _result(V, state, ctx.y.copy(), p_new)
 
 
 def ia_sweep(V: CoordinateObjective, state: PrimalDualState,
@@ -159,26 +167,19 @@ def bsor_sweep(q: QuadraticObjective, state: PrimalDualState, gamma: float,
     """
     if gamma <= 0:
         raise SolverError("bsor requires gamma > 0")
-    v_before = q.value(state.x)
-    y = state.x.copy()
     rsub = (state.p - state.x) / gamma
-    resid = q.A @ y - q.b
-    diag = q.diag
     omega = 2.0 * tau / (2.0 + tau)
     thr = 2.0 * gamma / (2.0 + tau)
-    for i in range(q.n):
-        aii = diag[i]
-        g = resid[i]
-        xi = y[i]
+
+    def rule(i, g, xi, aii):
         xt = xi - (omega / aii) * g
         x_new = shrink(xt + thr * rsub[i], thr)
         rsub[i] += (tau / (gamma * aii)) * (
             -g - (aii * (2.0 + tau) / (2.0 * tau)) * (x_new - xi))
-        delta = x_new - xi
-        if delta != 0.0:
-            y[i] = x_new
-            resid += q.A[:, i] * delta
-    return _result(q, state, y, y + gamma * rsub, v_before)
+        return x_new
+
+    y = _quadratic_pass(q, state.x, rule)
+    return _result(q, state, y, y + gamma * rsub)
 
 
 def _l1_case1_subgradient(p, g, t, gamma, lam):
@@ -200,28 +201,20 @@ def l1_bsor_sweep(q: QuadraticObjective, state: PrimalDualState,
     if gamma <= 0 or lam < 0:
         raise SolverError("l1_bsor requires gamma > 0 and lam >= 0")
     V = L1QuadraticObjective(q, lam)
-    v_before = V.value(state.x)
-    y = state.x.copy()
     rsub = (state.p - state.x) / gamma
-    resid = q.A @ y - q.b
-    diag = q.diag
     kappa = 1.0 + tau / 2.0
-    for i in range(q.n):
-        aii = diag[i]
+
+    def rule(i, g, xi, aii):
         t = tau / aii
-        g = resid[i]
-        xi = y[i]
         ri = rsub[i]
         c = kappa * xi + gamma * ri - t * g
         tl = t * lam
-        x_new, r_new = _l1_coordinate_update(xi, ri, g, c, t, tl, gamma,
-                                             lam, kappa, aii, tau)
-        rsub[i] = r_new
-        delta = x_new - xi
-        if delta != 0.0:
-            y[i] = x_new
-            resid += q.A[:, i] * delta
-    return _result(V, state, y, y + gamma * rsub, v_before)
+        x_new, rsub[i] = _l1_coordinate_update(xi, ri, g, c, t, tl, gamma,
+                                               lam, kappa, aii, tau)
+        return x_new
+
+    y = _quadratic_pass(q, state.x, rule)
+    return _result(V, state, y, y + gamma * rsub)
 
 
 def _l1_coordinate_update(xi, ri, g, c, t, tl, gamma, lam, kappa, aii, tau):
@@ -323,19 +316,14 @@ def blcd_sweep(q: QuadraticObjective, state: PrimalDualState, gamma: float,
     """
     if not 0 < alpha < 2:
         raise SolverError(f"alpha must lie in (0, 2), got {alpha}")
-    v_before = q.value(state.x)
-    y = state.x.copy()
     p = state.p.copy()
-    resid = q.A @ y - q.b
-    diag = q.diag
-    for i in range(q.n):
-        p[i] -= (alpha / diag[i]) * resid[i]
-        x_new = shrink(p[i], gamma)
-        delta = x_new - y[i]
-        if delta != 0.0:
-            y[i] = x_new
-            resid += q.A[:, i] * delta
-    return _result(q, state, y, p, v_before)
+
+    def rule(i, g, xi, aii):
+        p[i] -= (alpha / aii) * g
+        return shrink(p[i], gamma)
+
+    y = _quadratic_pass(q, state.x, rule)
+    return _result(q, state, y, p)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +338,8 @@ def stationarity_residual(V: CoordinateObjective, x: np.ndarray,
     an active box constraint); reduces to ``|grad V|`` at smooth interior
     points.
     """
-    from .metrics import clarke_intervals
     x = np.asarray(x, dtype=float)
-    lo, hi = clarke_intervals(V, x)
+    lo, hi = V.clarke_intervals(x)
     out = np.zeros_like(x)
     for i in range(len(x)):
         at_upper = at_lower = False
@@ -394,12 +381,9 @@ def effective_tau_max(cfg: SolverConfig, V: CoordinateObjective,
     """Largest coordinate time step of the equivalent Bregman sweep, used
     in the dissipation bound."""
     q = _quadratic_part(V)
-    if cfg.variant in ("sor", "gauss_seidel"):
+    if cfg.variant in ("sor", "gauss_seidel", "blcd"):
         omega = 1.0 if cfg.variant == "gauss_seidel" else cfg.omega
         return float(np.max(2.0 * omega / ((2.0 - omega) * q.diag)))
-    if cfg.variant == "blcd":
-        return float(np.max(
-            2.0 * cfg.alpha / ((2.0 - cfg.alpha) * q.diag)))
     if cfg.variant in ("bsor", "l1_bsor"):
         return float(np.max(cfg.tau / q.diag))
     return float(np.max(coordinate_time_steps(cfg, V, n)))
@@ -447,7 +431,7 @@ def make_sweeper(V: CoordinateObjective, spec: BregmanSpec,
 
     if variant == "blcd":
         gamma = spec.gamma
-        return lambda state: blcd_sweep(q, state, gamma, cfg.alpha)
+        return lambda state: blcd_sweep(q, state, gamma, cfg.omega)
 
     raise SolverError(f"unknown variant {variant!r}")
 

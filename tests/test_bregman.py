@@ -69,6 +69,10 @@ class TestProjections:
         assert interval_dist_zero(2.0, 3.0) == 2.0
         assert interval_dist_zero(-3.0, -2.0) == 2.0
         assert interval_dist_zero(-1.0, 1.0) == 0.0
+        lo = np.array([2.0, -3.0, -1.0, 0.0])
+        hi = np.array([3.0, -2.0, 1.0, 0.0])
+        assert np.array_equal(interval_dist_zero(lo, hi),
+                              [2.0, 2.0, 0.0, 0.0])
 
 
 class TestScalarBregman:

@@ -217,9 +217,12 @@ class TestCliMain:
                      "--solvers", "sor,nope"]) == 2
 
     def test_solver_error_exit_3(self, tmp_path):
-        code = main(["--preset", "gaussian_noiseless", "--n", "8",
-                     "--tau", "-1.0", "--out-dir", str(tmp_path)])
-        assert code == 3
+        for bad in (["--tau", "-1.0"], ["--tau", "nan"], ["--iters", "0"],
+                    ["--iters", "-1"]):
+            code = main(["--preset", "gaussian_noiseless", "--n", "8",
+                         "--solvers", "bsor", "--out-dir", str(tmp_path)]
+                        + bad)
+            assert code == 3, bad
 
     def test_out_dir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BIA_OUT_DIR", str(tmp_path / "envout"))

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from bregsolve.objectives import (L1QuadraticObjective, ObjectiveError,
-                                  QuadraticObjective, StudentTObjective,
+from bregsolve.objectives import (CoordinateObjective, L1QuadraticObjective,
+                                  ObjectiveError, QuadraticObjective,
+                                  StudentTObjective,
                                   add_noise, gaussian_system, impulse_noise,
                                   itoh_abe_discrete_gradient,
                                   make_test_image)
@@ -77,15 +78,25 @@ class TestQuadraticObjective:
         assert np.allclose(ctx.r, fresh, rtol=1e-9, atol=1e-12)
 
     def test_sweep_context_dq_matches_direct(self):
-        q, rng = random_quadratic(6, 2)
-        x = rng.standard_normal(6)
-        ctx = q.sweep_context(x)
-        for i in range(6):
-            new = float(rng.standard_normal())
-            assert ctx.dq(i)(new) == pytest.approx(
-                q.coord_diff_quotient(ctx.y, i, float(ctx.y[i]), new),
-                rel=1e-12, abs=1e-12)
-            ctx.commit(i, new)
+        # The quadratic and the l1 quadratic share one sweep context; cover
+        # old > 0, old < 0 and old == 0, with moving and stationary steps.
+        q, rng = random_quadratic(12, 2)
+        x = rng.standard_normal(12)
+        x[::3] = 0.0
+        x[1::3] = np.abs(x[1::3])
+        x[2::3] = -np.abs(x[2::3])
+        for V in (q, L1QuadraticObjective(q, 1.3)):
+            ctx = V.sweep_context(x)
+            for i in range(12):
+                old = float(ctx.y[i])
+                assert ctx.clarke(i) == pytest.approx(
+                    V.coord_clarke_interval(ctx.y, i), rel=1e-12, abs=1e-12)
+                new = old if i % 2 else float(rng.standard_normal())
+                for move in (old, new):
+                    assert ctx.dq(i)(move) == pytest.approx(
+                        V.coord_diff_quotient(ctx.y, i, old, move),
+                        rel=1e-12, abs=1e-12)
+                ctx.commit(i, new)
 
     def test_clarke_intervals_are_gradient(self):
         q, rng = random_quadratic(5, 3)
@@ -198,15 +209,23 @@ class TestStudentTObjective:
         assert hi - lo == pytest.approx(2.0)
 
     def test_vectorized_clarke_matches_per_coordinate(self):
+        # Reference: the base-class loop over coord_clarke_interval.  Exact
+        # kinks (x == x_delta for student-t, x == 0 for l1) are included.
         rng = np.random.default_rng(9)
         x_delta = rng.uniform(0, 1, 48)
-        V = StudentTObjective(6, 8, x_delta)
         x = rng.uniform(0, 1, 48)
-        lo, hi = V.clarke_intervals(x)
-        for i in range(48):
-            l2, h2 = V.coord_clarke_interval(x, i)
-            assert lo[i] == pytest.approx(l2, abs=1e-12)
-            assert hi[i] == pytest.approx(h2, abs=1e-12)
+        x[::4] = x_delta[::4]
+        q, _ = random_quadratic(48, 9)
+        xq = rng.standard_normal(48)
+        xq[::4] = 0.0
+        cases = ((StudentTObjective(6, 8, x_delta), x),
+                 (L1QuadraticObjective(q, 1.3), xq), (q, xq))
+        for V, point in cases:
+            lo, hi = V.clarke_intervals(point)
+            lo2, hi2 = CoordinateObjective.clarke_intervals(V, point)
+            assert np.any(hi2 > lo2) or V is q
+            assert lo == pytest.approx(lo2, abs=1e-12)
+            assert hi == pytest.approx(hi2, abs=1e-12)
 
     def test_dq_accurate_at_tiny_steps(self):
         # the quotient must converge to the one-sided derivative, not to

@@ -34,11 +34,15 @@ class TestSolverConfig:
         with pytest.raises(SolverError):
             SolverConfig("sor", omega=2.0)
         with pytest.raises(SolverError):
-            SolverConfig("blcd", alpha=0.0)
+            SolverConfig("blcd", omega=0.0)
 
     def test_tau_positive(self):
-        with pytest.raises(SolverError):
-            SolverConfig("bia", tau=0.0)
+        for tau in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(SolverError):
+                SolverConfig("bia", tau=tau)
+        for max_iters in (0, -1):
+            with pytest.raises(SolverError):
+                SolverConfig("bsor", max_iters=max_iters)
 
 
 class TestSorSweep:
