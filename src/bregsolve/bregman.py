@@ -1,24 +1,24 @@
 """Separable Bregman functions and the scalar nonsmooth operators built on them.
 
 A Bregman function here is a coordinate-wise sum of scalar pieces
-``j(x) = x**2 / 2 + gamma * |x - shift|`` plus the indicator of a box
-``[lower, upper]``.  Every piece is 1-strongly convex, so subdifferentials
-are nonempty closed intervals whose lower bound grows at least linearly,
-which is what the coordinate solvers rely on.
+``j(x) = x**2 / 2 + gamma * |x - shift_i|``, with one ``gamma`` and a
+per-coordinate shift, plus the indicator of a box ``[lower, upper]``.
+Every piece is 1-strongly convex, so subdifferentials are nonempty closed
+intervals whose lower bound grows at least linearly, which is what the
+coordinate solvers rely on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 #: Absolute tolerance for subgradient interval membership after a
 #: closed-form update (closed forms are exact up to rounding).
 MEMBERSHIP_TOL = 1e-9
-
-_KINDS = ("euclidean", "elastic_net", "shifted_elastic_net")
 
 
 class BregmanError(ValueError):
@@ -76,27 +76,20 @@ def l1_intervals(g: np.ndarray, d: np.ndarray, w: float):
 class ScalarBregman:
     """One separable piece ``j(x) = x^2/2 + gamma*|x - shift|`` on a box.
 
-    ``kind`` selects the family: "euclidean" forces gamma = shift = 0,
-    "elastic_net" forces shift = 0, "shifted_elastic_net" is the general
-    form.  The box may be unbounded via IEEE infinities.
+    ``gamma = 0`` is the euclidean piece and ``shift = 0`` the elastic
+    net.  The box may be unbounded via IEEE infinities.
     """
 
-    kind: str = "euclidean"
     gamma: float = 0.0
     shift: float = 0.0
     lower: float = -math.inf
     upper: float = math.inf
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise BregmanError(f"unknown Bregman kind {self.kind!r}")
-        if self.gamma < 0:
-            raise BregmanError("gamma must be >= 0")
-        if self.kind == "euclidean" and self.gamma != 0:
-            raise BregmanError("euclidean piece must have gamma == 0")
-        if self.kind != "shifted_elastic_net" and self.shift != 0:
-            raise BregmanError("only shifted_elastic_net may carry a shift")
-        if self.lower > self.upper:
+        # Negated comparisons, so that NaN fails them too.
+        if not self.gamma >= 0:
+            raise BregmanError(f"gamma must be >= 0, got {self.gamma}")
+        if not self.lower <= self.upper:
             raise BregmanError(f"empty box [{self.lower}, {self.upper}]")
 
     def in_box(self, x: float) -> bool:
@@ -105,12 +98,6 @@ class ScalarBregman:
     def j_value(self, x: float) -> float:
         """Value of the scalar piece, without the box indicator."""
         return 0.5 * x * x + self.gamma * abs(x - self.shift)
-
-    def value(self, x: float) -> float:
-        """Value including the box indicator (+inf outside the box)."""
-        if not self.in_box(x):
-            return math.inf
-        return self.j_value(x)
 
     def j_interval(self, x: float) -> tuple[float, float]:
         """Subdifferential of the scalar piece alone, as ``(lo, hi)``."""
@@ -131,103 +118,99 @@ class ScalarBregman:
             lo = -math.inf
         return (lo, hi)
 
-    def contains_subgradient(self, x: float, p: float,
-                             tol: float = MEMBERSHIP_TOL) -> bool:
-        lo, hi = self.subdiff_interval(x)
-        return lo - tol <= p <= hi + tol
-
-    def min_norm_subgradient(self, x: float) -> float:
-        """Element of the subdifferential at ``x`` of smallest magnitude."""
-        lo, hi = self.subdiff_interval(x)
-        return interval_project(0.0, lo, hi)
-
 
 def euclidean_piece(lower: float = -math.inf,
                     upper: float = math.inf) -> ScalarBregman:
-    return ScalarBregman("euclidean", 0.0, 0.0, lower, upper)
+    return ScalarBregman(0.0, 0.0, lower, upper)
 
 
 def elastic_net_piece(gamma: float, lower: float = -math.inf,
                       upper: float = math.inf) -> ScalarBregman:
-    kind = "euclidean" if gamma == 0 else "elastic_net"
-    return ScalarBregman(kind, gamma, 0.0, lower, upper)
+    return ScalarBregman(gamma, 0.0, lower, upper)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BregmanSpec:
-    """Separable Bregman function: sum of scalar pieces plus box indicator."""
+    """Separable Bregman function
+    ``J(x) = sum_i x_i^2/2 + gamma*|x_i - shift_i|`` plus the indicator of
+    the box ``[lower, upper]`` in every coordinate."""
 
-    per_coordinate: tuple[ScalarBregman, ...]
-    mu: float = 1.0
+    shift: np.ndarray
+    gamma: float = 0.0
+    lower: float = -math.inf
+    upper: float = math.inf
+    #: Strong-convexity modulus, fixed: every piece is 1-strongly convex.
+    mu: ClassVar[float] = 1.0
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise BregmanError("mu must be > 0 for the coordinate solvers")
-        object.__setattr__(self, "per_coordinate",
-                           tuple(self.per_coordinate))
+        shift = np.array(self.shift, dtype=float)
+        if shift.ndim != 1 or not np.all(np.isfinite(shift)):
+            raise BregmanError("shift must be a finite 1-d vector")
+        object.__setattr__(self, "shift", shift)
+        # A piece with the spec's gamma and box checks both.
+        ScalarBregman(self.gamma, 0.0, self.lower, self.upper)
 
     @property
     def n(self) -> int:
-        return len(self.per_coordinate)
+        return len(self.shift)
 
     @classmethod
     def euclidean(cls, n: int, lower: float = -math.inf,
                   upper: float = math.inf) -> "BregmanSpec":
-        return cls(tuple(euclidean_piece(lower, upper) for _ in range(n)))
+        return cls(np.zeros(n), 0.0, lower, upper)
 
     @classmethod
     def elastic_net(cls, n: int, gamma: float, lower: float = -math.inf,
                     upper: float = math.inf) -> "BregmanSpec":
-        return cls(tuple(elastic_net_piece(gamma, lower, upper)
-                         for _ in range(n)))
+        return cls(np.zeros(n), gamma, lower, upper)
 
     @classmethod
     def shifted_elastic_net(cls, gamma: float,
                             shifts: np.ndarray) -> "BregmanSpec":
-        if gamma == 0:
-            return cls.euclidean(len(shifts))
-        return cls(tuple(
-            ScalarBregman("shifted_elastic_net", gamma, float(s))
-            for s in np.asarray(shifts, dtype=float)))
+        return cls(shifts, gamma)
 
-    @property
-    def gamma(self) -> float:
-        """Common sparsity weight if all pieces share one, else error."""
-        gammas = {sb.gamma for sb in self.per_coordinate}
-        if len(gammas) != 1:
-            raise BregmanError("pieces carry different gamma values")
-        return gammas.pop()
+    def piece(self, i: int) -> ScalarBregman:
+        """The scalar piece of coordinate ``i``."""
+        return ScalarBregman(self.gamma, float(self.shift[i]), self.lower,
+                             self.upper)
 
     def value(self, x: np.ndarray) -> float:
+        """Value including the box indicator (+inf outside the box)."""
         x = self._check_dim(x)
-        return float(sum(sb.value(xi)
-                         for sb, xi in zip(self.per_coordinate, x)))
+        if not self.in_box(x):
+            return math.inf
+        return float(np.sum(0.5 * x * x + self.gamma * np.abs(x - self.shift)))
 
     def in_box(self, x: np.ndarray) -> bool:
         x = self._check_dim(x)
-        return all(sb.in_box(xi) for sb, xi in zip(self.per_coordinate, x))
+        return bool(np.all((self.lower <= x) & (x <= self.upper)))
+
+    def subdiff_intervals(self, x: np.ndarray):
+        """``(lo, hi)`` arrays of the subdifferential of J at ``x`` in the
+        box: the l1 interval of each piece, unbounded on the side of an
+        active box edge."""
+        x = self._check_dim(x)
+        if not self.in_box(x):
+            raise BregmanError("point outside the box constraints")
+        lo, hi = l1_intervals(x, x - self.shift, self.gamma)
+        return (np.where(x == self.lower, -math.inf, lo),
+                np.where(x == self.upper, math.inf, hi))
 
     def min_norm_subgradient(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_dim(x)
-        return np.array([sb.min_norm_subgradient(xi)
-                         for sb, xi in zip(self.per_coordinate, x)])
+        """Element of the subdifferential at ``x`` of smallest magnitude."""
+        return np.clip(0.0, *self.subdiff_intervals(x))
 
     def contains_subgradient(self, x: np.ndarray, p: np.ndarray,
                              tol: float = MEMBERSHIP_TOL) -> bool:
-        x = self._check_dim(x)
+        lo, hi = self.subdiff_intervals(x)
         p = self._check_dim(p)
-        return all(sb.contains_subgradient(xi, pi, tol)
-                   for sb, xi, pi in zip(self.per_coordinate, x, p))
+        return bool(np.all((lo - tol <= p) & (p <= hi + tol)))
 
     def membership_violation(self, x: np.ndarray, p: np.ndarray) -> float:
         """Largest coordinate-wise distance of ``p`` from the subdifferential."""
-        x = self._check_dim(x)
+        lo, hi = self.subdiff_intervals(x)
         p = self._check_dim(p)
-        worst = 0.0
-        for sb, xi, pi in zip(self.per_coordinate, x, p):
-            lo, hi = sb.subdiff_interval(xi)
-            worst = max(worst, abs(pi - interval_project(pi, lo, hi)))
-        return worst
+        return float(np.max(np.abs(p - np.clip(p, lo, hi)), initial=0.0))
 
     def _check_dim(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -269,6 +252,8 @@ class PrimalDualState:
     def initial(cls, spec: BregmanSpec, x0: np.ndarray) -> "PrimalDualState":
         """Start from ``x0`` with the minimal-norm subgradient as ``p0``."""
         x0 = np.asarray(x0, dtype=float)
+        if not np.all(np.isfinite(x0)):
+            raise BregmanError("x0 must be finite")
         if not spec.in_box(x0):
             raise BregmanError("x0 violates the box constraints")
         return cls(x0, spec.min_norm_subgradient(x0), 0)

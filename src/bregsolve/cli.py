@@ -120,7 +120,7 @@ def effective_params(args) -> dict:
         "tau": args.tau,
     }
     if preset == "student_t_denoise":
-        params.setdefault("phi", _STUDENT_T_PHI)
+        params["phi"] = _STUDENT_T_PHI
         params["density"] = _STUDENT_T_DENSITY
         if params["gamma"] is None:
             params["gamma"] = 0.5
@@ -183,7 +183,7 @@ def _build_student_t(params: dict) -> Experiment:
     noisy = impulse_noise(clean, params["density"],
                           seed=child_seed(params["seed"], "noise"))
     x_delta = noisy.ravel()
-    phi = params.get("phi", _STUDENT_T_PHI)
+    phi = params["phi"]
     V = StudentTObjective(h, w, x_delta, phi=(phi, phi))
     spec = BregmanSpec.shifted_elastic_net(params["gamma"], x_delta)
     return Experiment(params["preset"], V, spec, x_delta.copy(), None,
@@ -202,8 +202,6 @@ def solver_config(variant: str, params: dict, max_iters: int | None = None,
                   stop_tol: float | None = None) -> SolverConfig:
     schedule = "constant" if params["preset"] == "student_t_denoise" \
         else "diag_scaled"
-    if variant in ("sor", "gauss_seidel", "blcd"):
-        schedule = "constant"
     return SolverConfig(
         variant=variant,
         tau=params["tau"],

@@ -50,7 +50,7 @@ class InclusionProblem:
     clarke: tuple[float, float]
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise InclusionError(f"tau must be > 0, got {self.tau}")
         if not self.sb.in_box(self.x):
             raise InclusionError("x outside the box constraints")

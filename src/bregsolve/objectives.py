@@ -125,6 +125,8 @@ class QuadraticObjective(CoordinateObjective):
             raise ObjectiveError(f"A must be square, got shape {A.shape}")
         if b.shape != (A.shape[0],):
             raise ObjectiveError("b length must match A")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise ObjectiveError("A and b must be finite")
         if not np.allclose(A, A.T, rtol=1e-12, atol=1e-12):
             raise ObjectiveError("A must be symmetric")
         if np.any(np.diag(A) <= 0):
@@ -202,8 +204,8 @@ class L1QuadraticObjective(CoordinateObjective):
     """Quadratic objective plus an l1 penalty ``lam * ||x||_1``."""
 
     def __init__(self, quad: QuadraticObjective, lam: float):
-        if lam < 0:
-            raise ObjectiveError("lam must be >= 0")
+        if not (math.isfinite(lam) and lam >= 0):
+            raise ObjectiveError(f"lam must be finite and >= 0, got {lam}")
         self.quad = quad
         self.lam = lam
         self.n = quad.n
@@ -250,8 +252,10 @@ class StudentTObjective(CoordinateObjective):
         if x_delta.shape != (h * w,):
             raise ObjectiveError(
                 f"x_delta must be flat of length {h * w}, got {x_delta.shape}")
-        if any(p < 0 for p in phi):
-            raise ObjectiveError("filter weights must be >= 0")
+        if not np.all(np.isfinite(x_delta)):
+            raise ObjectiveError("x_delta must be finite")
+        if not all(math.isfinite(p) and p >= 0 for p in phi):
+            raise ObjectiveError("filter weights must be finite and >= 0")
         self.h = h
         self.w = w
         self.n = h * w
@@ -422,8 +426,8 @@ def gaussian_system(n: int, sparsity: float = 0.1, binary_gt: bool = False,
 def add_noise(b: np.ndarray, A, x_true: np.ndarray, level: float,
               seed: int = 0) -> np.ndarray:
     """Add iid Gaussian noise with std ``level * ||A x_true||_inf`` to b."""
-    if level < 0:
-        raise ObjectiveError("noise level must be >= 0")
+    if not (math.isfinite(level) and level >= 0):
+        raise ObjectiveError(f"noise level must be finite and >= 0: {level}")
     b = np.asarray(b, dtype=float)
     if level == 0:
         return b.copy()

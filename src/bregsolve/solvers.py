@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import (BregmanSpec, PrimalDualState, interval_project, shrink)
+from .bregman import (BregmanSpec, PrimalDualState, interval_dist_zero,
+                      interval_project, shrink)
 from .inclusion import InclusionProblem, solve_inclusion
 from .metrics import (RunReference, TraceRecord, clarke_dist,
                       dissipation_slack, relative_objective, support_stats)
@@ -132,7 +133,7 @@ def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
     p_new = state.p.copy()
     for i in range(spec.n):
         prob = InclusionProblem(
-            sb=spec.per_coordinate[i],
+            sb=spec.piece(i),
             x=float(ctx.y[i]),
             p=float(p_new[i]),
             tau=float(taus[i]),
@@ -340,17 +341,10 @@ def stationarity_residual(V: CoordinateObjective, x: np.ndarray,
     """
     x = np.asarray(x, dtype=float)
     lo, hi = V.clarke_intervals(x)
-    out = np.zeros_like(x)
-    for i in range(len(x)):
-        at_upper = at_lower = False
-        if spec is not None:
-            sb = spec.per_coordinate[i]
-            at_upper = x[i] >= sb.upper
-            at_lower = x[i] <= sb.lower
-        deficit_up = 0.0 if at_upper else max(0.0, -hi[i])
-        deficit_down = 0.0 if at_lower else max(0.0, lo[i])
-        out[i] = max(deficit_up, deficit_down)
-    return out
+    if spec is not None:
+        lo = np.where(x <= spec.lower, -math.inf, lo)
+        hi = np.where(x >= spec.upper, math.inf, hi)
+    return interval_dist_zero(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +401,7 @@ def make_sweeper(V: CoordinateObjective, spec: BregmanSpec,
         return sweep
 
     if variant == "ia":
-        if any(sb.gamma != 0 for sb in spec.per_coordinate):
+        if spec.gamma != 0:
             raise SolverError("ia requires a euclidean Bregman function")
         taus = coordinate_time_steps(cfg, V, spec.n)
         return lambda state: bia_sweep(V, spec, state, taus)
@@ -459,7 +453,8 @@ def run(V: CoordinateObjective, spec: BregmanSpec, x0: np.ndarray,
         result = sweep(state)
         wall_ms = (time.perf_counter() - t_start) * 1e3
         v_next = v_current - result.decrease
-        if result.decrease < -DISSIPATION_TOL * max(1.0, abs(v_current)):
+        # Negated, so that a NaN decrease fails the check too.
+        if not result.decrease >= -DISSIPATION_TOL * max(1.0, abs(v_current)):
             raise InvariantViolation(
                 f"objective increased by {-result.decrease:.3e} at sweep "
                 f"{result.state.k}")

@@ -379,8 +379,7 @@ def test_criterion_10_property_suite(tmp_path):
             x = float(rng.uniform(-2.0, 2.0))
             r = float(rng.uniform(-1, 1)) if x == 0 \
                 else math.copysign(1.0, x)
-            sb = ScalarBregman(kind="elastic_net" if gamma > 0
-                               else "euclidean", gamma=gamma)
+            sb = ScalarBregman(gamma=gamma)
             p = x + gamma * r
 
             def dq(y, x=x, a=a, g=g):

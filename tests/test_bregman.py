@@ -107,7 +107,7 @@ class TestScalarBregman:
             assert a.j_value(x) == b.j_value(x)
 
     def test_shifted_kink_location(self):
-        sb = ScalarBregman("shifted_elastic_net", 0.5, 0.3)
+        sb = ScalarBregman(0.5, 0.3)
         lo, hi = sb.j_interval(0.3)
         assert lo == pytest.approx(0.3 - 0.5)
         assert hi == pytest.approx(0.3 + 0.5)
@@ -115,13 +115,9 @@ class TestScalarBregman:
 
     def test_invalid_configs(self):
         with pytest.raises(BregmanError):
-            ScalarBregman("euclidean", gamma=1.0)
+            ScalarBregman(gamma=-1.0)
         with pytest.raises(BregmanError):
-            ScalarBregman("elastic_net", gamma=1.0, shift=2.0)
-        with pytest.raises(BregmanError):
-            ScalarBregman("elastic_net", gamma=-1.0)
-        with pytest.raises(BregmanError):
-            ScalarBregman("euclidean", lower=1.0, upper=0.0)
+            ScalarBregman(lower=1.0, upper=0.0)
 
     @given(st.floats(min_value=-100, max_value=100),
            st.floats(min_value=1e-6, max_value=100),
@@ -167,8 +163,8 @@ class TestBregmanDistance:
         y = rng.uniform(-3, 3, n)
         # any valid subgradient: random point of each interval
         p = np.empty(n)
-        for i, sb in enumerate(spec.per_coordinate):
-            lo, hi = sb.subdiff_interval(x[i])
+        for i in range(n):
+            lo, hi = spec.piece(i).subdiff_interval(x[i])
             p[i] = rng.uniform(lo, hi)
         d = bregman_distance(spec, x, p, y)
         gap = 0.5 * spec.mu * float(np.sum((y - x) ** 2))
@@ -194,18 +190,13 @@ class TestBregmanSpec:
         spec = BregmanSpec.elastic_net(3, 0.7)
         assert spec.gamma == 0.7
 
-    def test_mixed_gamma_rejected(self):
-        spec = BregmanSpec((elastic_net_piece(1.0), elastic_net_piece(2.0)))
-        with pytest.raises(BregmanError):
-            spec.gamma
-
     def test_shifted_factory(self):
         shifts = np.array([0.1, 0.9])
         spec = BregmanSpec.shifted_elastic_net(0.5, shifts)
-        assert spec.per_coordinate[1].shift == 0.9
+        assert spec.shift[1] == 0.9
         # gamma = 0 degenerates to euclidean
         spec0 = BregmanSpec.shifted_elastic_net(0.0, shifts)
-        assert all(sb.kind == "euclidean" for sb in spec0.per_coordinate)
+        assert spec0.gamma == 0.0
 
     def test_min_norm_subgradient_membership(self):
         spec = BregmanSpec.elastic_net(4, 1.5)
@@ -219,6 +210,50 @@ class TestBregmanSpec:
         x = np.array([1.0, 2.0])
         assert spec.membership_violation(x, x) == 0.0
         assert spec.membership_violation(x, x + 0.5) == pytest.approx(0.5)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_vectorised_matches_pieces(self, data):
+        # The scalar piece is the reference for every spec-wide operation,
+        # at exact kinks and active box edges included.
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        small = st.floats(min_value=-5, max_value=5)
+        gamma = data.draw(st.just(0.0) | st.floats(min_value=0, max_value=3))
+        lower = data.draw(small)
+        upper = data.draw(st.floats(min_value=lower, max_value=lower + 10))
+        shift = np.array(data.draw(st.lists(small, min_size=n, max_size=n)))
+        spec = BregmanSpec(shift, gamma, lower, upper)
+        pieces = [spec.piece(i) for i in range(n)]
+        x = np.array([data.draw(st.sampled_from([lower, upper, s])
+                                | st.floats(min_value=lower, max_value=upper))
+                      for s in shift]).clip(lower, upper)
+        ref = [sb.subdiff_interval(xi) for sb, xi in zip(pieces, x)]
+        lo, hi = spec.subdiff_intervals(x)
+        assert list(zip(lo, hi)) == ref
+        assert list(spec.min_norm_subgradient(x)) == [
+            interval_project(0.0, a, b) for a, b in ref]
+        # p_i at, just inside or just outside a finite interval end, or
+        # anywhere.
+        tol = 1e-9
+        near = np.array([
+            data.draw(st.sampled_from([v for v in (a, b) if math.isfinite(v)]
+                                      or [0.0]) | st.floats(-10, 10))
+            + data.draw(st.sampled_from([0.0, -2 * tol, -tol / 2, tol / 2,
+                                         2 * tol]))
+            for a, b in ref])
+        for p in (spec.min_norm_subgradient(x), near):
+            assert spec.contains_subgradient(x, p, tol) == all(
+                a - tol <= pi <= b + tol for (a, b), pi in zip(ref, p))
+            assert spec.membership_violation(x, p) == max(
+                abs(pi - interval_project(pi, a, b))
+                for (a, b), pi in zip(ref, p))
+        y = x + np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]),
+                                            min_size=n, max_size=n)))
+        assert spec.in_box(x)
+        assert spec.value(x) == pytest.approx(
+            sum(sb.j_value(xi) for sb, xi in zip(pieces, x)), abs=1e-12)
+        assert spec.in_box(y) == all(sb.in_box(yi)
+                                     for sb, yi in zip(pieces, y))
 
     def test_dimension_check(self):
         spec = BregmanSpec.euclidean(3)
@@ -237,6 +272,8 @@ class TestPrimalDualState:
         spec = BregmanSpec.euclidean(1, lower=0.0, upper=1.0)
         with pytest.raises(BregmanError):
             PrimalDualState.initial(spec, [2.0])
+        with pytest.raises(BregmanError, match="finite"):
+            PrimalDualState.initial(spec, [math.nan])
 
     def test_validate_catches_bad_subgradient(self):
         spec = BregmanSpec.euclidean(1)

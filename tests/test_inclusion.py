@@ -70,8 +70,9 @@ class TestBasicSolutions:
         assert prob.dq(sol.y) * (sol.y - prob.x) <= 1e-12
 
     def test_invalid_inputs(self):
-        with pytest.raises(InclusionError):
-            make_problem(euclidean_piece(), 0.0, 0.0, -1.0, 1.0, 1.0)
+        for tau in (-1.0, math.nan):
+            with pytest.raises(InclusionError):
+                make_problem(euclidean_piece(), 0.0, 0.0, tau, 1.0, 1.0)
         with pytest.raises(InclusionError):
             make_problem(euclidean_piece(lower=0.0), -1.0, 0.0, 1.0,
                          1.0, 1.0)
@@ -203,7 +204,7 @@ class TestShiftedElasticNet:
     def test_root_lands_on_shift_kink(self):
         # the target subgradient falls inside the wide interval at the
         # shift: the solution is exactly the kink
-        sb = ScalarBregman("shifted_elastic_net", 1.0, 0.5)
+        sb = ScalarBregman(1.0, 0.5)
         x, p = 2.0, 3.0  # p = x + gamma valid above the shift
         prob = make_problem(sb, x, p, 1.0, g=2.0, a=0.5)
         sol = solve_inclusion(prob)
@@ -214,8 +215,7 @@ class TestShiftedElasticNet:
         rng = np.random.default_rng(24)
         for _ in range(300):
             shift = float(rng.uniform(0, 1))
-            sb = ScalarBregman("shifted_elastic_net",
-                               float(rng.uniform(0.1, 1)), shift)
+            sb = ScalarBregman(float(rng.uniform(0.1, 1)), shift)
             x = float(rng.uniform(-1, 2))
             slo, shi = sb.subdiff_interval(x)
             p = float(rng.uniform(slo, shi))

@@ -218,7 +218,8 @@ class TestCliMain:
 
     def test_solver_error_exit_3(self, tmp_path):
         for bad in (["--tau", "-1.0"], ["--tau", "nan"], ["--iters", "0"],
-                    ["--iters", "-1"]):
+                    ["--iters", "-1"], ["--noise-level", "nan"],
+                    ["--noise-level", "inf"], ["--gamma", "nan"]):
             code = main(["--preset", "gaussian_noiseless", "--n", "8",
                          "--solvers", "bsor", "--out-dir", str(tmp_path)]
                         + bad)

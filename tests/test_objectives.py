@@ -68,6 +68,11 @@ class TestQuadraticObjective:
             QuadraticObjective(-np.eye(2), np.zeros(2))
         with pytest.raises(ObjectiveError):
             QuadraticObjective(np.eye(2), np.zeros(3))
+        with pytest.raises(ObjectiveError):
+            QuadraticObjective(np.eye(2), np.array([0.0, math.nan]))
+        with pytest.raises(ObjectiveError):
+            QuadraticObjective(np.array([[1.0, math.inf], [math.inf, 1.0]]),
+                               np.zeros(2))
 
     def test_residual_cache_coherence(self):
         q, rng = random_quadratic(10, 1)

@@ -294,6 +294,14 @@ class TestRunLoop:
         _, records = run(q, spec, np.zeros(6), cfg)
         assert len(records) == 3  # huge tolerance: three sweeps and stop
 
+    def test_nan_objective_raises(self):
+        # A NaN decrease must fail the monotonicity check, not pass it.
+        q, _ = spd_system(4, 48)
+        q.value = lambda x: math.nan
+        with pytest.raises(InvariantViolation):
+            run(q, BregmanSpec.euclidean(4), np.zeros(4),
+                SolverConfig("sor", max_iters=3))
+
     def test_membership_after_every_sweep(self):
         q, _ = spd_system(10, 47)
         V = L1QuadraticObjective(q, 1.0)
