@@ -4,7 +4,7 @@ optimization, with an experiment CLI producing convergence trace CSVs."""
 __version__ = "0.1.0"
 
 from .bregman import (BregmanError, BregmanSpec, PrimalDualState,
-                      ScalarBregman, bregman_distance, project_box, shrink)
+                      ScalarBregman, bregman_distance, shrink)
 from .inclusion import (ConvergenceError, DivergenceError, InclusionError,
                         InclusionProblem, InclusionSolution, solve_inclusion)
 from .metrics import (RunReference, TraceRecord, clarke_dist,
@@ -21,7 +21,7 @@ from .solvers import (InvariantViolation, SolverConfig, SolverError,
 
 __all__ = [
     "BregmanError", "BregmanSpec", "PrimalDualState", "ScalarBregman",
-    "bregman_distance", "project_box", "shrink",
+    "bregman_distance", "shrink",
     "ConvergenceError", "DivergenceError", "InclusionError",
     "InclusionProblem", "InclusionSolution", "solve_inclusion",
     "RunReference", "TraceRecord", "clarke_dist", "dissipation_slack",

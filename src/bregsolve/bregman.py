@@ -36,13 +36,6 @@ def shrink(x: float, lam: float) -> float:
     return 0.0
 
 
-def project_box(x: float, lower: float, upper: float) -> float:
-    """Clamp ``x`` to the interval ``[lower, upper]``."""
-    if lower > upper:
-        raise BregmanError(f"empty box [{lower}, {upper}]")
-    return min(max(x, lower), upper)
-
-
 def interval_project(t: float, lo: float, hi: float) -> float:
     """Nearest point of the closed interval ``[lo, hi]`` to ``t``."""
     return min(max(t, lo), hi)

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .bregman import BregmanError, BregmanSpec
 from .inclusion import InclusionError
-from .io_utils import read_pgm, write_pgm, write_trace
+from .io_utils import IOError_, read_pgm, write_pgm, write_trace
 from .metrics import RunReference, relative_objective
 from .objectives import (L1QuadraticObjective, ObjectiveError,
                          QuadraticObjective, StudentTObjective, add_noise,
@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="l1 regularisation weight of the objective")
     p.add_argument("--tau", type=float, default=None,
-                   help="time step (diagonal-scaled for gaussian presets)")
+                   help="time step (scaled by 1/a_ii on quadratic "
+                        "objectives)")
     p.add_argument("--omega", type=float, default=1.0,
                    help="relaxation parameter for sor / step for blcd")
     p.add_argument("--iters", type=int, default=200)
@@ -166,7 +167,7 @@ def _build_gaussian(params: dict) -> Experiment:
     b = add_noise(b_clean, A, x_true, params["noise_level"],
                   seed=child_seed(seed, "noise"))
     quad = QuadraticObjective(A, b)
-    V = L1QuadraticObjective(quad, params["lam"]) if params["lam"] > 0 \
+    V = L1QuadraticObjective(quad, params["lam"]) if params["lam"] != 0 \
         else quad
     spec = BregmanSpec.elastic_net(params["n"], params["gamma"])
     rng = np.random.default_rng(child_seed(seed, "init"))
@@ -200,13 +201,10 @@ def solver_spec(variant: str, exp: Experiment) -> BregmanSpec:
 
 def solver_config(variant: str, params: dict, max_iters: int | None = None,
                   stop_tol: float | None = None) -> SolverConfig:
-    schedule = "constant" if params["preset"] == "student_t_denoise" \
-        else "diag_scaled"
     return SolverConfig(
         variant=variant,
         tau=params["tau"],
         omega=params["omega"],
-        tau_schedule=schedule,
         max_iters=params["iters"] if max_iters is None else max_iters,
         stop_tol=params["stop_tol"] if stop_tol is None else stop_tol,
     )
@@ -287,6 +285,9 @@ def main(argv=None) -> int:
             ObjectiveError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except (IOError_, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -10,7 +10,7 @@ available as an independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -115,8 +115,24 @@ class SweepContext:
         self.y[i] = new
 
 
+def _quadratic_quotient(g: float, aii: float, lam: float, old: float,
+                        new: float) -> float:
+    """Difference quotient of the quadratic plus ``lam * |.|`` along one
+    coordinate, with partial derivative ``g`` of the quadratic at ``old``."""
+    if is_stationary_move(old, new):
+        # On the kink the Clarke midpoint is g itself; computed as
+        # 0.5 * ((g - lam) + (g + lam)) it can be off by rounding.
+        return g if old == 0.0 else l1_interval(g, old, lam)[0]
+    dq = g + 0.5 * aii * (new - old)
+    return dq + lam * (abs(new) - abs(old)) / (new - old)
+
+
 class QuadraticObjective(CoordinateObjective):
-    """``V(x) = <x, A x>/2 - <b, x>`` for symmetric PSD A with positive diagonal."""
+    """``V(x) = <x, A x>/2 - <b, x> + lam * ||x||_1`` for symmetric PSD A
+    with positive diagonal; ``lam`` is 0 here and set by
+    :class:`L1QuadraticObjective`."""
+
+    lam = 0.0
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
         A = np.asarray(A, dtype=float)
@@ -144,54 +160,41 @@ class QuadraticObjective(CoordinateObjective):
         return 0.5 * float(x @ (self.A @ x)) - float(self.b @ x)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        """Gradient ``A x - b``, computed fresh."""
+        """Gradient ``A x - b`` of the quadratic part, computed fresh."""
         return self.A @ self._check(x) - self.b
 
     def coord_clarke_interval(self, y, i):
         g = float(self.A[i] @ y - self.b[i])
-        return (g, g)
+        return l1_interval(g, float(y[i]), self.lam)
 
     def coord_diff_quotient(self, y, i, old, new):
         g = float(self.A[i] @ y - self.b[i])
-        if is_stationary_move(old, new):
-            return g
-        return g + 0.5 * self.A[i, i] * (new - old)
+        return _quadratic_quotient(g, float(self.A[i, i]), self.lam, old, new)
 
     def clarke_intervals(self, x):
-        r = self.residual(x)
-        return r.copy(), r.copy()
+        return l1_intervals(self.residual(x), x, self.lam)
 
     def sweep_context(self, x):
         return _QuadraticSweepContext(self, x)
 
 
 class _QuadraticSweepContext(SweepContext):
-    """Maintains the residual cache ``r = A y - b`` across coordinate commits
-    for the quadratic plus ``lam * ||y||_1`` (``lam = 0``: plain quadratic)."""
+    """Maintains the residual cache ``r = A y - b`` across coordinate
+    commits."""
 
-    def __init__(self, objective: QuadraticObjective, x, lam: float = 0.0):
+    def __init__(self, objective: QuadraticObjective, x):
         super().__init__(objective, x)
-        self.lam = lam
         self.r = objective.A @ self.y - objective.b
 
     def dq(self, i: int):
         g = float(self.r[i])
         aii = float(self.objective.A[i, i])
-        lam = self.lam
-        old = float(self.y[i])
-
-        def quotient(new: float) -> float:
-            if is_stationary_move(old, new):
-                # On the kink the Clarke midpoint is g itself; computed as
-                # 0.5 * ((g - lam) + (g + lam)) it can be off by rounding.
-                return g if old == 0.0 else l1_interval(g, old, lam)[0]
-            dq = g + 0.5 * aii * (new - old)
-            return dq + lam * (abs(new) - abs(old)) / (new - old)
-
-        return quotient
+        return partial(_quadratic_quotient, g, aii, self.objective.lam,
+                       float(self.y[i]))
 
     def clarke(self, i: int):
-        return l1_interval(float(self.r[i]), float(self.y[i]), self.lam)
+        return l1_interval(float(self.r[i]), float(self.y[i]),
+                           self.objective.lam)
 
     def commit(self, i: int, new: float):
         delta = new - self.y[i]
@@ -200,34 +203,20 @@ class _QuadraticSweepContext(SweepContext):
             self.y[i] = new
 
 
-class L1QuadraticObjective(CoordinateObjective):
-    """Quadratic objective plus an l1 penalty ``lam * ||x||_1``."""
+class L1QuadraticObjective(QuadraticObjective):
+    """Quadratic objective plus an l1 penalty ``lam * ||x||_1``, sharing
+    ``A`` and ``b`` with ``quad``."""
 
     def __init__(self, quad: QuadraticObjective, lam: float):
         if not (math.isfinite(lam) and lam >= 0):
             raise ObjectiveError(f"lam must be finite and >= 0, got {lam}")
-        self.quad = quad
-        self.lam = lam
+        self.A = quad.A
+        self.b = quad.b
         self.n = quad.n
+        self.lam = lam
 
     def value(self, x):
-        return self.quad.value(x) + self.lam * float(np.abs(x).sum())
-
-    def coord_clarke_interval(self, y, i):
-        g = float(self.quad.A[i] @ y - self.quad.b[i])
-        return l1_interval(g, float(y[i]), self.lam)
-
-    def coord_diff_quotient(self, y, i, old, new):
-        if is_stationary_move(old, new):
-            return _midpoint(*self.coord_clarke_interval(y, i))
-        dq = self.quad.coord_diff_quotient(y, i, old, new)
-        return dq + self.lam * (abs(new) - abs(old)) / (new - old)
-
-    def clarke_intervals(self, x):
-        return l1_intervals(self.quad.residual(x), x, self.lam)
-
-    def sweep_context(self, x):
-        return _QuadraticSweepContext(self.quad, x, self.lam)
+        return super().value(x) + self.lam * float(np.abs(x).sum())
 
 
 def _psi(t):

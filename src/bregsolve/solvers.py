@@ -49,15 +49,12 @@ class SolverConfig:
     #: Relaxation for sor, step for blcd: one parameter, since
     #: sor(omega) is blcd with gamma = 0 and step omega.
     omega: float = 1.0
-    tau_schedule: str = "constant"  # constant | diag_scaled
     max_iters: int = 200
     stop_tol: float = 1e-8
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise SolverError(f"unknown variant {self.variant!r}")
-        if self.tau_schedule not in ("constant", "diag_scaled"):
-            raise SolverError(f"unknown schedule {self.tau_schedule!r}")
         if self.variant in ("sor", "gauss_seidel", "blcd") \
                 and not 0 < self.omega < 2:
             raise SolverError("omega must lie in (0, 2)")
@@ -65,6 +62,8 @@ class SolverConfig:
             raise SolverError(f"tau must be finite and > 0, got {self.tau}")
         if self.max_iters < 1:
             raise SolverError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not self.stop_tol >= 0:
+            raise SolverError(f"stop_tol must be >= 0, got {self.stop_tol}")
 
 
 @dataclass
@@ -351,36 +350,18 @@ def stationarity_residual(V: CoordinateObjective, x: np.ndarray,
 # Outer run loop
 # ---------------------------------------------------------------------------
 
-def coordinate_time_steps(cfg: SolverConfig, V: CoordinateObjective,
-                          n: int) -> np.ndarray:
-    if cfg.tau_schedule == "constant":
-        return np.full(n, cfg.tau)
-    diag = _quadratic_part(V, required=True).diag
-    return cfg.tau / diag
-
-
-def _quadratic_part(V, required=False):
-    if isinstance(V, QuadraticObjective):
-        return V
-    if isinstance(V, L1QuadraticObjective):
-        return V.quad
-    if required:
-        raise SolverError(
-            "diag-scaled time steps require a quadratic objective part")
-    return None
-
-
-def effective_tau_max(cfg: SolverConfig, V: CoordinateObjective,
-                      n: int) -> float:
-    """Largest coordinate time step of the equivalent Bregman sweep, used
-    in the dissipation bound."""
-    q = _quadratic_part(V)
+def coordinate_time_steps(cfg: SolverConfig,
+                          V: CoordinateObjective) -> np.ndarray:
+    """Per-coordinate time steps of the Bregman sweep that ``cfg`` runs on
+    ``V``: ``2 omega / ((2 - omega) a_ii)`` for the relaxation sweeps, which
+    are the Bregman sweep with those steps, ``tau / a_ii`` for every other
+    variant on a quadratic objective, and ``tau`` otherwise."""
+    if not isinstance(V, QuadraticObjective):
+        return np.full(V.n, cfg.tau)
     if cfg.variant in ("sor", "gauss_seidel", "blcd"):
         omega = 1.0 if cfg.variant == "gauss_seidel" else cfg.omega
-        return float(np.max(2.0 * omega / ((2.0 - omega) * q.diag)))
-    if cfg.variant in ("bsor", "l1_bsor"):
-        return float(np.max(cfg.tau / q.diag))
-    return float(np.max(coordinate_time_steps(cfg, V, n)))
+        return 2.0 * omega / ((2.0 - omega) * V.diag)
+    return cfg.tau / V.diag
 
 
 def make_sweeper(V: CoordinateObjective, spec: BregmanSpec,
@@ -388,44 +369,40 @@ def make_sweeper(V: CoordinateObjective, spec: BregmanSpec,
     """Bind a config to a single-sweep callable ``state -> SweepResult``."""
     variant = cfg.variant
     if variant in ("sor", "gauss_seidel", "bsor", "l1_bsor", "blcd"):
-        q = _quadratic_part(V)
-        if q is None:
+        if not isinstance(V, QuadraticObjective):
             raise SolverError(f"{variant} requires a quadratic objective")
+        if V.lam != 0 and variant != "l1_bsor":
+            raise SolverError(f"{variant} requires lam == 0; use l1_bsor "
+                              "for l1-regularised objectives")
 
     if variant in ("sor", "gauss_seidel"):
         omega = 1.0 if variant == "gauss_seidel" else cfg.omega
 
         def sweep(state):
-            y = sor_sweep(q, state.x, omega)
-            return _result(q, state, y, y.copy())
+            y = sor_sweep(V, state.x, omega)
+            return _result(V, state, y, y.copy())
         return sweep
 
     if variant == "ia":
         if spec.gamma != 0:
             raise SolverError("ia requires a euclidean Bregman function")
-        taus = coordinate_time_steps(cfg, V, spec.n)
+        taus = coordinate_time_steps(cfg, V)
         return lambda state: bia_sweep(V, spec, state, taus)
 
     if variant in ("bia", "bia_modified"):
         mode = "forget_box" if variant == "bia_modified" else "keep_box"
-        taus = coordinate_time_steps(cfg, V, spec.n)
+        taus = coordinate_time_steps(cfg, V)
         return lambda state: bia_sweep(V, spec, state, taus, mode)
 
+    gamma = spec.gamma
     if variant == "bsor":
-        gamma = spec.gamma
-        if isinstance(V, L1QuadraticObjective) and V.lam != 0:
-            raise SolverError("use l1_bsor for l1-regularised objectives")
-        return lambda state: bsor_sweep(q, state, gamma, cfg.tau)
+        return lambda state: bsor_sweep(V, state, gamma, cfg.tau)
 
     if variant == "l1_bsor":
-        if not isinstance(V, L1QuadraticObjective):
-            raise SolverError("l1_bsor requires an l1-regularised objective")
-        gamma = spec.gamma
-        return lambda state: l1_bsor_sweep(q, state, gamma, V.lam, cfg.tau)
+        return lambda state: l1_bsor_sweep(V, state, gamma, V.lam, cfg.tau)
 
     if variant == "blcd":
-        gamma = spec.gamma
-        return lambda state: blcd_sweep(q, state, gamma, cfg.omega)
+        return lambda state: blcd_sweep(V, state, gamma, cfg.omega)
 
     raise SolverError(f"unknown variant {variant!r}")
 
@@ -443,7 +420,7 @@ def run(V: CoordinateObjective, spec: BregmanSpec, x0: np.ndarray,
     x0 = np.asarray(x0, dtype=float)
     state = PrimalDualState.initial(spec, x0)
     sweep = make_sweeper(V, spec, cfg)
-    tau_max = effective_tau_max(cfg, V, spec.n)
+    tau_max = float(np.max(coordinate_time_steps(cfg, V)))
     v_current = V.value(state.x)
     v0 = v_current
     records: list[TraceRecord] = []

@@ -153,11 +153,7 @@ def test_criterion_2_subgradient_membership():
                         BregmanSpec.elastic_net(n, 1.0)),
         }
         for variant, (V, spec) in setups.items():
-            cfg = SolverConfig(variant, tau=2.0,
-                               tau_schedule="constant"
-                               if variant in ("bsor", "l1_bsor")
-                               else "diag_scaled",
-                               max_iters=200, stop_tol=0.0)
+            cfg = SolverConfig(variant, tau=2.0, max_iters=200, stop_tol=0.0)
             sweep = make_sweeper(V, spec, cfg)
             state = PrimalDualState.initial(spec, np.zeros(n))
             for _ in range(200):

@@ -11,7 +11,7 @@ from bregsolve.bregman import (BregmanError, BregmanSpec, PrimalDualState,
                                ScalarBregman, bregman_distance,
                                elastic_net_piece, euclidean_piece,
                                interval_dist_zero, interval_project,
-                               project_box, shrink)
+                               shrink)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -54,14 +54,9 @@ class TestShrink:
 
 
 class TestProjections:
-    def test_project_box(self):
-        assert project_box(2.0, 0.0, 1.0) == 1.0
-        assert project_box(0.5, 0.0, 1.0) == 0.5
-        assert project_box(-3.0, -1.0, 1.0) == -1.0
-
     def test_empty_box_rejected(self):
         with pytest.raises(BregmanError):
-            project_box(0.0, 1.0, -1.0)
+            BregmanSpec.euclidean(3, lower=1.0, upper=-1.0)
 
     def test_interval_helpers(self):
         assert interval_project(5.0, -1.0, 1.0) == 1.0

@@ -210,20 +210,45 @@ class TestCliMain:
         objs = [r.objective for r in recs]
         assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
 
-    def test_bad_flags_exit_2(self):
+    def test_bad_flags_exit_2(self, tmp_path):
         assert main(["--preset", "bogus"]) == 2
         assert main([]) == 2
         assert main(["--preset", "gaussian_noiseless",
                      "--solvers", "sor,nope"]) == 2
+        # An unreadable or unsupported --image is a bad argument too.
+        bad_pgm = tmp_path / "maxval15.pgm"
+        bad_pgm.write_bytes(b"P5\n1 1\n15\n\x07")
+        for image in (tmp_path / "missing.pgm", tmp_path, bad_pgm):
+            code = main(["--preset", "student_t_denoise", "--iters", "1",
+                         "--image", str(image),
+                         "--out-dir", str(tmp_path / "out")])
+            assert code == 2, image
 
     def test_solver_error_exit_3(self, tmp_path):
-        for bad in (["--tau", "-1.0"], ["--tau", "nan"], ["--iters", "0"],
+        bad_args = [["--tau", "-1.0"], ["--tau", "nan"], ["--iters", "0"],
                     ["--iters", "-1"], ["--noise-level", "nan"],
-                    ["--noise-level", "inf"], ["--gamma", "nan"]):
+                    ["--noise-level", "inf"], ["--gamma", "nan"],
+                    ["--stop-tol", "-1"], ["--stop-tol", "nan"],
+                    ["--lambda", "-1"], ["--lambda", "nan"]]
+        # Closed forms that solve the quadratic alone do not fit the l1
+        # preset; the later --preset and --solvers override the earlier.
+        bad_args += [["--preset", "gaussian_noisy_l1", "--iters", "3",
+                      "--solvers", solver]
+                     for solver in ("sor", "gauss_seidel", "blcd", "bsor")]
+        for bad in bad_args:
             code = main(["--preset", "gaussian_noiseless", "--n", "8",
                          "--solvers", "bsor", "--out-dir", str(tmp_path)]
                         + bad)
             assert code == 3, bad
+
+    def test_l1_preset_at_lambda_zero(self, tmp_path):
+        # l1_bsor at lam = 0 is bsor; the l1 preset runs as the quadratic.
+        code = main(["--preset", "gaussian_noisy_l1", "--n", "16",
+                     "--lambda", "0", "--iters", "5",
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["lam"] == 0.0
 
     def test_out_dir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BIA_OUT_DIR", str(tmp_path / "envout"))

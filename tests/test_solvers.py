@@ -12,7 +12,7 @@ from bregsolve.objectives import (L1QuadraticObjective, QuadraticObjective,
                                   make_test_image)
 from bregsolve.solvers import (InvariantViolation, SolverConfig, SolverError,
                                bia_sweep, blcd_sweep, bsor_sweep,
-                               coordinate_time_steps, effective_tau_max,
+                               VARIANTS, coordinate_time_steps,
                                gauss_seidel_sweep, ia_sweep, l1_bsor_sweep,
                                run, sor_sweep, stationarity_residual)
 
@@ -43,6 +43,9 @@ class TestSolverConfig:
         for max_iters in (0, -1):
             with pytest.raises(SolverError):
                 SolverConfig("bsor", max_iters=max_iters)
+        for stop_tol in (-1.0, math.nan):
+            with pytest.raises(SolverError):
+                SolverConfig("bsor", stop_tol=stop_tol)
 
 
 class TestSorSweep:
@@ -266,8 +269,7 @@ class TestRunLoop:
     def test_monotone_trace_and_dissipation(self):
         q, _ = spd_system(16, 44)
         spec = BregmanSpec.elastic_net(16, 1.0)
-        cfg = SolverConfig("bia", tau=2.0, tau_schedule="diag_scaled",
-                           max_iters=80)
+        cfg = SolverConfig("bia", tau=2.0, max_iters=80)
         state, records = run(q, spec, np.zeros(16), cfg,
                              check_membership=True)
         objs = [r.objective for r in records]
@@ -281,7 +283,7 @@ class TestRunLoop:
         cfg = SolverConfig("ia", tau=1.0, max_iters=100)
         x0 = np.zeros(12)
         state, records = run(q, spec, x0, cfg)
-        tau_max = effective_tau_max(cfg, q, 12)
+        tau_max = float(np.max(coordinate_time_steps(cfg, q)))
         total_sq = sum(r.step_norm ** 2 for r in records)
         v0 = q.value(x0)
         v_end = records[-1].objective
@@ -307,10 +309,7 @@ class TestRunLoop:
         V = L1QuadraticObjective(q, 1.0)
         spec = BregmanSpec.elastic_net(10, 0.5)
         for variant in ("bia", "bia_modified", "l1_bsor"):
-            cfg = SolverConfig(variant, tau=2.0,
-                               tau_schedule="diag_scaled"
-                               if variant != "l1_bsor" else "constant",
-                               max_iters=30)
+            cfg = SolverConfig(variant, tau=2.0, max_iters=30)
             state, _ = run(V, spec, np.zeros(10), cfg,
                            check_membership=True)
             assert spec.membership_violation(state.x, state.p) <= 1e-9
@@ -330,14 +329,37 @@ class TestRunLoop:
         with pytest.raises(SolverError):
             run(q, spec, np.zeros(4), SolverConfig("ia"))
 
-    def test_diag_scaled_needs_quadratic(self):
-        rng = np.random.default_rng(50)
-        x_delta = rng.uniform(0, 1, 16)
-        V = StudentTObjective(4, 4, x_delta)
-        spec = BregmanSpec.shifted_elastic_net(0.5, x_delta)
-        cfg = SolverConfig("bia", tau=1.0, tau_schedule="diag_scaled")
-        with pytest.raises(SolverError):
-            run(V, spec, x_delta, cfg)
+    def test_coordinate_time_steps(self):
+        # Relaxation sweeps are Bregman sweeps with steps
+        # 2 omega / ((2 - omega) a_ii); every other variant takes tau / a_ii
+        # on a quadratic (l1 term or not) and tau on any other objective.
+        q, _ = spd_system(6, 50)
+        x_delta = np.random.default_rng(50).uniform(0, 1, 6)
+        student_t = StudentTObjective(2, 3, x_delta)
+        d = np.diag(q.A)
+        for variant in VARIANTS:
+            cfg = SolverConfig(variant, tau=0.7, omega=1.5)
+            omega = 1.0 if variant == "gauss_seidel" else 1.5
+            relaxation = variant in ("sor", "gauss_seidel", "blcd")
+            want = 2.0 * omega / ((2.0 - omega) * d) if relaxation \
+                else 0.7 / d
+            for V in (q, L1QuadraticObjective(q, 0.4)):
+                assert np.array_equal(coordinate_time_steps(cfg, V), want)
+            assert np.array_equal(coordinate_time_steps(cfg, student_t),
+                                  np.full(6, 0.7))
+        # The trace's dissipation slack is measured against the largest step.
+        for variant in ("sor", "bia"):
+            cfg = SolverConfig(variant, tau=0.7, omega=1.5, max_iters=10)
+            spec = BregmanSpec.euclidean(6) if variant == "sor" \
+                else BregmanSpec.elastic_net(6, 1.0)
+            _, records = run(q, spec, np.zeros(6), cfg)
+            tau_max = float(np.max(coordinate_time_steps(cfg, q)))
+            v_prev = q.value(np.zeros(6))
+            for r in records:
+                want = (v_prev - r.objective) - r.step_norm ** 2 / tau_max
+                assert r.dissipation_slack == pytest.approx(
+                    want, rel=1e-9, abs=1e-12)
+                v_prev = r.objective
 
 
 class TestStationarityResidual:
