@@ -7,8 +7,8 @@ from .bregman import (BregmanError, BregmanSpec, PrimalDualState,
                       ScalarBregman, bregman_distance, shrink)
 from .inclusion import (ConvergenceError, DivergenceError, InclusionError,
                         InclusionProblem, InclusionSolution, solve_inclusion)
-from .metrics import (RunReference, TraceRecord, clarke_dist,
-                      dissipation_slack, relative_objective, support_stats)
+from .metrics import (TraceRecord, clarke_dist, dissipation_slack,
+                      relative_objective, support_stats)
 from .objectives import (CoordinateObjective, L1QuadraticObjective,
                          ObjectiveError, QuadraticObjective,
                          StudentTObjective, add_noise, gaussian_system,
@@ -24,8 +24,8 @@ __all__ = [
     "bregman_distance", "shrink",
     "ConvergenceError", "DivergenceError", "InclusionError",
     "InclusionProblem", "InclusionSolution", "solve_inclusion",
-    "RunReference", "TraceRecord", "clarke_dist", "dissipation_slack",
-    "relative_objective", "support_stats",
+    "TraceRecord", "clarke_dist", "dissipation_slack", "relative_objective",
+    "support_stats",
     "CoordinateObjective", "L1QuadraticObjective", "ObjectiveError",
     "QuadraticObjective", "StudentTObjective", "add_noise",
     "gaussian_system", "impulse_noise", "itoh_abe_discrete_gradient",

@@ -22,7 +22,7 @@ from . import __version__
 from .bregman import BregmanError, BregmanSpec
 from .inclusion import InclusionError
 from .io_utils import IOError_, read_pgm, write_pgm, write_trace
-from .metrics import RunReference, relative_objective
+from .metrics import relative_objective
 from .objectives import (L1QuadraticObjective, ObjectiveError,
                          QuadraticObjective, StudentTObjective, add_noise,
                          gaussian_system, impulse_noise, make_test_image)
@@ -210,28 +210,26 @@ def solver_config(variant: str, params: dict, max_iters: int | None = None,
     )
 
 
-def reference_values(exp: Experiment, params: dict):
-    """Long reference run pinning down V* (and the reference support)."""
+def reference_values(exp: Experiment, params: dict) -> float:
+    """Long reference run pinning down V*."""
     variant = _REFERENCE_SOLVER[exp.preset]
     cfg = solver_config(variant, params, max_iters=10 * params["iters"],
                         stop_tol=1e-13)
-    state, records = run(exp.V, solver_spec(variant, exp), exp.x0, cfg)
-    vstar = min(r.objective for r in records)
-    xstar = exp.xstar if exp.xstar is not None else state.x
-    return vstar, xstar
+    _, records = run(exp.V, solver_spec(variant, exp), exp.x0, cfg)
+    return min(r.objective for r in records)
 
 
 def run_experiment(params: dict, out_dir: Path) -> dict:
     """Run all requested solvers; returns the manifest written to disk."""
     exp = build_experiment(params)
     v0 = exp.V.value(exp.x0)
-    vstar, _ = reference_values(exp, params)
+    vstar = reference_values(exp, params)
 
     all_records = {}
     for variant in params["solvers"]:
         cfg = solver_config(variant, params)
         state, records = run(exp.V, solver_spec(variant, exp), exp.x0, cfg,
-                             ref=RunReference(vstar=None, xstar=exp.xstar))
+                             xstar=exp.xstar)
         vstar = min([vstar] + [r.objective for r in records])
         all_records[variant] = (state, records)
 

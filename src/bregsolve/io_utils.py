@@ -80,8 +80,11 @@ def read_trace(path) -> tuple[dict, list[TraceRecord]]:
         if len(row) != len(CSV_COLUMNS):
             raise IOError_(f"{path}: row has {len(row)} cells, "
                            f"expected {len(CSV_COLUMNS)}")
-        vals = [float(c) if c else math.nan for c in row]
-        records.append(TraceRecord(int(vals[0]), *vals[1:]))
+        try:
+            vals = [float(c) if c else math.nan for c in row[1:]]
+            records.append(TraceRecord(int(row[0]), *vals))
+        except ValueError as err:
+            raise IOError_(f"{path}: malformed row {row}: {err}")
     return manifest, records
 
 
@@ -135,6 +138,8 @@ def read_pgm(path) -> np.ndarray:
         w, h, maxval = int(token()), int(token()), int(token())
     except ValueError as err:
         raise PGMError(f"{path}: non-numeric header near byte {pos}: {err}")
+    if w < 1 or h < 1:
+        raise PGMError(f"{path}: image size {w}x{h} is not positive")
     if maxval != 255:
         raise PGMError(f"{path}: unsupported maxval {maxval}, expected 255")
     pos += 1  # single whitespace byte after maxval

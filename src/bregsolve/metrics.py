@@ -41,13 +41,6 @@ class TraceRecord:
         return tuple(getattr(self, c) for c in CSV_COLUMNS)
 
 
-@dataclass
-class RunReference:
-    """Reference values for relative-objective and support metrics."""
-    vstar: float | None = None
-    xstar: np.ndarray | None = None
-
-
 def relative_objective(vk: float, v0: float, vstar: float) -> float:
     """``(V(x_k) - V*) / (V(x_0) - V*)``; requires ``v0 > vstar``."""
     if v0 <= vstar:

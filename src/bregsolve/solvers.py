@@ -19,10 +19,9 @@ import numpy as np
 from .bregman import (BregmanSpec, PrimalDualState, interval_dist_zero,
                       interval_project, shrink)
 from .inclusion import InclusionProblem, solve_inclusion
-from .metrics import (RunReference, TraceRecord, clarke_dist,
-                      dissipation_slack, relative_objective, support_stats)
-from .objectives import (CoordinateObjective, L1QuadraticObjective,
-                         QuadraticObjective)
+from .metrics import (TraceRecord, clarke_dist, dissipation_slack,
+                      support_stats)
+from .objectives import CoordinateObjective, QuadraticObjective
 
 VARIANTS = ("sor", "gauss_seidel", "ia", "bia", "bia_modified", "bsor",
             "l1_bsor", "blcd")
@@ -68,23 +67,8 @@ class SolverConfig:
 
 @dataclass
 class SweepResult:
+    """The iterate pair after one sweep; :func:`run` measures the step."""
     state: PrimalDualState
-    decrease: float
-    step_sq: float
-    dual_step_sq: float
-
-
-def _result(V, state, x_new, p_new):
-    v_after = V.value(x_new)
-    v_before = V.value(state.x)
-    step = x_new - state.x
-    dstep = p_new - state.p
-    return SweepResult(
-        PrimalDualState(x_new, p_new, state.k + 1),
-        float(v_before - v_after),
-        float(step @ step),
-        float(dstep @ dstep),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +127,7 @@ def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
         p_new[i] = sol.p_new
         if not sol.stationary:
             ctx.commit(i, sol.y)
-    return _result(V, state, ctx.y.copy(), p_new)
+    return SweepResult(PrimalDualState(ctx.y, p_new, state.k + 1))
 
 
 def ia_sweep(V: CoordinateObjective, state: PrimalDualState,
@@ -179,7 +163,7 @@ def bsor_sweep(q: QuadraticObjective, state: PrimalDualState, gamma: float,
         return x_new
 
     y = _quadratic_pass(q, state.x, rule)
-    return _result(q, state, y, y + gamma * rsub)
+    return SweepResult(PrimalDualState(y, y + gamma * rsub, state.k + 1))
 
 
 def _l1_case1_subgradient(p, g, t, gamma, lam):
@@ -200,7 +184,6 @@ def l1_bsor_sweep(q: QuadraticObjective, state: PrimalDualState,
     """
     if gamma <= 0 or lam < 0:
         raise SolverError("l1_bsor requires gamma > 0 and lam >= 0")
-    V = L1QuadraticObjective(q, lam)
     rsub = (state.p - state.x) / gamma
     kappa = 1.0 + tau / 2.0
 
@@ -214,7 +197,7 @@ def l1_bsor_sweep(q: QuadraticObjective, state: PrimalDualState,
         return x_new
 
     y = _quadratic_pass(q, state.x, rule)
-    return _result(V, state, y, y + gamma * rsub)
+    return SweepResult(PrimalDualState(y, y + gamma * rsub, state.k + 1))
 
 
 def _l1_coordinate_update(xi, ri, g, c, t, tl, gamma, lam, kappa, aii, tau):
@@ -323,7 +306,7 @@ def blcd_sweep(q: QuadraticObjective, state: PrimalDualState, gamma: float,
         return shrink(p[i], gamma)
 
     y = _quadratic_pass(q, state.x, rule)
-    return _result(q, state, y, p)
+    return SweepResult(PrimalDualState(y, p, state.k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +363,7 @@ def make_sweeper(V: CoordinateObjective, spec: BregmanSpec,
 
         def sweep(state):
             y = sor_sweep(V, state.x, omega)
-            return _result(V, state, y, y.copy())
+            return SweepResult(PrimalDualState(y, y, state.k + 1))
         return sweep
 
     if variant == "ia":
@@ -408,66 +391,57 @@ def make_sweeper(V: CoordinateObjective, spec: BregmanSpec,
 
 
 def run(V: CoordinateObjective, spec: BregmanSpec, x0: np.ndarray,
-        cfg: SolverConfig, ref: RunReference | None = None,
-        check_membership: bool = False):
+        cfg: SolverConfig, xstar: np.ndarray | None = None):
     """Iterate sweeps until convergence or the iteration budget.
 
-    Returns ``(final_state, [TraceRecord])``.  Stops when the squared step
-    stays below ``stop_tol**2`` for three consecutive sweeps.  Raises
-    :class:`InvariantViolation` if the objective trace increases beyond
-    rounding slack.
+    Returns ``(final_state, [TraceRecord])``.  Each record holds
+    ``V(x_k)``, evaluated once per sweep, and the support statistics
+    against ``xstar`` when given; ``rel_objective`` is left NaN for the
+    caller that knows ``V*``.  Stops when the squared primal and dual steps
+    stay below ``stop_tol**2`` for three consecutive sweeps.  Raises
+    :class:`InvariantViolation` if the objective increases beyond rounding
+    slack, and :class:`BregmanError` if a sweep leaves ``p_k`` outside
+    ``dJ(x_k)`` or ``x_k`` outside the box.
     """
-    x0 = np.asarray(x0, dtype=float)
     state = PrimalDualState.initial(spec, x0)
     sweep = make_sweeper(V, spec, cfg)
     tau_max = float(np.max(coordinate_time_steps(cfg, V)))
-    v_current = V.value(state.x)
-    v0 = v_current
+    v_prev = V.value(state.x)
     records: list[TraceRecord] = []
     streak = 0
     for _ in range(cfg.max_iters):
         t_start = time.perf_counter()
-        result = sweep(state)
+        new = sweep(state).state
         wall_ms = (time.perf_counter() - t_start) * 1e3
-        v_next = v_current - result.decrease
+        v = V.value(new.x)
+        decrease = float(v_prev - v)
         # Negated, so that a NaN decrease fails the check too.
-        if not result.decrease >= -DISSIPATION_TOL * max(1.0, abs(v_current)):
+        if not decrease >= -DISSIPATION_TOL * max(1.0, abs(v_prev)):
             raise InvariantViolation(
-                f"objective increased by {-result.decrease:.3e} at sweep "
-                f"{result.state.k}")
-        state = result.state
-        if check_membership:
-            state.validate(spec)
-        records.append(_trace_record(V, spec, state, result, v_next, v0,
-                                     ref, tau_max, wall_ms))
-        v_current = v_next
+                f"objective increased by {-decrease:.3e} at sweep {new.k}")
+        new.validate(spec)
+        step, dstep = new.x - state.x, new.p - state.p
+        step_sq, dual_step_sq = float(step @ step), float(dstep @ dstep)
+        match = err = math.nan
+        if xstar is not None:
+            match, err = support_stats(new.x, xstar)
+        records.append(TraceRecord(
+            iter=new.k,
+            objective=v,
+            rel_objective=math.nan,
+            support_match=match,
+            support_error=err,
+            grad_dist=clarke_dist(V, new.x),
+            step_norm=math.sqrt(step_sq),
+            dissipation_slack=dissipation_slack(decrease, step_sq, spec.mu,
+                                                tau_max),
+            wall_ms=wall_ms,
+        ))
+        state, v_prev = new, v
         # A frozen primal iterate is not enough: the subgradient can still
         # be drifting across a kink, after which the primal moves again.
-        small = max(result.step_sq, result.dual_step_sq) <= cfg.stop_tol ** 2
+        small = max(step_sq, dual_step_sq) <= cfg.stop_tol ** 2
         streak = streak + 1 if small else 0
         if streak >= _STOP_STREAK:
             break
     return state, records
-
-
-def _trace_record(V, spec, state, result, v_next, v0, ref, tau_max,
-                  wall_ms):
-    rel = math.nan
-    match = err = math.nan
-    if ref is not None:
-        if ref.vstar is not None and v0 > ref.vstar:
-            rel = relative_objective(v_next, v0, ref.vstar)
-        if ref.xstar is not None:
-            match, err = support_stats(state.x, ref.xstar)
-    return TraceRecord(
-        iter=state.k,
-        objective=v_next,
-        rel_objective=rel,
-        support_match=match,
-        support_error=err,
-        grad_dist=clarke_dist(V, state.x),
-        step_norm=math.sqrt(result.step_sq),
-        dissipation_slack=dissipation_slack(result.decrease, result.step_sq,
-                                            spec.mu, tau_max),
-        wall_ms=wall_ms,
-    )

@@ -53,6 +53,12 @@ class TestTraceCSV:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(IOError_):
             read_trace(path)
+        # A header followed by a row that does not parse as numbers.
+        header = ",".join(CSV_COLUMNS)
+        for row in ("abc" + ",1" * 8, ",1" * 8, "1.5" + ",1" * 8):
+            path.write_text(f"{header}\n{row}\n")
+            with pytest.raises(IOError_, match="row"):
+                read_trace(path)
 
 
 class TestPGM:
@@ -216,9 +222,13 @@ class TestCliMain:
         assert main(["--preset", "gaussian_noiseless",
                      "--solvers", "sor,nope"]) == 2
         # An unreadable or unsupported --image is a bad argument too.
-        bad_pgm = tmp_path / "maxval15.pgm"
-        bad_pgm.write_bytes(b"P5\n1 1\n15\n\x07")
-        for image in (tmp_path / "missing.pgm", tmp_path, bad_pgm):
+        bad_pgms = []
+        for name, data in (("maxval15", b"P5\n1 1\n15\n\x07"),
+                           ("negative", b"P5\n-1 -1\n255\n\x07"),
+                           ("zero_width", b"P5\n0 5\n255\n")):
+            bad_pgms.append(tmp_path / f"{name}.pgm")
+            bad_pgms[-1].write_bytes(data)
+        for image in (tmp_path / "missing.pgm", tmp_path, *bad_pgms):
             code = main(["--preset", "student_t_denoise", "--iters", "1",
                          "--image", str(image),
                          "--out-dir", str(tmp_path / "out")])

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from bregsolve.bregman import BregmanSpec, PrimalDualState
+from bregsolve import solvers
+from bregsolve.bregman import BregmanError, BregmanSpec, PrimalDualState
 from bregsolve.inclusion import InclusionProblem, solve_inclusion
 from bregsolve.objectives import (L1QuadraticObjective, QuadraticObjective,
                                   StudentTObjective, impulse_noise,
                                   make_test_image)
 from bregsolve.solvers import (InvariantViolation, SolverConfig, SolverError,
-                               bia_sweep, blcd_sweep, bsor_sweep,
+                               SweepResult, bia_sweep, blcd_sweep, bsor_sweep,
                                VARIANTS, coordinate_time_steps,
                                gauss_seidel_sweep, ia_sweep, l1_bsor_sweep,
                                run, sor_sweep, stationarity_residual)
@@ -270,8 +271,7 @@ class TestRunLoop:
         q, _ = spd_system(16, 44)
         spec = BregmanSpec.elastic_net(16, 1.0)
         cfg = SolverConfig("bia", tau=2.0, max_iters=80)
-        state, records = run(q, spec, np.zeros(16), cfg,
-                             check_membership=True)
+        state, records = run(q, spec, np.zeros(16), cfg)
         objs = [r.objective for r in records]
         assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
         for r in records:
@@ -304,14 +304,50 @@ class TestRunLoop:
             run(q, BregmanSpec.euclidean(4), np.zeros(4),
                 SolverConfig("sor", max_iters=3))
 
+    def test_objective_evaluated_once_per_sweep(self):
+        # k sweeps cost k + 1 values of V, and the trace holds V itself.
+        q, _ = spd_system(8, 51)
+        calls = []
+        value = q.value
+
+        def counted(x):
+            calls.append(x)
+            return value(x)
+        q.value = counted
+        for variant in ("sor", "bsor", "bia", "blcd"):
+            spec = BregmanSpec.euclidean(8) if variant == "sor" \
+                else BregmanSpec.elastic_net(8, 1.0)
+            calls.clear()
+            state, records = run(q, spec, np.zeros(8),
+                                 SolverConfig(variant, max_iters=5))
+            assert len(records) == 5
+            assert len(calls) == 6, variant
+            assert records[-1].objective == value(state.x)
+
+    def test_non_member_subgradient_raises(self, monkeypatch):
+        # Every sweep's p must lie in dJ(x); a sweep that breaks it fails.
+        real = solvers.make_sweeper
+
+        def off_by_one(V, spec, cfg):
+            sweep = real(V, spec, cfg)
+
+            def bad(state):
+                new = sweep(state).state
+                return SweepResult(PrimalDualState(new.x, new.p + 1.0, new.k))
+            return bad
+        monkeypatch.setattr(solvers, "make_sweeper", off_by_one)
+        q, _ = spd_system(4, 52)
+        with pytest.raises(BregmanError, match="subgradient"):
+            run(q, BregmanSpec.euclidean(4), np.zeros(4),
+                SolverConfig("sor", max_iters=3))
+
     def test_membership_after_every_sweep(self):
         q, _ = spd_system(10, 47)
         V = L1QuadraticObjective(q, 1.0)
         spec = BregmanSpec.elastic_net(10, 0.5)
         for variant in ("bia", "bia_modified", "l1_bsor"):
             cfg = SolverConfig(variant, tau=2.0, max_iters=30)
-            state, _ = run(V, spec, np.zeros(10), cfg,
-                           check_membership=True)
+            state, _ = run(V, spec, np.zeros(10), cfg)
             assert spec.membership_violation(state.x, state.p) <= 1e-9
 
     def test_variant_objective_mismatch(self):
@@ -405,8 +441,7 @@ class TestStudentTSolvers:
         V = StudentTObjective(16, 16, noisy.ravel())
         spec = BregmanSpec.shifted_elastic_net(0.5, noisy.ravel())
         cfg = SolverConfig("bia", tau=1.0, max_iters=15)
-        state, records = run(V, spec, noisy.ravel(), cfg,
-                             check_membership=True)
+        state, records = run(V, spec, noisy.ravel(), cfg)
         assert records[-1].objective < V.value(noisy.ravel())
         for r in records:
             assert r.dissipation_slack >= -1e-9 * max(1.0, abs(r.objective))
@@ -417,5 +452,5 @@ class TestStudentTSolvers:
         V = StudentTObjective(8, 8, noisy.ravel())
         spec = BregmanSpec.shifted_elastic_net(0.5, noisy.ravel())
         cfg = SolverConfig("bia_modified", tau=1.0, max_iters=10)
-        state, _ = run(V, spec, noisy.ravel(), cfg, check_membership=True)
+        state, _ = run(V, spec, noisy.ravel(), cfg)
         assert spec.membership_violation(state.x, state.p) <= 1e-9
