@@ -271,10 +271,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code else 0
     params = effective_params(args)
-    unknown = [s for s in params["solvers"] if s not in VARIANTS]
-    if unknown:
-        print(f"error: unknown solver variants: {', '.join(unknown)}",
-              file=sys.stderr)
+    solvers = params["solvers"]
+    unknown = [s for s in solvers if s not in VARIANTS]
+    dupes = sorted({s for s in solvers if solvers.count(s) > 1})
+    error = ("no solver variants given" if not solvers
+             else f"unknown solver variants: {', '.join(unknown)}" if unknown
+             else f"duplicate solver variants: {', '.join(dupes)}" if dupes
+             else None)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     out_dir = Path(args.out_dir)
     try:

@@ -130,7 +130,9 @@ def _quadratic_quotient(g: float, aii: float, lam: float, old: float,
 class QuadraticObjective(CoordinateObjective):
     """``V(x) = <x, A x>/2 - <b, x> + lam * ||x||_1`` for symmetric PSD A
     with positive diagonal; ``lam`` is 0 here and set by
-    :class:`L1QuadraticObjective`."""
+    :class:`L1QuadraticObjective`.  The stored ``A`` is exactly symmetric:
+    it is the input itself, not a copy, when that is, and ``0.5 * (A +
+    A.T)`` when the input is symmetric only to 1e-12."""
 
     lam = 0.0
 
@@ -143,8 +145,10 @@ class QuadraticObjective(CoordinateObjective):
             raise ObjectiveError("b length must match A")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ObjectiveError("A and b must be finite")
-        if not np.allclose(A, A.T, rtol=1e-12, atol=1e-12):
-            raise ObjectiveError("A must be symmetric")
+        if not np.array_equal(A, A.T):
+            if not np.allclose(A, A.T, rtol=1e-12, atol=1e-12):
+                raise ObjectiveError("A must be symmetric")
+            A = 0.5 * (A + A.T)
         if np.any(np.diag(A) <= 0):
             raise ObjectiveError("A must have strictly positive diagonal")
         self.A = A
@@ -180,7 +184,8 @@ class QuadraticObjective(CoordinateObjective):
 
 class _QuadraticSweepContext(SweepContext):
     """Maintains the residual cache ``r = A y - b`` across coordinate
-    commits."""
+    commits; a commit adds the contiguous row ``A[i]``, which equals the
+    column ``A[:, i]`` because the stored ``A`` is exactly symmetric."""
 
     def __init__(self, objective: QuadraticObjective, x):
         super().__init__(objective, x)
@@ -199,7 +204,7 @@ class _QuadraticSweepContext(SweepContext):
     def commit(self, i: int, new: float):
         delta = new - self.y[i]
         if delta != 0.0:
-            self.r += self.objective.A[:, i] * delta
+            self.r += self.objective.A[i] * delta
             self.y[i] = new
 
 

@@ -216,11 +216,19 @@ class TestCliMain:
         objs = [r.objective for r in recs]
         assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
 
-    def test_bad_flags_exit_2(self, tmp_path):
+    def test_bad_flags_exit_2(self, tmp_path, capsys):
         assert main(["--preset", "bogus"]) == 2
         assert main([]) == 2
         assert main(["--preset", "gaussian_noiseless",
                      "--solvers", "sor,nope"]) == 2
+        # A list that is empty after stripping fails before any work.
+        for empty in (",", " , "):
+            capsys.readouterr()
+            assert main(["--preset", "gaussian_noiseless", "--n", "8",
+                         "--solvers", empty,
+                         "--out-dir", str(tmp_path / "empty")]) == 2
+            assert "error: no solver variants given" in capsys.readouterr().err
+            assert not (tmp_path / "empty").exists()
         # An unreadable or unsupported --image is a bad argument too.
         bad_pgms = []
         for name, data in (("maxval15", b"P5\n1 1\n15\n\x07"),
@@ -233,6 +241,18 @@ class TestCliMain:
                          "--image", str(image),
                          "--out-dir", str(tmp_path / "out")])
             assert code == 2, image
+
+    def test_duplicate_solvers_exit_2(self, tmp_path, capsys):
+        # Each variant writes one trace, so a repeat would silently keep
+        # only its last run.
+        for solvers in ("sor,sor", "sor,bsor, sor"):
+            capsys.readouterr()
+            assert main(["--preset", "gaussian_noiseless", "--n", "8",
+                         "--iters", "2", "--solvers", solvers,
+                         "--out-dir", str(tmp_path / "dup")]) == 2
+            err = capsys.readouterr().err
+            assert "error: duplicate solver variants: sor" in err, solvers
+            assert not (tmp_path / "dup").exists()
 
     def test_solver_error_exit_3(self, tmp_path):
         bad_args = [["--tau", "-1.0"], ["--tau", "nan"], ["--iters", "0"],

@@ -74,6 +74,22 @@ class TestQuadraticObjective:
             QuadraticObjective(np.array([[1.0, math.inf], [math.inf, 1.0]]),
                                np.zeros(2))
 
+    def test_symmetric_storage(self):
+        # Exactly symmetric input is stored as is; the l1 objective shares it.
+        A, b, _ = gaussian_system(12, seed=5)
+        q = QuadraticObjective(A, b)
+        assert q.A is A
+        assert L1QuadraticObjective(q, 0.4).A is q.A
+        # Asymmetry within 1e-12 is symmetrised once, exactly.
+        E = np.random.default_rng(5).standard_normal((12, 12))
+        E -= E.T
+        q = QuadraticObjective(A + 1e-14 * E, b)
+        assert np.array_equal(q.A, q.A.T)
+        assert np.max(np.abs(q.A - A)) <= 1e-12
+        # Asymmetry above the tolerance still fails.
+        with pytest.raises(ObjectiveError, match="symmetric"):
+            QuadraticObjective(A + 1e-10 * E, b)
+
     def test_residual_cache_coherence(self):
         q, rng = random_quadratic(10, 1)
         ctx = q.sweep_context(rng.standard_normal(10))

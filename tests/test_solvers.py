@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bregsolve import solvers
 from bregsolve.bregman import BregmanError, BregmanSpec, PrimalDualState
 from bregsolve.inclusion import InclusionProblem, solve_inclusion
 from bregsolve.objectives import (L1QuadraticObjective, QuadraticObjective,
-                                  StudentTObjective, impulse_noise,
+                                  StudentTObjective, _QuadraticSweepContext,
+                                  gaussian_system, impulse_noise,
                                   make_test_image)
 from bregsolve.solvers import (InvariantViolation, SolverConfig, SolverError,
                                SweepResult, bia_sweep, blcd_sweep, bsor_sweep,
@@ -245,6 +248,103 @@ class TestBlcdSweep:
         state = PrimalDualState.initial(spec, np.array([1.0, 0.0]))
         res = blcd_sweep(q, state, gamma=0.0, alpha=1.0)
         assert np.allclose(res.state.x, [1.0, 0.0])
+
+
+class _ColumnSweepContext(_QuadraticSweepContext):
+    """Reference residual cache that adds the column ``A[:, i]``."""
+
+    def commit(self, i, new):
+        delta = new - self.y[i]
+        if delta != 0.0:
+            self.r += self.objective.A[:, i] * delta
+            self.y[i] = new
+
+
+class ColumnQuadratic(QuadraticObjective):
+    """Reference quadratic: ``A`` is kept exactly as given, symmetric or
+    not, and the sweeps update the residual with its columns."""
+
+    def __init__(self, A, b):
+        self.A, self.b, self.n = A, b, len(b)
+
+    def sweep_context(self, x):
+        return _ColumnSweepContext(self, x)
+
+
+def closed_form_iterates(q, x0, gamma, tau, omega, lam, sweeps):
+    """Final ``(x, p)`` of each closed-form sweep after ``sweeps`` sweeps
+    on ``q`` from ``x0``; ``sor`` keeps the initial ``p``."""
+    state0 = PrimalDualState.initial(BregmanSpec.elastic_net(q.n, gamma), x0)
+    steps = {
+        "sor": lambda s: PrimalDualState(sor_sweep(q, s.x, omega), s.p),
+        "bsor": lambda s: bsor_sweep(q, s, gamma, tau).state,
+        "l1_bsor": lambda s: l1_bsor_sweep(q, s, gamma, lam, tau).state,
+        "blcd": lambda s: blcd_sweep(q, s, gamma, omega).state,
+    }
+    out = {}
+    for name, step in steps.items():
+        state = state0
+        for _ in range(sweeps):
+            state = step(state)
+        out[name] = (state.x, state.p)
+    return out
+
+
+class TestRowResidualUpdate:
+    """The sweeps update the residual with the row ``A[i]``; on the stored,
+    exactly symmetric ``A`` that is the column the sweeps are defined by."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
+           gamma=st.floats(0.05, 2.0), tau=st.floats(0.1, 10.0),
+           omega=st.floats(0.1, 1.9), lam=st.floats(0.0, 3.0),
+           sweeps=st.integers(1, 3))
+    def test_sweeps_match_column_reference_bitwise(self, n, seed, gamma, tau,
+                                                   omega, lam, sweeps):
+        A, b, _ = gaussian_system(n, seed=seed)
+        assert np.array_equal(A, A.T)
+        q = QuadraticObjective(A, b)
+        assert q.A is A
+        x0 = np.random.default_rng(seed).standard_normal(n)
+        x0[::3] = 0.0
+        got = closed_form_iterates(q, x0, gamma, tau, omega, lam, sweeps)
+        want = closed_form_iterates(ColumnQuadratic(A, b), x0, gamma, tau,
+                                    omega, lam, sweeps)
+        for name, (x, p) in want.items():
+            assert got[name][0].tobytes() == x.tobytes(), name
+            assert got[name][1].tobytes() == p.tobytes(), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
+           commits=st.lists(st.tuples(st.integers(0, 10**6),
+                                      st.floats(-10.0, 10.0)), max_size=80))
+    def test_cached_residual_matches_fresh(self, n, seed, commits):
+        q, rng = spd_system(n, seed % 2**16)
+        ctx = q.sweep_context(rng.standard_normal(n))
+        scale = 0.0
+        for j, value in commits:
+            ctx.commit(j % n, value)
+            scale = max(scale, float(np.max(np.abs(q.A) @ np.abs(ctx.y)
+                                            + np.abs(q.b))))
+        fresh = q.A @ ctx.y - q.b
+        assert np.max(np.abs(ctx.r - fresh)) <= 1e-12 * max(scale, 1.0)
+
+    def test_near_symmetric_input_is_symmetrised(self):
+        for seed in (3, 4):
+            A, b, _ = gaussian_system(16, seed=seed)
+            H = np.random.default_rng(seed).standard_normal((16, 16))
+            A_in = A + 1e-14 * (H - H.T)
+            assert not np.array_equal(A_in, A_in.T)
+            q = QuadraticObjective(A_in, b)
+            assert np.array_equal(q.A, q.A.T)
+            x0 = np.random.default_rng(seed).standard_normal(16)
+            got = closed_form_iterates(q, x0, 0.7, 2.0, 1.2, 0.5, 3)
+            want = closed_form_iterates(ColumnQuadratic(A_in, b), x0, 0.7,
+                                        2.0, 1.2, 0.5, 3)
+            for name, (x, p) in want.items():
+                for a, ref in ((got[name][0], x), (got[name][1], p)):
+                    assert np.max(np.abs(a - ref)) \
+                        <= 1e-12 * max(1.0, float(np.max(np.abs(ref)))), name
 
 
 class TestReductions:
