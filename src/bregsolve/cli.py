@@ -26,7 +26,8 @@ from .metrics import relative_objective
 from .objectives import (L1QuadraticObjective, ObjectiveError,
                          QuadraticObjective, StudentTObjective, add_noise,
                          gaussian_system, impulse_noise, make_test_image)
-from .solvers import VARIANTS, SolverConfig, SolverError, run
+from .solvers import (VARIANTS, SolverConfig, SolverError, make_sweeper,
+                      run)
 
 PRESETS = ("gaussian_noiseless", "gaussian_noiseless_binary",
            "gaussian_noisy", "gaussian_noisy_l1", "student_t_denoise")
@@ -222,6 +223,9 @@ def reference_values(exp: Experiment, params: dict) -> float:
 def run_experiment(params: dict, out_dir: Path) -> dict:
     """Run all requested solvers; returns the manifest written to disk."""
     exp = build_experiment(params)
+    for variant in params["solvers"]:   # reject bad settings before any run
+        make_sweeper(exp.V, solver_spec(variant, exp),
+                     solver_config(variant, params))
     v0 = exp.V.value(exp.x0)
     vstar = reference_values(exp, params)
 

@@ -4,26 +4,35 @@ Given a scalar Bregman piece j, an incoming subgradient p, a time step tau,
 and the coordinate difference quotient DQ of the objective, find y and p'
 with ``p' = p - tau * DQ(y)`` and ``p'`` a subgradient of j (plus box) at y.
 A stationary update (y unchanged, p moved by a Clarke element) is tried
-first; otherwise the root of the inclusion residual is bracketed by
-geometric expansion on the descent side and polished with Brent's method.
+first.  Otherwise the root of the inclusion residual is bracketed on the
+descent side.  The search probes at the minimal distance dmin =
+1e-8*max(1, |x|) and halves inward if the root is closer still; else it
+jumps to the warm distance ``tau*|v|/2`` (v the Clarke element of least
+magnitude, capped at 2**30*dmin) and doubles outward until the residual
+changes sign.  A bracket that strictly contains the kink of j is split
+there, and :func:`brenth`, Brent's method, polishes the root.  DQ is
+evaluated once per point.
+
+Where the residual changes sign several times along the ray, the root
+returned lies in the first bracket found, not necessarily nearest x: a
+pair of sign changes between dmin and the warm distance is skipped, and
+Brent may settle on any root inside its bracket.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
-
-from scipy.optimize import brenth
 
 from .bregman import ScalarBregman, interval_project
 
 #: Absolute residual tolerance for the scalar inclusion.
 RESIDUAL_TOL = 1e-10
-#: Relative bracket-width tolerance for the root solve.
-BRACKET_RTOL = 1e-12
 _BRENT_XTOL = 1e-14
 _BRENT_RTOL = 4.0 * math.ulp(1.0)
+_BRENT_MAXITER = 100
 _MAX_DOUBLINGS = 60
 
 
@@ -116,11 +125,11 @@ def _finish(prob: InclusionProblem, y: float, mode: str) -> InclusionSolution:
     return InclusionSolution(y, p_new, False)
 
 
-def _candidate_sides(prob: InclusionProblem, delta0: float):
+def _candidate_sides(prob: InclusionProblem, dmin: float):
     """Search directions ordered by sampled one-sided descent quotients."""
     sides = []
     for d in (1.0, -1.0):
-        y = prob.x + d * delta0
+        y = prob.x + d * dmin
         if d > 0 and y > prob.sb.upper:
             y = prob.sb.upper
         if d < 0 and y < prob.sb.lower:
@@ -136,43 +145,42 @@ def _candidate_sides(prob: InclusionProblem, delta0: float):
 
 
 def _solve_on_side(prob: InclusionProblem, mode: str, d: float,
-                   delta0: float):
-    """Expand geometrically along direction d until the residual changes
-    sign, then root-find.  Returns None if this side has no bracket."""
+                   dmin: float, delta0: float):
+    """Probe at distance dmin along direction d, then at delta0 and on
+    doubling distances until the residual changes sign, then root-find.
+    Returns None if this side has no bracket."""
     sb = prob.sb
     bound = sb.upper if d > 0 else sb.lower
-
-    y_prev = None
-    g_prev = None
     # Near x the residual carries the sign of d on a descent side; if the
-    # first probe already shows the far-field sign, the root is closer
-    # than delta0 and we shrink inward instead.
-    y0 = prob.x + d * delta0
-    y0 = min(max(y0, sb.lower), sb.upper)
-    if y0 == prob.x:
+    # probe at dmin, whose DQ the side ordering took, already shows the
+    # far-field sign, the root is closer and we shrink inward instead.
+    y_prev = min(max(prob.x + d * dmin, sb.lower), sb.upper)
+    if y_prev == prob.x:
         return None
-    g0 = _residual(prob, y0)
-    if abs(g0) <= RESIDUAL_TOL:
-        return _finish(prob, y0, mode)
-    if g0 * d < 0:
-        return _shrink_inward(prob, mode, d, y0, g0)
-    y_prev, g_prev = y0, g0
+    g_prev = _residual(prob, y_prev)
+    if abs(g_prev) <= RESIDUAL_TOL:
+        return _finish(prob, y_prev, mode)
+    if g_prev * d < 0:
+        return _shrink_inward(prob, mode, d, y_prev, g_prev)
 
-    for m in range(1, _MAX_DOUBLINGS + 1):
-        y = prob.x + d * delta0 * (2.0 ** m)
-        y = min(max(y, sb.lower), sb.upper)
-        at_bound = (y == bound)
+    # The ceiling does not grow with delta0: far enough out, a residual
+    # such as 1 + |y| - y rounds to 0 on a ray that has no root.
+    ceiling = dmin * 2.0 ** _MAX_DOUBLINGS
+    step = max(delta0, 2.0 * dmin)
+    while step <= ceiling:
+        y = min(max(prob.x + d * step, sb.lower), sb.upper)
         g = _residual(prob, y)
         if abs(g) <= RESIDUAL_TOL:
             return _finish(prob, y, mode)
         if g * g_prev < 0:
             return _bracketed_root(prob, mode, y_prev, y)
-        if at_bound:
+        if y == bound:
             return None
         y_prev, g_prev = y, g
+        step *= 2.0
     raise DivergenceError(
-        f"no inclusion root within {_MAX_DOUBLINGS} doublings from "
-        f"x={prob.x} along d={d}; objective may be unbounded below")
+        f"no inclusion root within {ceiling:.3g} of x={prob.x} along "
+        f"d={d}; objective may be unbounded below")
 
 
 def _shrink_inward(prob: InclusionProblem, mode: str, d: float,
@@ -191,11 +199,62 @@ def _shrink_inward(prob: InclusionProblem, mode: str, d: float,
     return None
 
 
+def brenth(f: Callable[[float], float], a: float, b: float) -> float:
+    """Root of ``f`` in a sign-changing bracket ``[a, b]`` by Brent's method
+    (1973) with the steps of SciPy's ``brenth``: secant or hyperbolic
+    extrapolation (Bus and Dekker 1975), safeguarded by bisection.  Returns
+    the iterate x once its bracket is narrower than
+    ``_BRENT_XTOL + _BRENT_RTOL*|x|``, within 100 steps."""
+    xpre, xcur = a, b
+    fpre, fcur = f(a), f(b)
+    if fpre == 0 or fcur == 0:
+        return a if fpre == 0 else b
+    if (fpre < 0) == (fcur < 0):
+        raise InclusionError(f"no sign change on [{a}, {b}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf     # bisect unless an extrapolation qualifies
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk - fpre) / (fblk * dpre - fpre * dblk)
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise ConvergenceError(f"Brent's method did not converge on [{a}, {b}]")
+
+
 def _bracketed_root(prob: InclusionProblem, mode: str, a: float, b: float):
     lo, hi = (a, b) if a < b else (b, a)
-    root = brenth(lambda y: _residual(prob, y), lo, hi,
-                  xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
-    root = float(root)
+    sb = prob.sb
+    if sb.gamma > 0 and lo < sb.shift < hi:
+        # Roots often sit on the kink itself, where the residual jumps
+        # and Brent's iterates only crawl towards it.
+        g = _residual(prob, sb.shift)
+        if abs(g) <= RESIDUAL_TOL:
+            return _finish(prob, sb.shift, mode)
+        if (g < 0) == (_residual(prob, lo) < 0):
+            lo = sb.shift
+        else:
+            hi = sb.shift
+    root = brenth(lambda y: _residual(prob, y), lo, hi)
     g = _residual(prob, root)
     if abs(g) > RESIDUAL_TOL:
         root, g = _snap_to_kink(prob, root, g)
@@ -265,23 +324,29 @@ def solve_inclusion(prob: InclusionProblem, mode: str = "keep_box",
 
     ``mode`` is "keep_box" (subgradient may include the box normal cone)
     or "forget_box" (the normal-cone part is discarded from p_new).
-    ``delta0`` overrides the initial bracketing step.
+    ``delta0`` overrides the warm probe distance.
     """
     if mode not in ("keep_box", "forget_box"):
         raise InclusionError(f"unknown mode {mode!r}")
     sol = _try_stationary(prob, mode)
     if sol is not None:
         return sol
+    # The search revisits points: side probes, bracket ends, Brent's last
+    # iterate and the accepted root.
+    prob = replace(prob, dq=lru_cache(maxsize=None)(prob.dq))
+    dmin = max(1e-8, 1e-8 * abs(prob.x))
     if delta0 is None:
-        delta0 = max(1e-8, 1e-8 * abs(prob.x))
-    sides = _candidate_sides(prob, delta0)
+        # The cap keeps a bracket inside the probe to a ratio Brent resolves.
+        v = interval_project(0.0, *prob.clarke)
+        delta0 = min(max(dmin, 0.5 * prob.tau * abs(v)), dmin * 2.0 ** 30)
+    sides = _candidate_sides(prob, dmin)
     if not sides:
         # x pinned by a degenerate box; only the stationary branch exists.
         return _nearest_stationary(prob, mode)
     last_err = None
     for d in sides:
         try:
-            sol = _solve_on_side(prob, mode, d, delta0)
+            sol = _solve_on_side(prob, mode, d, dmin, delta0)
         except (DivergenceError, ConvergenceError) as err:
             # A sign change across a subdifferential jump brackets no root;
             # the actual root may sit on the other side of x.

@@ -130,9 +130,10 @@ def _quadratic_quotient(g: float, aii: float, lam: float, old: float,
 class QuadraticObjective(CoordinateObjective):
     """``V(x) = <x, A x>/2 - <b, x> + lam * ||x||_1`` for symmetric PSD A
     with positive diagonal; ``lam`` is 0 here and set by
-    :class:`L1QuadraticObjective`.  The stored ``A`` is exactly symmetric:
-    it is the input itself, not a copy, when that is, and ``0.5 * (A +
-    A.T)`` when the input is symmetric only to 1e-12."""
+    :class:`L1QuadraticObjective`.  The stored ``A`` is exactly symmetric
+    and C-contiguous, so its rows are contiguous: it is the input itself
+    when that is C-ordered, its transpose (a view) when it is F-ordered,
+    and ``0.5 * (A + A.T)`` when the input is symmetric only to 1e-12."""
 
     lam = 0.0
 
@@ -149,9 +150,11 @@ class QuadraticObjective(CoordinateObjective):
             if not np.allclose(A, A.T, rtol=1e-12, atol=1e-12):
                 raise ObjectiveError("A must be symmetric")
             A = 0.5 * (A + A.T)
+        elif not A.flags.c_contiguous:
+            A = A.T     # equal to A; a C-contiguous view when A is F-ordered
         if np.any(np.diag(A) <= 0):
             raise ObjectiveError("A must have strictly positive diagonal")
-        self.A = A
+        self.A = np.ascontiguousarray(A)
         self.b = b
         self.n = A.shape[0]
 
@@ -363,14 +366,10 @@ class _StudentTSweepContext(SweepContext):
         obj: StudentTObjective = self.objective
         terms = obj._stencil_terms(self.y, i)
         old = float(self.y[i])
-        clarke = None
 
         def quotient(new: float) -> float:
-            nonlocal clarke
             if is_stationary_move(old, new):
-                if clarke is None:
-                    clarke = obj.coord_clarke_interval(self.y, i)
-                return _midpoint(*clarke)
+                return _midpoint(*obj.coord_clarke_interval(self.y, i))
             return obj._local_delta(terms, i, old, new) / (new - old)
 
         return quotient

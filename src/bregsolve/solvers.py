@@ -349,7 +349,8 @@ def coordinate_time_steps(cfg: SolverConfig,
 
 def make_sweeper(V: CoordinateObjective, spec: BregmanSpec,
                  cfg: SolverConfig):
-    """Bind a config to a single-sweep callable ``state -> SweepResult``."""
+    """Bind a config to a single-sweep callable ``state -> SweepResult``;
+    raises :class:`SolverError` for settings the sweep cannot run."""
     variant = cfg.variant
     if variant in ("sor", "gauss_seidel", "bsor", "l1_bsor", "blcd"):
         if not isinstance(V, QuadraticObjective):
@@ -357,6 +358,16 @@ def make_sweeper(V: CoordinateObjective, spec: BregmanSpec,
         if V.lam != 0 and variant != "l1_bsor":
             raise SolverError(f"{variant} requires lam == 0; use l1_bsor "
                               "for l1-regularised objectives")
+    tau, gamma = cfg.tau, spec.gamma
+    with np.errstate(over="ignore"):
+        taus = coordinate_time_steps(cfg, V)
+        consts = [taus]
+        if variant in ("bsor", "l1_bsor"):
+            consts += [2.0 * tau / (2.0 + tau), 2.0 * gamma / (2.0 + tau),
+                       gamma * V.diag]
+    if not all(np.all(np.isfinite(c)) for c in consts):
+        raise SolverError(f"tau={tau:g}, gamma={gamma:g}: the step "
+                          f"constants of {variant} overflow")
 
     if variant in ("sor", "gauss_seidel"):
         omega = 1.0 if variant == "gauss_seidel" else cfg.omega
@@ -366,18 +377,12 @@ def make_sweeper(V: CoordinateObjective, spec: BregmanSpec,
             return SweepResult(PrimalDualState(y, y, state.k + 1))
         return sweep
 
-    if variant == "ia":
-        if spec.gamma != 0:
-            raise SolverError("ia requires a euclidean Bregman function")
-        taus = coordinate_time_steps(cfg, V)
-        return lambda state: bia_sweep(V, spec, state, taus)
-
-    if variant in ("bia", "bia_modified"):
+    if variant == "ia" and gamma != 0:
+        raise SolverError("ia requires a euclidean Bregman function")
+    if variant in ("ia", "bia", "bia_modified"):
         mode = "forget_box" if variant == "bia_modified" else "keep_box"
-        taus = coordinate_time_steps(cfg, V)
         return lambda state: bia_sweep(V, spec, state, taus, mode)
 
-    gamma = spec.gamma
     if variant == "bsor":
         return lambda state: bsor_sweep(V, state, gamma, cfg.tau)
 

@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bregsolve import inclusion, solvers
 from bregsolve.bregman import (ScalarBregman, elastic_net_piece,
                                euclidean_piece)
-from bregsolve.inclusion import (DivergenceError, InclusionError,
-                                 InclusionProblem, solve_inclusion)
+from bregsolve.cli import build_experiment, build_parser, effective_params
+from bregsolve.inclusion import (ConvergenceError, DivergenceError,
+                                 InclusionError, InclusionProblem, brenth,
+                                 solve_inclusion)
 
 
 def quadratic_dq(g, a, x):
@@ -118,6 +123,119 @@ class TestDivergence:
             solve_inclusion(prob)
 
 
+class TestLargeTimeSteps:
+    def test_huge_tau_reaches_the_coordinate_minimiser(self):
+        # With DQ(y) = g + atan(y - x) the step tends to x - tan(g) as tau
+        # grows.  A warm first probe at tau*|g|/2 would hand Brent a bracket
+        # too wide to resolve in its 100 steps; the capped probe does not.
+        for tau in (1e12, 1e50, 1e300):
+            for g in (-0.3, 0.3):
+                for x in (0.0, -3.0, 50.0):
+                    prob = InclusionProblem(
+                        sb=euclidean_piece(), x=x, p=x, tau=tau,
+                        dq=lambda y, g=g, x=x: g + math.atan(y - x),
+                        clarke=(g, g))
+                    sol = solve_inclusion(prob)
+                    assert not sol.stationary
+                    assert sol.y == pytest.approx(x - math.tan(g), abs=1e-9)
+
+
+class TestRootChoice:
+    """Where the residual y -> p - tau*DQ(y) - y changes sign several times
+    along the descent ray, pin which root the search returns.  Here x = p
+    = 0, tau = 1 and DQ(y) = -h(y) - y, so the residual is h, with h(0) =
+    1 and the warm probe at tau*|DQ(0)|/2 = 0.5."""
+
+    @staticmethod
+    def solve(roots, **kwargs):
+        r1, r2, r3 = roots
+        c = 1.0 / (r1 * r2 * r3)
+
+        def dq(y):
+            return -c * (y - r1) * (y - r2) * (r3 - y) - y
+        prob = InclusionProblem(sb=euclidean_piece(), x=0.0, p=0.0, tau=1.0,
+                                dq=dq, clarke=(-1.0, -1.0))
+        sol = solve_inclusion(prob, **kwargs)
+        check_solution(prob, sol)
+        assert not sol.stationary
+        return sol.y
+
+    def test_pair_inside_the_warm_probe_is_skipped(self):
+        # Sign changes at 0.1 and 0.2 cancel between dmin and the probe at
+        # 0.5, so the search brackets [1, 2] and returns 1.3.  Doubling
+        # from dmin (delta0 = dmin) crosses 0.1 first and returns it.
+        assert self.solve((0.1, 0.2, 1.3)) == pytest.approx(1.3, abs=1e-12)
+        assert self.solve((0.1, 0.2, 1.3), delta0=1e-8) == pytest.approx(
+            0.1, abs=1e-12)
+
+    def test_root_inside_dmin_is_found_before_the_warm_probe(self):
+        # The residual already has the far-field sign at dmin = 1e-8 (root
+        # at 5e-9) though the warm probe at 0.5 shows the near-x sign
+        # again: the search halves inward from dmin, as without the warm
+        # start, rather than going out to the root at 1.3.
+        for kwargs in ({}, {"delta0": 1e-8}):
+            y = self.solve((5e-9, 0.2, 1.3), **kwargs)
+            assert y == pytest.approx(5e-9, rel=1e-9)
+
+
+class TestBrenth:
+    @settings(max_examples=300, deadline=None)
+    @given(root=st.floats(-5.0, 5.0), slope=st.floats(1e-3, 1e3),
+           cubic=st.floats(0.0, 10.0),
+           jump=st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
+           left=st.floats(1e-9, 10.0), right=st.floats(1e-9, 10.0))
+    def test_matches_scipy(self, root, slope, cubic, jump, left, right):
+        # Smooth increasing residuals, and ones that jump across zero at
+        # the root, on the same bracket for both solvers.
+        optimize = pytest.importorskip("scipy.optimize")
+
+        def f(y):
+            t = y - root
+            return slope * t + cubic * t ** 3 + math.copysign(jump, t)
+        a, b = root - left, root + right
+        xtol, rtol = inclusion._BRENT_XTOL, inclusion._BRENT_RTOL
+        want = optimize.brenth(f, a, b, xtol=xtol, rtol=rtol)
+        got = brenth(f, a, b)
+        assert abs(got - want) <= 2 * (xtol + rtol * abs(want))
+
+    def test_errors(self):
+        with pytest.raises(InclusionError, match="sign"):
+            brenth(lambda y: y + 2.0, -1.0, 1.0)
+        # A step residual forces bisection, which needs ~1000 halvings to
+        # shrink this bracket to the tolerance.
+        with pytest.raises(ConvergenceError):
+            brenth(lambda y: math.copysign(1.0, y - 0.1), -1e300, 1e300)
+
+
+class TestEvaluationCount:
+    def test_dq_per_nonstationary_inclusion(self, monkeypatch):
+        # Counted the way bench/tracer.py counts: every call of prob.dq
+        # inside one solve_inclusion call that leaves the stationary
+        # branch, over one bia sweep on the 64x64 denoising preset.
+        params = effective_params(build_parser().parse_args(
+            ["--preset", "student_t_denoise"]))
+        exp = build_experiment(params)
+        counts = []
+        inner = solvers.solve_inclusion
+
+        def counted(prob, *args):
+            dq, calls = prob.dq, [0]
+
+            def wrapped(y):
+                calls[0] += 1
+                return dq(y)
+            prob.dq = wrapped
+            sol = inner(prob, *args)
+            if not sol.stationary:
+                counts.append(calls[0])
+            return sol
+        monkeypatch.setattr(solvers, "solve_inclusion", counted)
+        cfg = solvers.SolverConfig("bia", tau=params["tau"], max_iters=1)
+        solvers.run(exp.V, exp.spec, exp.x0, cfg)
+        assert len(counts) > 1000
+        assert sum(counts) / len(counts) <= 10
+
+
 class TestDeterminism:
     def test_delta0_insensitivity_convex(self):
         rng = np.random.default_rng(21)
@@ -210,6 +328,23 @@ class TestShiftedElasticNet:
         sol = solve_inclusion(prob)
         check_solution(prob, sol)
         assert sol.y <= x
+
+    def test_root_on_the_shift_takes_few_evaluations(self):
+        # The bracket strictly contains the shift, where the root sits:
+        # splitting there accepts it at once instead of letting Brent's
+        # iterates crawl onto the jump and snapping them to it.
+        for x, g, a in ((2.0, 2.0, 0.5), (3.0, 3.0, 0.3), (1.0, 1.5, 1.0)):
+            calls = []
+
+            def dq(y, g=g, a=a, x=x):
+                calls.append(y)
+                return g + 0.5 * a * (y - x)
+            prob = InclusionProblem(sb=ScalarBregman(1.0, 0.5), x=x,
+                                    p=x + 1.0, tau=1.0, dq=dq,
+                                    clarke=(g, g))
+            sol = solve_inclusion(prob)
+            assert sol.y == 0.5
+            assert len(calls) <= 6
 
     def test_membership_after_many_random_solves(self):
         rng = np.random.default_rng(24)

@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bregsolve
+from bregsolve import cli
 from bregsolve.cli import (build_parser, child_seed, effective_params,
                            main)
 from bregsolve.io_utils import (IOError_, PGMError, read_pgm, read_trace,
@@ -254,17 +260,22 @@ class TestCliMain:
             assert "error: duplicate solver variants: sor" in err, solvers
             assert not (tmp_path / "dup").exists()
 
-    def test_solver_error_exit_3(self, tmp_path):
+    def test_solver_error_exit_3(self, tmp_path, monkeypatch):
         bad_args = [["--tau", "-1.0"], ["--tau", "nan"], ["--iters", "0"],
                     ["--iters", "-1"], ["--noise-level", "nan"],
                     ["--noise-level", "inf"], ["--gamma", "nan"],
                     ["--stop-tol", "-1"], ["--stop-tol", "nan"],
-                    ["--lambda", "-1"], ["--lambda", "nan"]]
+                    ["--lambda", "-1"], ["--lambda", "nan"],
+                    ["--gamma", "1e308"], ["--tau", "1e308"]]
         # Closed forms that solve the quadratic alone do not fit the l1
         # preset; the later --preset and --solvers override the earlier.
         bad_args += [["--preset", "gaussian_noisy_l1", "--iters", "3",
                       "--solvers", solver]
                      for solver in ("sor", "gauss_seidel", "blcd", "bsor")]
+        # Each is rejected before the V* reference run starts.
+        def no_reference(*args):
+            pytest.fail("the reference run started")
+        monkeypatch.setattr(cli, "reference_values", no_reference)
         for bad in bad_args:
             code = main(["--preset", "gaussian_noiseless", "--n", "8",
                          "--solvers", "bsor", "--out-dir", str(tmp_path)]
@@ -293,3 +304,13 @@ class TestCliMain:
               "--out-dir", str(tmp_path)])
         _, recs = read_trace(tmp_path / "gaussian_noiseless_sor.csv")
         assert len(recs) == 12
+
+    def test_cli_import_loads_no_scipy(self):
+        # The package runs on numpy alone; SciPy is only a bench extra.
+        code = ("import sys, bregsolve.cli; print(sorted("
+                "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = str(Path(bregsolve.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "[]"

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from bregsolve.bregman import BregmanSpec, PrimalDualState
 from bregsolve.objectives import (CoordinateObjective, L1QuadraticObjective,
                                   ObjectiveError, QuadraticObjective,
                                   StudentTObjective,
                                   add_noise, gaussian_system, impulse_noise,
                                   itoh_abe_discrete_gradient,
                                   make_test_image)
+from bregsolve.solvers import (blcd_sweep, bsor_sweep, l1_bsor_sweep,
+                               sor_sweep)
 
 
 def random_quadratic(n, seed):
@@ -89,6 +92,24 @@ class TestQuadraticObjective:
         # Asymmetry above the tolerance still fails.
         with pytest.raises(ObjectiveError, match="symmetric"):
             QuadraticObjective(A + 1e-10 * E, b)
+        # F-ordered input is stored as its transpose, a C-contiguous view,
+        # and the closed-form sweeps on it are bitwise the C-ordered ones.
+        F = np.asfortranarray(A)
+        qf = QuadraticObjective(F, b)
+        assert qf.A.flags.c_contiguous and np.shares_memory(qf.A, F)
+        s0 = PrimalDualState.initial(BregmanSpec.elastic_net(12, 0.7),
+                                     np.random.default_rng(6).normal(size=12))
+        sweeps = (lambda q, s: PrimalDualState(sor_sweep(q, s.x, 1.2), s.p),
+                  lambda q, s: bsor_sweep(q, s, 0.7, 2.0).state,
+                  lambda q, s: l1_bsor_sweep(q, s, 0.7, 0.4, 2.0).state,
+                  lambda q, s: blcd_sweep(q, s, 0.7, 1.2).state)
+        for sweep in sweeps:
+            want, got = s0, s0
+            for _ in range(3):
+                want = sweep(QuadraticObjective(A, b), want)
+                got = sweep(qf, got)
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.p.tobytes() == want.p.tobytes()
 
     def test_residual_cache_coherence(self):
         q, rng = random_quadratic(10, 1)
