@@ -212,11 +212,13 @@ def solver_config(variant: str, params: dict, max_iters: int | None = None,
 
 
 def reference_values(exp: Experiment, params: dict) -> float:
-    """Long reference run pinning down V*."""
+    """Long reference run pinning down V*; it reads only the objective,
+    so it skips the Clarke distance of each sweep."""
     variant = _REFERENCE_SOLVER[exp.preset]
     cfg = solver_config(variant, params, max_iters=10 * params["iters"],
                         stop_tol=1e-13)
-    _, records = run(exp.V, solver_spec(variant, exp), exp.x0, cfg)
+    _, records = run(exp.V, solver_spec(variant, exp), exp.x0, cfg,
+                     grad_dist=False)
     return min(r.objective for r in records)
 
 

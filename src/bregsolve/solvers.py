@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _quadpass
 from .bregman import (BregmanSpec, PrimalDualState, interval_dist_zero,
                       interval_project, shrink)
 from .inclusion import InclusionProblem, solve_inclusion
@@ -75,13 +76,21 @@ class SweepResult:
 # The shared coordinate pass of the quadratic family
 # ---------------------------------------------------------------------------
 
-def _quadratic_pass(q: QuadraticObjective, x: np.ndarray,
-                    rule) -> np.ndarray:
+def _quadratic_pass(q: QuadraticObjective, x: np.ndarray, rule,
+                    compiled=None) -> np.ndarray:
     """One lexicographic coordinate pass over the residual cache of ``q``;
     ``rule(i, r_i, y_i, a_ii)`` gives the new ``y_i`` from the current
-    residual ``r_i = (A y - b)_i``.  Returns the swept vector."""
+    residual ``r_i = (A y - b)_i``.  Returns the swept vector.  When the C
+    kernel loaded, it runs the pass instead, bitwise alike, with the rule
+    ``compiled = (name, aux, *consts)`` of ``_quadpass.c``."""
     ctx = q.sweep_context(x)
     r, y, diag, commit = ctx.r, ctx.y, q.diag, ctx.commit
+    kernel = _quadpass.load() if compiled else None
+    if kernel is not None:
+        name, aux, *consts = compiled
+        kernel(_quadpass.RULES[name], q.n, q.A, r, y, aux,
+               np.array(consts, dtype=float))
+        return y
     for i in range(q.n):
         commit(i, rule(i, r[i], y[i], diag[i]))
     return y
@@ -96,7 +105,8 @@ def sor_sweep(q: QuadraticObjective, x: np.ndarray,
     """One sequential relaxation sweep for the linear system ``A x = b``."""
     if not 0 < omega < 2:
         raise SolverError(f"omega must lie in (0, 2), got {omega}")
-    return _quadratic_pass(q, x, lambda i, g, xi, aii: xi - (omega / aii) * g)
+    return _quadratic_pass(q, x, lambda i, g, xi, aii: xi - (omega / aii) * g,
+                           ("sor", np.empty(0), omega))
 
 
 def gauss_seidel_sweep(q: QuadraticObjective, x: np.ndarray) -> np.ndarray:
@@ -162,7 +172,8 @@ def bsor_sweep(q: QuadraticObjective, state: PrimalDualState, gamma: float,
             -g - (aii * (2.0 + tau) / (2.0 * tau)) * (x_new - xi))
         return x_new
 
-    y = _quadratic_pass(q, state.x, rule)
+    y = _quadratic_pass(q, state.x, rule,
+                        ("bsor", rsub, omega, thr, tau, gamma))
     return SweepResult(PrimalDualState(y, y + gamma * rsub, state.k + 1))
 
 
@@ -305,7 +316,7 @@ def blcd_sweep(q: QuadraticObjective, state: PrimalDualState, gamma: float,
         p[i] -= (alpha / aii) * g
         return shrink(p[i], gamma)
 
-    y = _quadratic_pass(q, state.x, rule)
+    y = _quadratic_pass(q, state.x, rule, ("blcd", p, alpha, gamma))
     return SweepResult(PrimalDualState(y, p, state.k + 1))
 
 
@@ -396,13 +407,15 @@ def make_sweeper(V: CoordinateObjective, spec: BregmanSpec,
 
 
 def run(V: CoordinateObjective, spec: BregmanSpec, x0: np.ndarray,
-        cfg: SolverConfig, xstar: np.ndarray | None = None):
+        cfg: SolverConfig, xstar: np.ndarray | None = None,
+        grad_dist: bool = True):
     """Iterate sweeps until convergence or the iteration budget.
 
     Returns ``(final_state, [TraceRecord])``.  Each record holds
     ``V(x_k)``, evaluated once per sweep, and the support statistics
     against ``xstar`` when given; ``rel_objective`` is left NaN for the
-    caller that knows ``V*``.  Stops when the squared primal and dual steps
+    caller that knows ``V*``, and ``grad_dist`` is NaN unless
+    ``grad_dist`` is set.  Stops when the squared primal and dual steps
     stay below ``stop_tol**2`` for three consecutive sweeps.  Raises
     :class:`InvariantViolation` if the objective increases beyond rounding
     slack, and :class:`BregmanError` if a sweep leaves ``p_k`` outside
@@ -436,7 +449,7 @@ def run(V: CoordinateObjective, spec: BregmanSpec, x0: np.ndarray,
             rel_objective=math.nan,
             support_match=match,
             support_error=err,
-            grad_dist=clarke_dist(V, new.x),
+            grad_dist=clarke_dist(V, new.x) if grad_dist else math.nan,
             step_norm=math.sqrt(step_sq),
             dissipation_slack=dissipation_slack(decrease, step_sq, spec.mu,
                                                 tau_max),

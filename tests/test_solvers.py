@@ -1,13 +1,17 @@
 """Tests for the sweep schemes, their equivalences, and the run loop."""
 
 import math
+import stat
+import subprocess
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bregsolve import solvers
+from bregsolve import _quadpass, solvers
 from bregsolve.bregman import BregmanError, BregmanSpec, PrimalDualState
 from bregsolve.inclusion import InclusionProblem, solve_inclusion
 from bregsolve.objectives import (L1QuadraticObjective, QuadraticObjective,
@@ -290,9 +294,117 @@ def closed_form_iterates(q, x0, gamma, tau, omega, lam, sweeps):
     return out
 
 
+@contextmanager
+def numpy_pass():
+    """Run the closed-form sweeps on the NumPy pass, as when the C kernel
+    did not load."""
+    with mock.patch.object(_quadpass, "load", lambda: None):
+        yield
+
+
+class RecordingQuadratic(QuadraticObjective):
+    """Keeps the last sweep context, whose residual the pass updates."""
+
+    def sweep_context(self, x):
+        self.ctx = super().sweep_context(x)
+        return self.ctx
+
+
+def kernel_rule_outputs(A, b, x0, gamma, tau, omega, sweeps):
+    """Bytes of ``x``, ``p`` and the cached residual after ``sweeps``
+    sweeps of each rule the C kernel has."""
+    q = RecordingQuadratic(A, b)
+    steps = {
+        "sor": lambda s: PrimalDualState(sor_sweep(q, s.x, omega), s.p),
+        "bsor": lambda s: bsor_sweep(q, s, gamma, tau).state,
+        "blcd": lambda s: blcd_sweep(q, s, gamma, omega).state,
+    }
+    out = {}
+    for name, step in steps.items():
+        state = PrimalDualState.initial(BregmanSpec.elastic_net(q.n, gamma),
+                                        x0)
+        for _ in range(sweeps):
+            state = step(state)
+        out[name] = [a.tobytes() for a in (state.x, state.p, q.ctx.r)]
+    return out
+
+
+needs_kernel = pytest.mark.skipif(_quadpass.load() is None,
+                                  reason="the C kernel cannot be built here")
+
+
+@pytest.fixture
+def fresh_kernel_cache(monkeypatch, tmp_path):
+    """An empty kernel cache under ``tmp_path`` and a loader yet to run."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    _quadpass.load.cache_clear()
+    yield tmp_path / "bregsolve"
+    _quadpass.load.cache_clear()
+
+
 class TestRowResidualUpdate:
     """The sweeps update the residual with the row ``A[i]``; on the stored,
-    exactly symmetric ``A`` that is the column the sweeps are defined by."""
+    exactly symmetric ``A`` that is the column the sweeps are defined by.
+    The C kernel does the same and matches the NumPy pass bitwise."""
+
+    @needs_kernel
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
+           gamma=st.floats(0.05, 2.0), tau=st.floats(0.1, 10.0),
+           omega=st.floats(0.1, 1.9), sweeps=st.integers(1, 3),
+           layout=st.sampled_from(["C", "F", "near_symmetric"]))
+    def test_kernel_matches_numpy_pass_bitwise(self, n, seed, gamma, tau,
+                                               omega, sweeps, layout):
+        A, b, _ = gaussian_system(n, seed=seed)
+        rng = np.random.default_rng(seed)
+        if layout == "F":
+            A = np.asfortranarray(A)
+        elif layout == "near_symmetric":
+            H = rng.standard_normal((n, n))
+            A = A + 1e-14 * (H - H.T)
+        x0 = rng.standard_normal(n)
+        x0[::3] = 0.0
+        got = kernel_rule_outputs(A, b, x0, gamma, tau, omega, sweeps)
+        with numpy_pass():
+            want = kernel_rule_outputs(A, b, x0, gamma, tau, omega, sweeps)
+        assert got == want
+
+    @pytest.mark.parametrize("owner, name, error", [
+        (_quadpass, "compile_to", FileNotFoundError("no gcc")),
+        (_quadpass, "compile_to", subprocess.CalledProcessError(1, "gcc")),
+        (_quadpass.ctypes, "CDLL", OSError("cannot load")),
+    ])
+    def test_failed_kernel_falls_back_to_numpy_pass(self, owner, name, error,
+                                                    fresh_kernel_cache,
+                                                    monkeypatch):
+        A, b, _ = gaussian_system(12, seed=7)
+        x0 = np.random.default_rng(7).standard_normal(12)
+        want = kernel_rule_outputs(A, b, x0, 0.7, 2.0, 1.2, 3)
+        for lib in fresh_kernel_cache.glob("*.so"):
+            lib.unlink()
+
+        def fail(*args):
+            raise error
+        monkeypatch.setattr(owner, name, fail)
+        _quadpass.load.cache_clear()
+        assert _quadpass.load() is None
+        assert kernel_rule_outputs(A, b, x0, 0.7, 2.0, 1.2, 3) == want
+        if name == "compile_to":    # neither a library nor a temporary left
+            assert list(fresh_kernel_cache.iterdir()) == []
+
+    @needs_kernel
+    def test_second_load_reuses_cached_library(self, fresh_kernel_cache,
+                                               monkeypatch):
+        compiled = []
+        real = _quadpass.compile_to
+        monkeypatch.setattr(_quadpass, "compile_to",
+                            lambda out: (compiled.append(out), real(out)))
+        assert _quadpass.load() is not None and len(compiled) == 1
+        lib, = fresh_kernel_cache.glob("quadpass-*.so")
+        assert stat.S_IMODE(fresh_kernel_cache.stat().st_mode) == 0o700
+        _quadpass.load.cache_clear()
+        assert _quadpass.load() is not None and len(compiled) == 1
+        assert list(fresh_kernel_cache.iterdir()) == [lib]
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
@@ -308,8 +420,9 @@ class TestRowResidualUpdate:
         x0 = np.random.default_rng(seed).standard_normal(n)
         x0[::3] = 0.0
         got = closed_form_iterates(q, x0, gamma, tau, omega, lam, sweeps)
-        want = closed_form_iterates(ColumnQuadratic(A, b), x0, gamma, tau,
-                                    omega, lam, sweeps)
+        with numpy_pass():
+            want = closed_form_iterates(ColumnQuadratic(A, b), x0, gamma,
+                                        tau, omega, lam, sweeps)
         for name, (x, p) in want.items():
             assert got[name][0].tobytes() == x.tobytes(), name
             assert got[name][1].tobytes() == p.tobytes(), name
@@ -339,8 +452,9 @@ class TestRowResidualUpdate:
             assert np.array_equal(q.A, q.A.T)
             x0 = np.random.default_rng(seed).standard_normal(16)
             got = closed_form_iterates(q, x0, 0.7, 2.0, 1.2, 0.5, 3)
-            want = closed_form_iterates(ColumnQuadratic(A_in, b), x0, 0.7,
-                                        2.0, 1.2, 0.5, 3)
+            with numpy_pass():
+                want = closed_form_iterates(ColumnQuadratic(A_in, b), x0,
+                                            0.7, 2.0, 1.2, 0.5, 3)
             for name, (x, p) in want.items():
                 for a, ref in ((got[name][0], x), (got[name][1], p)):
                     assert np.max(np.abs(a - ref)) \
