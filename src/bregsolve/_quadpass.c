@@ -1,8 +1,7 @@
-/* The lexicographic pass of solvers._quadratic_pass with the rules sor (0:
- * c = omega), bsor (1: c = omega, thr, tau, gamma; aux = rsub) and blcd (2:
- * c = alpha, gamma; aux = p), over the exactly symmetric, C-ordered n x n A
- * and r = A y - b.  Each operation is the NumPy rule's, in its order; built
- * with -ffp-contract=off, the result is bitwise the NumPy pass's. */
+/* solvers._quadratic_pass with the rules sor (0: c = omega), bsor (1: c =
+ * omega, thr, tau, gamma; aux = rsub) and blcd (2: c = alpha, gamma; aux = p)
+ * over the symmetric C-ordered n x n A and r = A y - b, doing each NumPy
+ * operation in its order, so that the results are bitwise the same. */
 
 static double shrink(double x, double lam)
 {

@@ -1,8 +1,8 @@
 """Builds, caches and loads the compiled coordinate pass in ``_quadpass.c``.
 
-The library is compiled on first use and kept, named by the SHA-256 of its
+The library is built on first use and kept, named by the SHA-256 of its
 source and flags, in ``$XDG_CACHE_HOME/bregsolve`` or ``~/.cache/bregsolve``
-(mode 0700), else in a private temporary directory.
+(mode 0700).  Without such a private directory it is not built at all.
 """
 
 from __future__ import annotations
@@ -18,25 +18,22 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_quadpass.c")
-#: No fused multiply-add and no fast math: each operation rounds as NumPy's.
-#: The cheap cost model lets -O2 vectorise the row update, whose lanes each
-#: round as the scalar operation does.
+#: No fused multiply-add, no fast math: each operation rounds as NumPy's;
+#: the cheap cost model vectorises the row update, each lane rounding alike.
 FLAGS = ("-O2", "-fvect-cost-model=cheap", "-ffp-contract=off", "-fPIC",
          "-shared")
 RULES = {"sor": 0, "bsor": 1, "blcd": 2}
 
 
 def cache_dir() -> Path:
-    try:
-        base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-        path = Path(base) / "bregsolve"
-        path.mkdir(mode=0o700, parents=True, exist_ok=True)
-        info = path.stat()
-        if info.st_uid == os.getuid() and not info.st_mode & 0o022:
-            return path
-    except (OSError, RuntimeError):     # RuntimeError: no home directory
-        pass
-    return Path(tempfile.mkdtemp(prefix="bregsolve-"))
+    """The per-user cache directory; OSError if others may write to it."""
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    path = Path(base) / "bregsolve"
+    path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    info = path.stat()
+    if info.st_uid != os.getuid() or info.st_mode & 0o022:
+        raise PermissionError(f"{path} is not private to this user")
+    return path
 
 
 def compile_to(out: str):
@@ -46,22 +43,19 @@ def compile_to(out: str):
 
 @lru_cache(maxsize=None)
 def load():
-    """``quad_pass(rule, n, A, r, y, aux, consts)`` of the cached library,
-    built first if need be; None if no compiler or load works, and the
-    sweeps then run the NumPy pass."""
+    """``quad_pass(rule, n, A, r, y, aux, c)`` of the cached library, built
+    if need be; None, for the NumPy pass, if no private cache directory
+    (RuntimeError: no home), compiler or load works."""
     try:
         key = SOURCE.read_bytes() + " ".join(FLAGS).encode()
         lib = cache_dir() / f"quadpass-{hashlib.sha256(key).hexdigest()}.so"
         if not lib.exists():
-            fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=lib.parent)
-            os.close(fd)
-            try:
-                compile_to(tmp)
-                os.replace(tmp, lib)
-            finally:
-                Path(tmp).unlink(missing_ok=True)
+            with tempfile.TemporaryDirectory(dir=lib.parent) as tmp:
+                compile_to(f"{tmp}/{lib.name}")
+                os.replace(f"{tmp}/{lib.name}", lib)
         fn = ctypes.CDLL(str(lib)).quad_pass
-    except (OSError, subprocess.SubprocessError, AttributeError):
+    except (OSError, RuntimeError, subprocess.SubprocessError,
+            AttributeError):
         return None
     vec = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     fn.argtypes = [ctypes.c_int, ctypes.c_long] + [vec] * 5

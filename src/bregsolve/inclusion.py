@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
-from .bregman import BregmanError, ScalarBregman, interval_project
+from .bregman import ScalarBregman, interval_project
 
 #: Absolute residual tolerance for the scalar inclusion.
 RESIDUAL_TOL = 1e-10
@@ -82,20 +82,9 @@ def _strip_box(sb: ScalarBregman, y: float, t: float, mode: str) -> float:
 
 
 def _residual(prob: InclusionProblem, y: float) -> float:
-    """``t - proj(t, dj(y))`` for ``t = p - tau*DQ(y)``, with
-    ``ScalarBregman.subdiff_interval`` inlined (at gamma = 0 a bound may be
-    a zero of the other sign, which the projection cannot tell)."""
-    sb = prob.sb
-    if not sb.lower <= y <= sb.upper:
-        raise BregmanError(f"point {y} outside box [{sb.lower}, {sb.upper}]")
     t = prob.p - prob.tau * prob.dq(y)
-    lo = y - sb.gamma if y <= sb.shift else y + sb.gamma
-    hi = y + sb.gamma if y >= sb.shift else y - sb.gamma
-    if y == sb.upper:
-        hi = math.inf
-    if y == sb.lower:
-        lo = -math.inf
-    return t - min(max(t, lo), hi)
+    lo, hi = prob.sb.subdiff_interval(y)
+    return t - interval_project(t, lo, hi)
 
 
 def _try_stationary(prob: InclusionProblem, mode: str):

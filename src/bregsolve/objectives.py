@@ -301,9 +301,7 @@ class StudentTObjective(CoordinateObjective):
         return g
 
     def coord_clarke_interval(self, y, i):
-        return self._clarke_interval(self._stencil_terms(y, i), y, i)
-
-    def _clarke_interval(self, terms, y, i):
+        terms = self._stencil_terms(y, i)
         xi = float(y[i])
         g = self._smooth_partial(terms, xi)
         return l1_interval(g, xi - self.x_delta[i], 1.0)
@@ -364,33 +362,17 @@ class StudentTObjective(CoordinateObjective):
 
 
 class _StudentTSweepContext(SweepContext):
-    """Builds a coordinate's stencil terms once, on first need, for its
-    Clarke interval and its quotient; a commit drops them."""
-
-    _at = _terms = None
-
-    def terms(self, i: int):
-        if self._at != i:
-            self._at, self._terms = i, self.objective._stencil_terms(self.y, i)
-        return self._terms
-
     def dq(self, i: int):
         obj: StudentTObjective = self.objective
+        terms = obj._stencil_terms(self.y, i)
         old = float(self.y[i])
 
         def quotient(new: float) -> float:
             if is_stationary_move(old, new):
-                return _midpoint(*self.clarke(i))
-            return obj._local_delta(self.terms(i), i, old, new) / (new - old)
+                return _midpoint(*obj.coord_clarke_interval(self.y, i))
+            return obj._local_delta(terms, i, old, new) / (new - old)
 
         return quotient
-
-    def clarke(self, i: int):
-        return self.objective._clarke_interval(self.terms(i), self.y, i)
-
-    def commit(self, i: int, new: float):
-        super().commit(i, new)
-        self._at = None
 
 
 def itoh_abe_discrete_gradient(V: CoordinateObjective, x: np.ndarray,

@@ -22,7 +22,8 @@ from .bregman import (BregmanSpec, PrimalDualState, interval_dist_zero,
 from .inclusion import InclusionProblem, solve_inclusion
 from .metrics import (TraceRecord, clarke_dist, dissipation_slack,
                       support_stats)
-from .objectives import CoordinateObjective, QuadraticObjective
+from .objectives import (CoordinateObjective, QuadraticObjective,
+                         _QuadraticSweepContext)
 
 VARIANTS = ("sor", "gauss_seidel", "ia", "bia", "bia_modified", "bsor",
             "l1_bsor", "blcd")
@@ -80,12 +81,13 @@ def _quadratic_pass(q: QuadraticObjective, x: np.ndarray, rule,
                     compiled=None) -> np.ndarray:
     """One lexicographic coordinate pass over the residual cache of ``q``;
     ``rule(i, r_i, y_i, a_ii)`` gives the new ``y_i`` from the current
-    residual ``r_i = (A y - b)_i``.  Returns the swept vector.  When the C
-    kernel loaded, it runs the pass instead, bitwise alike, with the rule
-    ``compiled = (name, aux, *consts)`` of ``_quadpass.c``."""
+    residual ``r_i = (A y - b)_i``.  Returns the swept vector.  On the
+    plain residual context, the C kernel, if it loaded, runs the pass
+    instead, bitwise alike, with its rule ``compiled = (name, aux, *c)``."""
     ctx = q.sweep_context(x)
     r, y, diag, commit = ctx.r, ctx.y, q.diag, ctx.commit
-    kernel = _quadpass.load() if compiled else None
+    plain = compiled and type(ctx) is _QuadraticSweepContext
+    kernel = _quadpass.load() if plain else None
     if kernel is not None:
         name, aux, *consts = compiled
         kernel(_quadpass.RULES[name], q.n, q.A, r, y, aux,
@@ -159,8 +161,8 @@ def bsor_sweep(q: QuadraticObjective, state: PrimalDualState, gamma: float,
     closed form; the subgradient decomposes as ``p = x + gamma * r`` with
     ``r`` an l1 subgradient.
     """
-    if gamma <= 0:
-        raise SolverError("bsor requires gamma > 0")
+    if not (gamma > 0 and tau > 0):
+        raise SolverError("bsor requires gamma > 0 and tau > 0")
     rsub = (state.p - state.x) / gamma
     omega = 2.0 * tau / (2.0 + tau)
     thr = 2.0 * gamma / (2.0 + tau)
@@ -308,8 +310,8 @@ def blcd_sweep(q: QuadraticObjective, state: PrimalDualState, gamma: float,
     subgradient.  With ``gamma = 0`` this is explicit coordinate descent
     with steps ``alpha / a_ii``.
     """
-    if not 0 < alpha < 2:
-        raise SolverError(f"alpha must lie in (0, 2), got {alpha}")
+    if not (0 < alpha < 2 and gamma >= 0):
+        raise SolverError("blcd requires 0 < alpha < 2 and gamma >= 0")
     p = state.p.copy()
 
     def rule(i, g, xi, aii):

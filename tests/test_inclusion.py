@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from bregsolve import inclusion, solvers
 from bregsolve.bregman import (BregmanError, ScalarBregman,
-                               elastic_net_piece, euclidean_piece,
-                               interval_project)
+                               elastic_net_piece, euclidean_piece)
 from bregsolve.cli import build_experiment, build_parser, effective_params
 from bregsolve.inclusion import (ConvergenceError, DivergenceError,
                                  InclusionError, InclusionProblem, brenth,
@@ -110,7 +109,6 @@ class TestBoxHandling:
         assert sol.y == 1.0
         assert sol.stationary
 
-
     def test_residual_outside_box_raises(self):
         # The kink of this piece lies outside its box; a probe there must
         # fail loudly rather than read a subdifferential that is not there.
@@ -119,30 +117,6 @@ class TestBoxHandling:
         for y in (sb.shift, -1e-300, math.nextafter(1.0, 2.0), math.nan):
             with pytest.raises(BregmanError):
                 inclusion._residual(prob, y)
-
-    @settings(max_examples=200, deadline=None)
-    @given(gamma=st.sampled_from([0.0, 0.3, 2.0]),
-           shift=st.sampled_from([-1.0, 0.0, 0.25]),
-           lower=st.sampled_from([-math.inf, -1.0, 0.0]),
-           upper=st.sampled_from([math.inf, 0.25, 1.0]),
-           y=st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0])
-           | st.floats(-1.0, 1.0),
-           p=st.floats(-3.0, 3.0), g=st.floats(-3.0, 3.0))
-    def test_residual_matches_subdiff_interval_bitwise(self, gamma, shift,
-                                                       lower, upper, y, p,
-                                                       g):
-        sb = ScalarBregman(gamma, shift, lower, min(max(upper, lower), 1.0))
-        prob = make_problem(sb, min(max(0.0, sb.lower), sb.upper), p, 0.7,
-                            g=g, a=1.3)
-        if not sb.in_box(y):
-            with pytest.raises(BregmanError):
-                inclusion._residual(prob, y)
-            return
-        t = prob.p - prob.tau * prob.dq(y)
-        want = t - interval_project(t, *sb.subdiff_interval(y))
-        got = inclusion._residual(prob, y)
-        assert math.copysign(1.0, got) == math.copysign(1.0, want)
-        assert got == want
 
 
 class TestDivergence:

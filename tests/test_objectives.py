@@ -12,8 +12,8 @@ from bregsolve.objectives import (CoordinateObjective, L1QuadraticObjective,
                                   add_noise, gaussian_system, impulse_noise,
                                   itoh_abe_discrete_gradient,
                                   make_test_image)
-from bregsolve.solvers import (bia_sweep, blcd_sweep, bsor_sweep,
-                               l1_bsor_sweep, sor_sweep)
+from bregsolve.solvers import (blcd_sweep, bsor_sweep, l1_bsor_sweep,
+                               sor_sweep)
 
 
 def random_quadratic(n, seed):
@@ -282,23 +282,6 @@ class TestStudentTObjective:
         for step in (1e-6, 1e-9, 1e-12):
             got = V.coord_diff_quotient(y, i, old, old + step)
             assert got == pytest.approx(hi, abs=1e-4)
-
-    def test_stencil_terms_built_once_per_coordinate(self, monkeypatch):
-        # The bia sweep asks each coordinate for its Clarke interval and
-        # its quotient; both share one build of the stencil terms.
-        noisy = impulse_noise(make_test_image(64, 64), 0.1, seed=3).ravel()
-        V = StudentTObjective(64, 64, noisy)
-        spec = BregmanSpec.shifted_elastic_net(0.5, noisy)
-        built = []
-        real = StudentTObjective._stencil_terms
-        monkeypatch.setattr(StudentTObjective, "_stencil_terms",
-                            lambda obj, y, i: built.append(i)
-                            or real(obj, y, i))
-        state = PrimalDualState.initial(spec, noisy)
-        for _ in range(2):
-            built.clear()
-            state = bia_sweep(V, spec, state, np.ones(V.n)).state
-            assert sorted(built) == list(range(V.n))
 
     def test_dimension_validation(self):
         with pytest.raises(ObjectiveError):

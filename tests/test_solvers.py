@@ -3,6 +3,7 @@
 import math
 import stat
 import subprocess
+import tempfile
 from contextlib import contextmanager
 from unittest import mock
 
@@ -154,6 +155,18 @@ class TestBsorSweep:
         with pytest.raises(SolverError):
             bsor_sweep(q, state, gamma=0.0, tau=2.0)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, -3.0, math.nan])
+    def test_requires_positive_tau(self, tau):
+        # tau < -2 makes the shrinkage threshold negative, which the NumPy
+        # rule's shrink rejects and the C kernel would not; both refuse it.
+        q, _ = spd_system(2, 36)
+        state = PrimalDualState.initial(BregmanSpec.elastic_net(2, 1.0),
+                                        np.ones(2))
+        with pytest.raises(SolverError):
+            bsor_sweep(q, state, gamma=1.0, tau=tau)
+        with numpy_pass(), pytest.raises(SolverError):
+            bsor_sweep(q, state, gamma=1.0, tau=tau)
+
 
 class TestL1BsorSweep:
     def test_lambda_zero_reduces_to_bsor(self):
@@ -252,6 +265,15 @@ class TestBlcdSweep:
         state = PrimalDualState.initial(spec, np.array([1.0, 0.0]))
         res = blcd_sweep(q, state, gamma=0.0, alpha=1.0)
         assert np.allclose(res.state.x, [1.0, 0.0])
+
+    @pytest.mark.parametrize("gamma", [-1.0, math.nan])
+    def test_requires_nonnegative_gamma(self, gamma):
+        q, _ = spd_system(2, 41)
+        state = PrimalDualState.initial(BregmanSpec.euclidean(2), np.ones(2))
+        with pytest.raises(SolverError):
+            blcd_sweep(q, state, gamma=gamma, alpha=1.0)
+        with numpy_pass(), pytest.raises(SolverError):
+            blcd_sweep(q, state, gamma=gamma, alpha=1.0)
 
 
 class _ColumnSweepContext(_QuadraticSweepContext):
@@ -391,6 +413,49 @@ class TestRowResidualUpdate:
         assert kernel_rule_outputs(A, b, x0, 0.7, 2.0, 1.2, 3) == want
         if name == "compile_to":    # neither a library nor a temporary left
             assert list(fresh_kernel_cache.iterdir()) == []
+
+    @pytest.mark.parametrize("unusable", ["file", "shared"])
+    def test_unusable_cache_runs_numpy_pass(self, unusable, tmp_path,
+                                            monkeypatch):
+        # Without a private, persistent cache the kernel is not built: no
+        # compile per process and nothing left in the temporary directory.
+        home = tmp_path / "cache"
+        if unusable == "file":
+            home.write_text("")
+        else:
+            (home / "bregsolve").mkdir(parents=True)
+            (home / "bregsolve").chmod(0o777)
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        compiled = []
+        monkeypatch.setattr(_quadpass, "compile_to", compiled.append)
+        for _ in range(2):
+            _quadpass.load.cache_clear()
+            assert _quadpass.load() is None
+        _quadpass.load.cache_clear()
+        assert compiled == [] and list(scratch.iterdir()) == []
+        if unusable == "shared":
+            assert list((home / "bregsolve").iterdir()) == []
+
+    def test_subclass_context_keeps_its_own_commit(self):
+        # The kernel reproduces only the plain residual context; a
+        # subclass that commits otherwise, here with the columns of a
+        # slightly asymmetric A, runs the NumPy pass.
+        A, b, _ = gaussian_system(12, seed=5)
+        rng = np.random.default_rng(5)
+        H = rng.standard_normal((12, 12))
+        A = A + 1e-14 * (H - H.T)
+        x0 = rng.standard_normal(12)
+        got = closed_form_iterates(ColumnQuadratic(A, b), x0, 0.7, 2.0, 1.2,
+                                   0.5, 2)
+        with numpy_pass():
+            want = closed_form_iterates(ColumnQuadratic(A, b), x0, 0.7, 2.0,
+                                        1.2, 0.5, 2)
+        for name, (x, p) in want.items():
+            assert got[name][0].tobytes() == x.tobytes(), name
+            assert got[name][1].tobytes() == p.tobytes(), name
 
     @needs_kernel
     def test_second_load_reuses_cached_library(self, fresh_kernel_cache,
