@@ -2,7 +2,8 @@
 
 The library is built on first use and kept, named by the SHA-256 of its
 source and flags, in ``$XDG_CACHE_HOME/bregsolve`` or ``~/.cache/bregsolve``
-(mode 0700).  Without such a private directory it is not built at all.
+(mode 0700); a build there removes the libraries of other sources or
+flags.  Without such a private directory it is not built at all.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ SOURCE = Path(__file__).with_name("_quadpass.c")
 #: the cheap cost model vectorises the row update, each lane rounding alike.
 FLAGS = ("-O2", "-fvect-cost-model=cheap", "-ffp-contract=off", "-fPIC",
          "-shared")
-RULES = {"sor": 0, "bsor": 1, "blcd": 2}
+RULES = {"bsor": 0, "blcd": 1}
 
 
 def cache_dir() -> Path:
@@ -53,6 +54,8 @@ def load():
             with tempfile.TemporaryDirectory(dir=lib.parent) as tmp:
                 compile_to(f"{tmp}/{lib.name}")
                 os.replace(f"{tmp}/{lib.name}", lib)
+            for stale in set(lib.parent.glob("quadpass-*.so")) - {lib}:
+                stale.unlink(missing_ok=True)
         fn = ctypes.CDLL(str(lib)).quad_pass
     except (OSError, RuntimeError, subprocess.SubprocessError,
             AttributeError):

@@ -26,8 +26,8 @@ from .metrics import relative_objective
 from .objectives import (L1QuadraticObjective, ObjectiveError,
                          QuadraticObjective, StudentTObjective, add_noise,
                          gaussian_system, impulse_noise, make_test_image)
-from .solvers import (VARIANTS, SolverConfig, SolverError, make_sweeper,
-                      run)
+from .solvers import (EUCLIDEAN_VARIANTS, VARIANTS, SolverConfig, SolverError,
+                      make_sweeper, run)
 
 PRESETS = ("gaussian_noiseless", "gaussian_noiseless_binary",
            "gaussian_noisy", "gaussian_noisy_l1", "student_t_denoise")
@@ -193,9 +193,9 @@ def _build_student_t(params: dict) -> Experiment:
 
 
 def solver_spec(variant: str, exp: Experiment) -> BregmanSpec:
-    """Bregman geometry for a variant: sor/gauss_seidel/ia are euclidean
-    by definition, everything else uses the preset's function."""
-    if variant in ("sor", "gauss_seidel", "ia"):
+    """Bregman geometry for a variant: euclidean for the
+    ``EUCLIDEAN_VARIANTS``, the preset's function for every other."""
+    if variant in EUCLIDEAN_VARIANTS:
         return BregmanSpec.euclidean(exp.spec.n)
     return exp.spec
 

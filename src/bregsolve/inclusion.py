@@ -126,37 +126,29 @@ def _finish(prob: InclusionProblem, y: float, mode: str) -> InclusionSolution:
 
 
 def _candidate_sides(prob: InclusionProblem, dmin: float):
-    """Search directions ordered by sampled one-sided descent quotients."""
+    """Search directions ``d``, each with its probe ``y`` at distance dmin
+    in the box, ordered by sampled one-sided descent quotients."""
     sides = []
     for d in (1.0, -1.0):
-        y = prob.x + d * dmin
-        if d > 0 and y > prob.sb.upper:
-            y = prob.sb.upper
-        if d < 0 and y < prob.sb.lower:
-            y = prob.sb.lower
-        if y == prob.x:
-            continue
-        q = d * prob.dq(y)
-        sides.append((d, q))
+        y = min(max(prob.x + d * dmin, prob.sb.lower), prob.sb.upper)
+        if y != prob.x:
+            sides.append((d, y, d * prob.dq(y)))
     # More negative quotient first; ties resolve to the positive side,
     # which (1.0, -1.0) ordering preserves under a stable sort.
-    sides.sort(key=lambda dq_pair: dq_pair[1])
-    return [d for d, _ in sides]
+    sides.sort(key=lambda side: side[2])
+    return [(d, y) for d, y, _ in sides]
 
 
 def _solve_on_side(prob: InclusionProblem, mode: str, d: float,
-                   dmin: float, delta0: float):
-    """Probe at distance dmin along direction d, then at delta0 and on
-    doubling distances until the residual changes sign, then root-find.
-    Returns None if this side has no bracket."""
+                   y_prev: float, dmin: float, delta0: float):
+    """Probe at ``y_prev``, distance dmin along direction d, then at delta0
+    and on doubling distances until the residual changes sign, then
+    root-find.  Returns None if this side has no bracket."""
     sb = prob.sb
     bound = sb.upper if d > 0 else sb.lower
     # Near x the residual carries the sign of d on a descent side; if the
     # probe at dmin, whose DQ the side ordering took, already shows the
     # far-field sign, the root is closer and we shrink inward instead.
-    y_prev = min(max(prob.x + d * dmin, sb.lower), sb.upper)
-    if y_prev == prob.x:
-        return None
     g_prev = _residual(prob, y_prev)
     if abs(g_prev) <= RESIDUAL_TOL:
         return _finish(prob, y_prev, mode)
@@ -339,14 +331,10 @@ def solve_inclusion(prob: InclusionProblem, mode: str = "keep_box",
         # The cap keeps a bracket inside the probe to a ratio Brent resolves.
         v = interval_project(0.0, *prob.clarke)
         delta0 = min(max(dmin, 0.5 * prob.tau * abs(v)), dmin * 2.0 ** 30)
-    sides = _candidate_sides(prob, dmin)
-    if not sides:
-        # x pinned by a degenerate box; only the stationary branch exists.
-        return _nearest_stationary(prob, mode)
     last_err = None
-    for d in sides:
+    for d, y in _candidate_sides(prob, dmin):
         try:
-            sol = _solve_on_side(prob, mode, d, dmin, delta0)
+            sol = _solve_on_side(prob, mode, d, y, dmin, delta0)
         except (DivergenceError, ConvergenceError) as err:
             # A sign change across a subdifferential jump brackets no root;
             # the actual root may sit on the other side of x.

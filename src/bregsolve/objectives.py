@@ -3,8 +3,7 @@
 Each objective provides values, exact coordinate difference quotients, and
 per-coordinate Clarke subgradient intervals.  Sweep contexts carry the
 incremental caches (quadratic residuals, stencil neighbourhoods) that make
-a full coordinate sweep cheap; the generic two-evaluation quotient stays
-available as an independent oracle.
+a full coordinate sweep cheap.
 """
 
 from __future__ import annotations
@@ -38,10 +37,9 @@ def is_stationary_move(old: float, new: float) -> bool:
 class CoordinateObjective:
     """Contract for objectives driven by the coordinate sweep solvers.
 
-    Subclasses must set ``n`` and implement ``value`` and
-    ``coord_clarke_interval``; the generic difference quotient and sweep
-    context below work for any of them but are worth overriding when an
-    incremental evaluation exists.
+    Subclasses must set ``n`` and implement ``value``,
+    ``coord_clarke_interval``, ``coord_diff_quotient`` and
+    ``sweep_context``, each quotient exact and cheap to evaluate.
     """
 
     n: int
@@ -56,18 +54,10 @@ class CoordinateObjective:
 
     def coord_diff_quotient(self, y: np.ndarray, i: int, old: float,
                             new: float) -> float:
-        """(V(y with y_i=new) - V(y with y_i=old)) / (new - old).
-
-        Generic two-evaluation fallback; ``y`` is the partially updated
-        sweep vector with ``y[i] == old``.
-        """
-        if is_stationary_move(old, new):
-            return _midpoint(*self.coord_clarke_interval(y, i))
-        y_new = np.array(y, dtype=float)
-        y_new[i] = new
-        y_old = np.array(y, dtype=float)
-        y_old[i] = old
-        return (self.value(y_new) - self.value(y_old)) / (new - old)
+        """(V(y with y_i=new) - V(y with y_i=old)) / (new - old), where
+        ``y`` is the partially updated sweep vector with ``y[i] == old``;
+        a Clarke element when the move is stationary."""
+        raise NotImplementedError
 
     def clarke_intervals(self, x: np.ndarray):
         """(lo, hi) arrays of the coordinate Clarke intervals at ``x``.
@@ -90,11 +80,12 @@ class CoordinateObjective:
         return x
 
     def sweep_context(self, x: np.ndarray) -> "SweepContext":
-        return SweepContext(self, x)
+        raise NotImplementedError
 
 
 class SweepContext:
-    """Mutable per-sweep view of an objective at the partial vector ``y``.
+    """Mutable per-sweep view of an objective at the partial vector ``y``;
+    subclasses add ``dq(i)``, the quotient ``new -> DQ`` at the current y.
 
     Owned by a single solver run; not shareable across threads.
     """
@@ -102,11 +93,6 @@ class SweepContext:
     def __init__(self, objective: CoordinateObjective, x: np.ndarray):
         self.objective = objective
         self.y = np.array(x, dtype=float)
-
-    def dq(self, i: int):
-        """O(1)-per-call quotient ``new -> DQ`` at the current partial y."""
-        obj, y, old = self.objective, self.y, float(self.y[i])
-        return lambda new: obj.coord_diff_quotient(y, i, old, new)
 
     def clarke(self, i: int) -> tuple[float, float]:
         return self.objective.coord_clarke_interval(self.y, i)
@@ -275,29 +261,26 @@ class StudentTObjective(CoordinateObjective):
         return reg + float(np.abs(x - self.x_delta).sum())
 
     def _stencil_terms(self, y: np.ndarray, i: int):
-        """(weight, neighbour, orientation) for filter outputs touching i.
-
-        orientation +1 means the output is ``neighbour - y_i``; -1 means
-        ``y_i - neighbour``.
-        """
+        """(weight, neighbour) for the filter outputs touching i; psi is
+        even, so each adds ``weight * psi(y_i - neighbour)`` to V, whichever
+        way its filter points."""
         h, w = self.h, self.w
         r, c = divmod(i, w)
         terms = []
         if c + 1 < w:
-            terms.append((self.phi[0], float(y[i + 1]), +1))
+            terms.append((self.phi[0], float(y[i + 1])))
         if c > 0:
-            terms.append((self.phi[0], float(y[i - 1]), -1))
+            terms.append((self.phi[0], float(y[i - 1])))
         if r + 1 < h:
-            terms.append((self.phi[1], float(y[i + w]), +1))
+            terms.append((self.phi[1], float(y[i + w])))
         if r > 0:
-            terms.append((self.phi[1], float(y[i - w]), -1))
+            terms.append((self.phi[1], float(y[i - w])))
         return terms
 
     def _smooth_partial(self, terms, xi: float) -> float:
         g = 0.0
-        for wgt, nb, orient in terms:
-            d = (nb - xi) if orient > 0 else (xi - nb)
-            g += wgt * _psi_prime(d) * (-orient)
+        for wgt, nb in terms:
+            g += wgt * _psi_prime(xi - nb)
         return g
 
     def coord_clarke_interval(self, y, i):
@@ -307,9 +290,11 @@ class StudentTObjective(CoordinateObjective):
         return l1_interval(g, xi - self.x_delta[i], 1.0)
 
     def coord_diff_quotient(self, y, i, old, new):
+        return self._quotient(y, self._stencil_terms(y, i), i, old, new)
+
+    def _quotient(self, y, terms, i, old, new):
         if is_stationary_move(old, new):
             return _midpoint(*self.coord_clarke_interval(y, i))
-        terms = self._stencil_terms(y, i)
         return self._local_delta(terms, i, old, new) / (new - old)
 
     def _local_delta(self, terms, i, old, new):
@@ -323,15 +308,10 @@ class StudentTObjective(CoordinateObjective):
         """
         step = new - old
         delta = 0.0
-        for wgt, nb, orient in terms:
-            if orient > 0:
-                d_old = nb - old
-                d_step = -step
-            else:
-                d_old = old - nb
-                d_step = step
-            d_new = d_old + d_step
-            z = d_step * (d_new + d_old) / (1.0 + d_old * d_old)
+        for wgt, nb in terms:
+            d_old = old - nb
+            d_new = d_old + step
+            z = step * (d_new + d_old) / (1.0 + d_old * d_old)
             delta += wgt * math.log1p(z)
         s = self.x_delta[i]
         d_old = old - s
@@ -364,15 +344,8 @@ class StudentTObjective(CoordinateObjective):
 class _StudentTSweepContext(SweepContext):
     def dq(self, i: int):
         obj: StudentTObjective = self.objective
-        terms = obj._stencil_terms(self.y, i)
-        old = float(self.y[i])
-
-        def quotient(new: float) -> float:
-            if is_stationary_move(old, new):
-                return _midpoint(*obj.coord_clarke_interval(self.y, i))
-            return obj._local_delta(terms, i, old, new) / (new - old)
-
-        return quotient
+        return partial(obj._quotient, self.y, obj._stencil_terms(self.y, i),
+                       i, float(self.y[i]))
 
 
 def itoh_abe_discrete_gradient(V: CoordinateObjective, x: np.ndarray,

@@ -27,8 +27,10 @@ from .objectives import (CoordinateObjective, QuadraticObjective,
 
 VARIANTS = ("sor", "gauss_seidel", "ia", "bia", "bia_modified", "bsor",
             "l1_bsor", "blcd")
+#: The variants whose Bregman function is euclidean by definition.
+EUCLIDEAN_VARIANTS = ("sor", "gauss_seidel", "ia")
 
-#: Relative slack allowed in the monotonicity / dissipation checks.
+#: Relative slack allowed in the per-sweep dissipation check.
 DISSIPATION_TOL = 1e-9
 
 #: Consecutive small-step sweeps required before declaring convergence.
@@ -104,11 +106,11 @@ def _quadratic_pass(q: QuadraticObjective, x: np.ndarray, rule,
 
 def sor_sweep(q: QuadraticObjective, x: np.ndarray,
               omega: float) -> np.ndarray:
-    """One sequential relaxation sweep for the linear system ``A x = b``."""
+    """One relaxation sweep for ``A x = b``: :func:`blcd_sweep` at
+    ``gamma = 0`` from ``p = x``, which shrinkage by 0 keeps bitwise."""
     if not 0 < omega < 2:
         raise SolverError(f"omega must lie in (0, 2), got {omega}")
-    return _quadratic_pass(q, x, lambda i, g, xi, aii: xi - (omega / aii) * g,
-                           ("sor", np.empty(0), omega))
+    return blcd_sweep(q, PrimalDualState(x, x), 0.0, omega).state.x
 
 
 def gauss_seidel_sweep(q: QuadraticObjective, x: np.ndarray) -> np.ndarray:
@@ -382,16 +384,8 @@ def make_sweeper(V: CoordinateObjective, spec: BregmanSpec,
         raise SolverError(f"tau={tau:g}, gamma={gamma:g}: the step "
                           f"constants of {variant} overflow")
 
-    if variant in ("sor", "gauss_seidel"):
-        omega = 1.0 if variant == "gauss_seidel" else cfg.omega
-
-        def sweep(state):
-            y = sor_sweep(V, state.x, omega)
-            return SweepResult(PrimalDualState(y, y, state.k + 1))
-        return sweep
-
-    if variant == "ia" and gamma != 0:
-        raise SolverError("ia requires a euclidean Bregman function")
+    if variant in EUCLIDEAN_VARIANTS and gamma != 0:
+        raise SolverError(f"{variant} requires a euclidean Bregman function")
     if variant in ("ia", "bia", "bia_modified"):
         mode = "forget_box" if variant == "bia_modified" else "keep_box"
         return lambda state: bia_sweep(V, spec, state, taus, mode)
@@ -402,10 +396,9 @@ def make_sweeper(V: CoordinateObjective, spec: BregmanSpec,
     if variant == "l1_bsor":
         return lambda state: l1_bsor_sweep(V, state, gamma, V.lam, cfg.tau)
 
-    if variant == "blcd":
-        return lambda state: blcd_sweep(V, state, gamma, cfg.omega)
-
-    raise SolverError(f"unknown variant {variant!r}")
+    # sor(omega) and gauss_seidel, sor(1), are blcd at gamma = 0.
+    omega = 1.0 if variant == "gauss_seidel" else cfg.omega
+    return lambda state: blcd_sweep(V, state, gamma, omega)
 
 
 def run(V: CoordinateObjective, spec: BregmanSpec, x0: np.ndarray,
@@ -419,9 +412,9 @@ def run(V: CoordinateObjective, spec: BregmanSpec, x0: np.ndarray,
     caller that knows ``V*``, and ``grad_dist`` is NaN unless
     ``grad_dist`` is set.  Stops when the squared primal and dual steps
     stay below ``stop_tol**2`` for three consecutive sweeps.  Raises
-    :class:`InvariantViolation` if the objective increases beyond rounding
-    slack, and :class:`BregmanError` if a sweep leaves ``p_k`` outside
-    ``dJ(x_k)`` or ``x_k`` outside the box.
+    :class:`InvariantViolation` if a sweep's dissipation slack falls below
+    ``-DISSIPATION_TOL * max(1, |V|)``, and :class:`BregmanError` if a
+    sweep leaves ``p_k`` outside ``dJ(x_k)`` or ``x_k`` outside the box.
     """
     state = PrimalDualState.initial(spec, x0)
     sweep = make_sweeper(V, spec, cfg)
@@ -435,13 +428,15 @@ def run(V: CoordinateObjective, spec: BregmanSpec, x0: np.ndarray,
         wall_ms = (time.perf_counter() - t_start) * 1e3
         v = V.value(new.x)
         decrease = float(v_prev - v)
-        # Negated, so that a NaN decrease fails the check too.
-        if not decrease >= -DISSIPATION_TOL * max(1.0, abs(v_prev)):
-            raise InvariantViolation(
-                f"objective increased by {-decrease:.3e} at sweep {new.k}")
-        new.validate(spec)
         step, dstep = new.x - state.x, new.p - state.p
         step_sq, dual_step_sq = float(step @ step), float(dstep @ dstep)
+        slack = dissipation_slack(decrease, step_sq, spec.mu, tau_max)
+        # Negated, so that NaN fails too; slack <= decrease, so a rise does.
+        if not slack >= -DISSIPATION_TOL * max(1.0, abs(v_prev)):
+            raise InvariantViolation(
+                f"dissipation slack {slack:.3e} at sweep {new.k} "
+                f"(objective decrease {decrease:.3e})")
+        new.validate(spec)
         match = err = math.nan
         if xstar is not None:
             match, err = support_stats(new.x, xstar)
@@ -453,8 +448,7 @@ def run(V: CoordinateObjective, spec: BregmanSpec, x0: np.ndarray,
             support_error=err,
             grad_dist=clarke_dist(V, new.x) if grad_dist else math.nan,
             step_norm=math.sqrt(step_sq),
-            dissipation_slack=dissipation_slack(decrease, step_sq, spec.mu,
-                                                tau_max),
+            dissipation_slack=slack,
             wall_ms=wall_ms,
         ))
         state, v_prev = new, v

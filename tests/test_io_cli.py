@@ -272,6 +272,11 @@ class TestCliMain:
         bad_args += [["--preset", "gaussian_noisy_l1", "--iters", "3",
                       "--solvers", solver]
                      for solver in ("sor", "gauss_seidel", "blcd", "bsor")]
+        # A step so small that x moves by rounding alone breaks the
+        # dissipation bound in the first sweep of the reference run.
+        assert main(["--preset", "gaussian_noiseless", "--n", "16",
+                     "--iters", "3", "--tau", "1e-300",
+                     "--out-dir", str(tmp_path)]) == 3
         # Each is rejected before the V* reference run starts.
         def no_reference(*args):
             pytest.fail("the reference run started")

@@ -120,14 +120,16 @@ class TestQuadraticObjective:
         assert np.allclose(ctx.r, fresh, rtol=1e-9, atol=1e-12)
 
     def test_sweep_context_dq_matches_direct(self):
-        # The quadratic and the l1 quadratic share one sweep context; cover
+        # The quadratic and the l1 quadratic share one sweep context, and
+        # the student-t context binds the objective's own quotient; cover
         # old > 0, old < 0 and old == 0, with moving and stationary steps.
         q, rng = random_quadratic(12, 2)
         x = rng.standard_normal(12)
         x[::3] = 0.0
         x[1::3] = np.abs(x[1::3])
         x[2::3] = -np.abs(x[2::3])
-        for V in (q, L1QuadraticObjective(q, 1.3)):
+        student_t = StudentTObjective(3, 4, np.where(x > 0, x, 0.5))
+        for V in (q, L1QuadraticObjective(q, 1.3), student_t):
             ctx = V.sweep_context(x)
             for i in range(12):
                 old = float(ctx.y[i])

@@ -23,7 +23,8 @@ from bregsolve.solvers import (InvariantViolation, SolverConfig, SolverError,
                                SweepResult, bia_sweep, blcd_sweep, bsor_sweep,
                                VARIANTS, coordinate_time_steps,
                                gauss_seidel_sweep, ia_sweep, l1_bsor_sweep,
-                               run, sor_sweep, stationarity_residual)
+                               make_sweeper, run, sor_sweep,
+                               stationarity_residual)
 
 
 def spd_system(n, seed, ridge=0.1):
@@ -471,6 +472,27 @@ class TestRowResidualUpdate:
         assert _quadpass.load() is not None and len(compiled) == 1
         assert list(fresh_kernel_cache.iterdir()) == [lib]
 
+    @needs_kernel
+    def test_build_prunes_stale_libraries(self, fresh_kernel_cache,
+                                          monkeypatch):
+        # A build removes the libraries of other sources or flags, and
+        # nothing else; a later load neither removes nor rebuilds its own.
+        fresh_kernel_cache.mkdir(mode=0o700)
+        stale = fresh_kernel_cache / ("quadpass-" + "0" * 64 + ".so")
+        other = fresh_kernel_cache / "notes.txt"
+        stale.write_bytes(b"")
+        other.write_bytes(b"")
+        assert _quadpass.load() is not None
+        lib, = fresh_kernel_cache.glob("quadpass-*.so")
+        assert lib != stale and not stale.exists() and other.exists()
+        inode = lib.stat().st_ino
+        compiled = []
+        monkeypatch.setattr(_quadpass, "compile_to", compiled.append)
+        _quadpass.load.cache_clear()
+        assert _quadpass.load() is not None and compiled == []
+        assert lib.stat().st_ino == inode
+        assert sorted(fresh_kernel_cache.iterdir()) == sorted([lib, other])
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
            gamma=st.floats(0.05, 2.0), tau=st.floats(0.1, 10.0),
@@ -643,6 +665,20 @@ class TestRunLoop:
         spec = BregmanSpec.elastic_net(4, 1.0)
         with pytest.raises(SolverError):
             run(q, spec, np.zeros(4), SolverConfig("ia"))
+        # sor and gauss_seidel run blcd at gamma = 0; they are refused when
+        # the sweeper is made, before any sweep, not run as blcd.
+        for variant in ("sor", "gauss_seidel"):
+            with pytest.raises(SolverError, match="euclidean"):
+                make_sweeper(q, spec, SolverConfig(variant))
+
+    def test_dissipation_bound_enforced(self):
+        # At tau = 1e-300 the bsor closed form moves x by rounding alone,
+        # and mu / tau_max times that step outweighs any decrease of V.
+        q, _ = spd_system(8, 56)
+        x0 = np.random.default_rng(56).standard_normal(8)
+        with pytest.raises(InvariantViolation, match="dissipation slack"):
+            run(q, BregmanSpec.elastic_net(8, 1.0), x0,
+                SolverConfig("bsor", tau=1e-300, max_iters=3))
 
     def test_coordinate_time_steps(self):
         # Relaxation sweeps are Bregman sweeps with steps
