@@ -2,8 +2,9 @@
 
 The library is built on first use and kept, named by the SHA-256 of its
 source and flags, in ``$XDG_CACHE_HOME/bregsolve`` or ``~/.cache/bregsolve``
-(mode 0700); a build there removes the libraries of other sources or
-flags.  Without such a private directory it is not built at all.
+(mode 0700); a build there keeps the ``KEEP`` newest libraries, one per
+checkout sharing the cache, and removes older ones.  Without such a private
+directory it is not built at all.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
+from contextlib import suppress
 from functools import lru_cache
 from pathlib import Path
 
@@ -24,6 +26,8 @@ SOURCE = Path(__file__).with_name("_quadpass.c")
 FLAGS = ("-O2", "-fvect-cost-model=cheap", "-ffp-contract=off", "-fPIC",
          "-shared")
 RULES = {"bsor": 0, "blcd": 1}
+#: Libraries a build leaves in the cache, the newest by modification time.
+KEEP = 4
 
 
 def cache_dir() -> Path:
@@ -54,8 +58,10 @@ def load():
             with tempfile.TemporaryDirectory(dir=lib.parent) as tmp:
                 compile_to(f"{tmp}/{lib.name}")
                 os.replace(f"{tmp}/{lib.name}", lib)
-            for stale in set(lib.parent.glob("quadpass-*.so")) - {lib}:
-                stale.unlink(missing_ok=True)
+            with suppress(OSError):     # another process may prune too
+                for stale in sorted(lib.parent.glob("quadpass-*.so"),
+                                    key=lambda f: -f.stat().st_mtime)[KEEP:]:
+                    stale.unlink()
         fn = ctypes.CDLL(str(lib)).quad_pass
     except (OSError, RuntimeError, subprocess.SubprocessError,
             AttributeError):

@@ -185,9 +185,17 @@ class BregmanSpec:
         x = self._check_dim(x)
         if not self.in_box(x):
             raise BregmanError("point outside the box constraints")
-        lo, hi = l1_intervals(x, x - self.shift, self.gamma)
-        return (np.where(x == self.lower, -math.inf, lo),
-                np.where(x == self.upper, math.inf, hi))
+        return self.intervals(x, self.shift)
+
+    def intervals(self, y, shift, box=True):
+        """Unchecked :meth:`subdiff_intervals` at points ``y`` of the pieces
+        with shifts ``shift``; without ``box``, of the pieces alone
+        (:meth:`ScalarBregman.j_interval`)."""
+        lo, hi = l1_intervals(y, y - shift, self.gamma)
+        if not box:
+            return lo, hi
+        return (np.where(y == self.lower, -math.inf, lo),
+                np.where(y == self.upper, math.inf, hi))
 
     def min_norm_subgradient(self, x: np.ndarray) -> np.ndarray:
         """Element of the subdifferential at ``x`` of smallest magnitude."""

@@ -13,12 +13,12 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _quadpass
 from .bregman import BregmanError, BregmanSpec
 from .inclusion import InclusionError
 from .io_utils import IOError_, read_pgm, write_pgm, write_trace
@@ -26,7 +26,8 @@ from .metrics import relative_objective
 from .objectives import (L1QuadraticObjective, ObjectiveError,
                          QuadraticObjective, StudentTObjective, add_noise,
                          gaussian_system, impulse_noise, make_test_image)
-from .solvers import (EUCLIDEAN_VARIANTS, VARIANTS, SolverConfig, SolverError,
+from .solvers import (CLOSED_FORM_VARIANTS, EUCLIDEAN_VARIANTS,
+                      KERNEL_VARIANTS, VARIANTS, SolverConfig, SolverError,
                       make_sweeper, run)
 
 PRESETS = ("gaussian_noiseless", "gaussian_noiseless_binary",
@@ -211,14 +212,21 @@ def solver_config(variant: str, params: dict, max_iters: int | None = None,
     )
 
 
-def reference_values(exp: Experiment, params: dict) -> float:
+def reference_values(exp: Experiment, params: dict,
+                     report: dict | None = None) -> float:
     """Long reference run pinning down V*; it reads only the objective,
-    so it skips the Clarke distance of each sweep."""
+    so it skips the Clarke distance of each sweep, and on an image it
+    sweeps in red-black order, batched.  Its variant, order, sweeps and
+    early stop go into ``report`` if given."""
     variant = _REFERENCE_SOLVER[exp.preset]
-    cfg = solver_config(variant, params, max_iters=10 * params["iters"],
-                        stop_tol=1e-13)
+    order = "red_black" if exp.image_shape else "lexicographic"
+    cfg = replace(solver_config(variant, params, stop_tol=1e-13,
+                                max_iters=10 * params["iters"]), order=order)
     _, records = run(exp.V, solver_spec(variant, exp), exp.x0, cfg,
                      grad_dist=False)
+    if report is not None:
+        report.update(variant=variant, order=order, sweeps=len(records),
+                      stopped_early=len(records) < cfg.max_iters)
     return min(r.objective for r in records)
 
 
@@ -229,7 +237,8 @@ def run_experiment(params: dict, out_dir: Path) -> dict:
         make_sweeper(exp.V, solver_spec(variant, exp),
                      solver_config(variant, params))
     v0 = exp.V.value(exp.x0)
-    vstar = reference_values(exp, params)
+    reference = {}
+    vstar = reference_values(exp, params, reference)
 
     all_records = {}
     for variant in params["solvers"]:
@@ -264,6 +273,12 @@ def run_experiment(params: dict, out_dir: Path) -> dict:
             write_pgm(img_path, state.x.reshape(exp.image_shape))
             manifest["outputs"][f"{variant}_image"] = str(img_path)
 
+    # Kept out of the CSV headers: which pass ran depends on the host.
+    manifest["reference"] = reference
+    ran = set(params["solvers"]) | {reference["variant"]}
+    if ran & set(CLOSED_FORM_VARIANTS):
+        kernel = ran & set(KERNEL_VARIANTS) and _quadpass.load() is not None
+        manifest["quadratic_pass"] = "compiled" if kernel else "numpy"
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True)
                              + "\n")

@@ -9,7 +9,7 @@ a full coordinate sweep cheap.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -325,20 +325,70 @@ class StudentTObjective(CoordinateObjective):
             delta += (d_new + d_old) if d_new > 0 else -(d_new + d_old)
         return delta
 
+    @cached_property
+    def colours(self):
+        """The red (``row + col`` even) and the black pixels: no stencil
+        term touches two pixels of one colour."""
+        r, c = np.divmod(np.arange(self.n), self.w)
+        return [np.flatnonzero((r + c) % 2 == k) for k in (0, 1)]
+
+    def stencils(self, y, pix):
+        """Neighbour values in ``y`` and weights of the pixels ``pix``: two
+        lists of four arrays, in the order of :meth:`_stencil_terms`; an
+        absent neighbour is the pixel itself, with weight 0."""
+        r, c = np.divmod(pix, self.w)
+        edges = ((c + 1 < self.w, 1, 0), (c > 0, -1, 0),
+                 (r + 1 < self.h, self.w, 1), (r > 0, -self.w, 1))
+        return ([y[np.where(ok, pix + off, pix)] for ok, off, _ in edges],
+                [np.where(ok, self.phi[f], 0.0) for ok, _, f in edges])
+
+    def colour_quotients(self, y, pix):
+        """Clarke intervals ``(lo, hi)`` at ``y`` of the pixels ``pix`` of
+        one colour, and their batched quotient ``new -> DQ``, each pixel
+        moving alone from its value in ``y`` with the other colour fixed."""
+        (nbs, wts), old, s = self.stencils(y, pix), y[pix], self.x_delta[pix]
+        g = 0.0
+        for w, nb in zip(wts, nbs):
+            g = g + w * _psi_prime(old - nb)
+        lo, hi = l1_intervals(g, old - s, 1.0)
+        mid = 0.5 * (lo + hi)
+        tol = STATIONARY_REL_TOL * np.maximum(1.0, np.abs(old))
+
+        def dq(new):
+            step = new - old
+            still = np.abs(step) <= tol
+            delta = _local_deltas(wts, nbs, s, old, new)
+            return np.where(still, mid, delta / np.where(still, 1.0, step))
+        return (lo, hi), dq
+
     def clarke_intervals(self, x):
         x = self._check(x)
-        img = x.reshape(self.h, self.w)
-        dx, dy = self._diffs(img)
-        g = np.zeros_like(img)
-        # d/dx_{r,c} of psi(dx(r,c)) is -psi'(dx), of psi(dx(r,c-1)) is +psi'.
-        g -= self.phi[0] * _psi_prime(dx)
-        g[:, 1:] += self.phi[0] * _psi_prime(dx[:, :-1])
-        g -= self.phi[1] * _psi_prime(dy)
-        g[1:, :] += self.phi[1] * _psi_prime(dy[:-1, :])
-        return l1_intervals(g.reshape(-1), x - self.x_delta, 1.0)
+        lo, hi = np.empty(self.n), np.empty(self.n)
+        for pix in self.colours:
+            (lo[pix], hi[pix]), _ = self.colour_quotients(x, pix)
+        return lo, hi
 
     def sweep_context(self, x):
         return _StudentTSweepContext(self, x)
+
+
+def _local_deltas(wts, nbs, s, old, new):
+    """:meth:`StudentTObjective._local_delta` of many pixels at once, with
+    weights and neighbour values from :meth:`StudentTObjective.stencils`,
+    data ``s`` and moves ``old -> new``; summed in the same order, so that
+    it differs only where ``np.log1p`` rounds unlike ``math.log1p``."""
+    step = new - old
+    delta = 0.0
+    for w, nb in zip(wts, nbs):
+        d_old = old - nb
+        d_new = d_old + step
+        z = step * (d_new + d_old) / (1.0 + d_old * d_old)
+        delta = delta + w * np.log1p(z)     # 0 where no neighbour: d_old = 0
+    d_old, d_new = old - s, new - s
+    cross = np.where(d_new > 0, d_new + d_old, -(d_new + d_old))
+    return delta + np.where((d_old >= 0) & (d_new >= 0), step,
+                            np.where((d_old <= 0) & (d_new <= 0), -step,
+                                     cross))
 
 
 class _StudentTSweepContext(SweepContext):

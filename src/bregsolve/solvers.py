@@ -19,16 +19,20 @@ import numpy as np
 from . import _quadpass
 from .bregman import (BregmanSpec, PrimalDualState, interval_dist_zero,
                       interval_project, shrink)
-from .inclusion import InclusionProblem, solve_inclusion
+from .inclusion import InclusionProblem, solve_inclusion, solve_inclusions
 from .metrics import (TraceRecord, clarke_dist, dissipation_slack,
                       support_stats)
 from .objectives import (CoordinateObjective, QuadraticObjective,
-                         _QuadraticSweepContext)
+                         StudentTObjective, _QuadraticSweepContext)
 
 VARIANTS = ("sor", "gauss_seidel", "ia", "bia", "bia_modified", "bsor",
             "l1_bsor", "blcd")
 #: The variants whose Bregman function is euclidean by definition.
 EUCLIDEAN_VARIANTS = ("sor", "gauss_seidel", "ia")
+#: The variants swept in closed form, and those of them the C kernel runs.
+CLOSED_FORM_VARIANTS = ("sor", "gauss_seidel", "bsor", "l1_bsor", "blcd")
+KERNEL_VARIANTS = ("sor", "gauss_seidel", "bsor", "blcd")
+ORDERS = ("lexicographic", "red_black")
 
 #: Relative slack allowed in the per-sweep dissipation check.
 DISSIPATION_TOL = 1e-9
@@ -54,10 +58,13 @@ class SolverConfig:
     omega: float = 1.0
     max_iters: int = 200
     stop_tol: float = 1e-8
+    order: str = "lexicographic"
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise SolverError(f"unknown variant {self.variant!r}")
+        if self.order not in ORDERS:
+            raise SolverError(f"unknown order {self.order!r}")
         if self.variant in ("sor", "gauss_seidel", "blcd") \
                 and not 0 < self.omega < 2:
             raise SolverError("omega must lie in (0, 2)")
@@ -123,24 +130,30 @@ def gauss_seidel_sweep(q: QuadraticObjective, x: np.ndarray) -> np.ndarray:
 
 def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
               state: PrimalDualState, taus: np.ndarray,
-              mode: str = "keep_box") -> SweepResult:
-    """One Bregman coordinate sweep solving n scalar inclusions in order."""
+              mode: str = "keep_box", order="lexicographic") -> SweepResult:
+    """One Bregman coordinate sweep solving n scalar inclusions, in index
+    order or in the permutation ``order``.  With ``order="red_black"`` the
+    pixels of each of ``V.colours`` in turn are one batch of
+    :func:`solve_inclusions`, and those it leaves unsettled follow one by
+    one."""
     taus = np.asarray(taus, dtype=float)
     ctx = V.sweep_context(state.x)
     p_new = state.p.copy()
-    for i in range(spec.n):
-        prob = InclusionProblem(
-            sb=spec.piece(i),
-            x=float(ctx.y[i]),
-            p=float(p_new[i]),
-            tau=float(taus[i]),
-            dq=ctx.dq(i),
-            clarke=ctx.clarke(i),
-        )
-        sol = solve_inclusion(prob, mode)
-        p_new[i] = sol.p_new
-        if not sol.stationary:
-            ctx.commit(i, sol.y)
+    batched = isinstance(order, str) and order == "red_black"
+    for pix in V.colours if batched else [None]:
+        todo = range(spec.n) if isinstance(order, str) else order
+        if pix is not None:
+            ctx.y[pix], p_new[pix], settled = solve_inclusions(
+                spec, pix, ctx.y[pix], p_new[pix], taus[pix],
+                *V.colour_quotients(ctx.y, pix), mode)
+            todo = pix[~settled]
+        for i in todo:
+            sol = solve_inclusion(InclusionProblem(
+                spec.piece(i), float(ctx.y[i]), float(p_new[i]),
+                float(taus[i]), ctx.dq(i), ctx.clarke(i)), mode)
+            p_new[i] = sol.p_new
+            if not sol.stationary:
+                ctx.commit(i, sol.y)
     return SweepResult(PrimalDualState(ctx.y, p_new, state.k + 1))
 
 
@@ -367,7 +380,12 @@ def make_sweeper(V: CoordinateObjective, spec: BregmanSpec,
     """Bind a config to a single-sweep callable ``state -> SweepResult``;
     raises :class:`SolverError` for settings the sweep cannot run."""
     variant = cfg.variant
-    if variant in ("sor", "gauss_seidel", "bsor", "l1_bsor", "blcd"):
+    if cfg.order == "red_black" and not (
+            variant in ("ia", "bia", "bia_modified")
+            and isinstance(V, StudentTObjective)):
+        raise SolverError("red_black order needs ia, bia or bia_modified "
+                          "on a student-t objective")
+    if variant in CLOSED_FORM_VARIANTS:
         if not isinstance(V, QuadraticObjective):
             raise SolverError(f"{variant} requires a quadratic objective")
         if V.lam != 0 and variant != "l1_bsor":
@@ -388,7 +406,7 @@ def make_sweeper(V: CoordinateObjective, spec: BregmanSpec,
         raise SolverError(f"{variant} requires a euclidean Bregman function")
     if variant in ("ia", "bia", "bia_modified"):
         mode = "forget_box" if variant == "bia_modified" else "keep_box"
-        return lambda state: bia_sweep(V, spec, state, taus, mode)
+        return lambda state: bia_sweep(V, spec, state, taus, mode, cfg.order)
 
     if variant == "bsor":
         return lambda state: bsor_sweep(V, state, gamma, cfg.tau)

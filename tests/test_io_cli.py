@@ -319,3 +319,82 @@ class TestCliMain:
                              capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.strip() == "[]"
+
+
+def outputs_without_wall_ms(out_dir: Path) -> dict:
+    """Every output file's bytes, with the ``wall_ms`` column cut from the
+    trace rows."""
+    out = {}
+    for path in sorted(out_dir.iterdir()):
+        data = path.read_bytes()
+        if path.suffix == ".csv":
+            data = b"\n".join(line if line.startswith(b"#")
+                              else line.rsplit(b",", 1)[0]
+                              for line in data.splitlines())
+        out[path.name] = data
+    return out
+
+
+class TestManifestReport:
+    def test_reference_block_and_byte_identical_reruns(self, tmp_path):
+        src = tmp_path / "in.pgm"
+        write_pgm(src, make_test_image(9, 9))
+        runs = {
+            "student_t_denoise": ["--image", str(src), "--iters", "2"],
+            "gaussian_noiseless": ["--n", "6", "--iters", "50"],
+        }
+        want = {
+            "student_t_denoise": dict(variant="bia", order="red_black",
+                                      sweeps=20, stopped_early=False),
+            "gaussian_noiseless": dict(variant="bsor", order="lexicographic",
+                                       sweeps=11, stopped_early=True),
+        }
+        for preset, args in runs.items():
+            out = tmp_path / preset
+            argv = ["--preset", preset, "--seed", "3", "--out-dir",
+                    str(out)] + args
+            assert main(argv) == 0
+            first = outputs_without_wall_ms(out)
+            assert json.loads(first["manifest.json"])["reference"] \
+                == want[preset]
+            for name, data in first.items():    # not in the CSV headers
+                assert name.endswith(".json") or b"# reference" not in data
+            assert main(argv) == 0
+            assert outputs_without_wall_ms(out) == first
+
+    @pytest.mark.parametrize("cache, want", [(None, "compiled"),
+                                             ("/dev/null", "numpy")])
+    def test_quadratic_pass_is_recorded(self, tmp_path, monkeypatch, cache,
+                                        want):
+        from bregsolve import _quadpass
+        if cache:
+            monkeypatch.setenv("XDG_CACHE_HOME", cache)
+        _quadpass.load.cache_clear()
+        if want == "compiled" and _quadpass.load() is None:
+            pytest.skip("the C kernel cannot be built here")
+        argv = ["--preset", "gaussian_noiseless", "--n", "16", "--seed", "2",
+                "--iters", "10", "--solvers", "sor,bsor,blcd"]
+        try:
+            assert main(argv + ["--out-dir", str(tmp_path / "a")]) == 0
+        finally:
+            _quadpass.load.cache_clear()
+        got = outputs_without_wall_ms(tmp_path / "a")
+        assert json.loads(got.pop("manifest.json"))["quadratic_pass"] == want
+        # The CSVs do not say which pass ran: they are the NumPy pass's.
+        monkeypatch.setattr(_quadpass, "load", lambda: None)
+        assert main(argv + ["--out-dir", str(tmp_path / "b")]) == 0
+        numpy_run = outputs_without_wall_ms(tmp_path / "b")
+        del numpy_run["manifest.json"]
+        assert got == numpy_run
+
+    def test_no_quadratic_pass_without_a_closed_form_variant(self, tmp_path):
+        src = tmp_path / "in.pgm"
+        write_pgm(src, make_test_image(6, 6))
+        runs = [("student_t_denoise", ["--image", str(src)], None),
+                ("gaussian_noisy_l1", ["--n", "12"], "numpy")]
+        for preset, args, want in runs:
+            out = tmp_path / preset
+            assert main(["--preset", preset, "--iters", "2", "--out-dir",
+                         str(out)] + args) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest.get("quadratic_pass") == want

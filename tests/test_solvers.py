@@ -1,6 +1,7 @@
 """Tests for the sweep schemes, their equivalences, and the run loop."""
 
 import math
+import os
 import stat
 import subprocess
 import tempfile
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bregsolve import _quadpass, solvers
+from bregsolve import _quadpass, cli, solvers
 from bregsolve.bregman import BregmanError, BregmanSpec, PrimalDualState
-from bregsolve.inclusion import InclusionProblem, solve_inclusion
+from bregsolve.inclusion import (RESIDUAL_TOL, InclusionProblem,
+                                 solve_inclusion, solve_inclusions)
 from bregsolve.objectives import (L1QuadraticObjective, QuadraticObjective,
                                   StudentTObjective, _QuadraticSweepContext,
                                   gaussian_system, impulse_noise,
@@ -475,23 +477,47 @@ class TestRowResidualUpdate:
     @needs_kernel
     def test_build_prunes_stale_libraries(self, fresh_kernel_cache,
                                           monkeypatch):
-        # A build removes the libraries of other sources or flags, and
-        # nothing else; a later load neither removes nor rebuilds its own.
+        # A build keeps the newest KEEP libraries, its own among them, and
+        # removes older ones and nothing else; a later load neither
+        # removes nor rebuilds its own.
         fresh_kernel_cache.mkdir(mode=0o700)
-        stale = fresh_kernel_cache / ("quadpass-" + "0" * 64 + ".so")
+        stale = [fresh_kernel_cache / f"quadpass-{k:064d}.so"
+                 for k in range(_quadpass.KEEP)]
+        for age, lib in enumerate(stale):
+            lib.write_bytes(b"")
+            os.utime(lib, (1e9 - age, 1e9 - age))
         other = fresh_kernel_cache / "notes.txt"
-        stale.write_bytes(b"")
         other.write_bytes(b"")
         assert _quadpass.load() is not None
-        lib, = fresh_kernel_cache.glob("quadpass-*.so")
-        assert lib != stale and not stale.exists() and other.exists()
+        lib, = set(fresh_kernel_cache.glob("quadpass-*.so")) - set(stale)
+        kept = [lib, other] + stale[:-1]
+        assert sorted(fresh_kernel_cache.iterdir()) == sorted(kept)
         inode = lib.stat().st_ino
         compiled = []
         monkeypatch.setattr(_quadpass, "compile_to", compiled.append)
         _quadpass.load.cache_clear()
         assert _quadpass.load() is not None and compiled == []
         assert lib.stat().st_ino == inode
-        assert sorted(fresh_kernel_cache.iterdir()) == sorted([lib, other])
+        assert sorted(fresh_kernel_cache.iterdir()) == sorted(kept)
+
+    @needs_kernel
+    def test_alternating_sources_compile_once_each(self, fresh_kernel_cache,
+                                                   monkeypatch, tmp_path):
+        # Two checkouts with different kernel sources sharing one cache,
+        # as a parent and a change benchmarked alternately.
+        other = tmp_path / "_quadpass.c"
+        other.write_text(_quadpass.SOURCE.read_text() + "/* changed */\n")
+        sources = [_quadpass.SOURCE, other]
+        compiled = []
+        real = _quadpass.compile_to
+        monkeypatch.setattr(_quadpass, "compile_to",
+                            lambda out: (compiled.append(out), real(out)))
+        for source in sources * 3:
+            monkeypatch.setattr(_quadpass, "SOURCE", source)
+            _quadpass.load.cache_clear()
+            assert _quadpass.load() is not None
+        assert len(compiled) == 2
+        assert len(list(fresh_kernel_cache.glob("quadpass-*.so"))) == 2
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
@@ -769,3 +795,111 @@ class TestStudentTSolvers:
         cfg = SolverConfig("bia_modified", tau=1.0, max_iters=10)
         state, _ = run(V, spec, noisy.ravel(), cfg)
         assert spec.membership_violation(state.x, state.p) <= 1e-9
+
+
+def red_black_order(V):
+    return np.concatenate(V.colours)
+
+
+def assert_close_states(got, want, tol=1e-10):
+    assert np.max(np.abs(got.x - want.x), initial=0.0) <= tol
+    assert np.max(np.abs(got.p - want.p), initial=0.0) <= tol
+
+
+class TestRedBlackSweep:
+    """The batched red-black sweep against :func:`bia_sweep` taken in the
+    same order, which stays the scalar oracle."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_scalar_sweep_on_denoising_preset(self, seed,
+                                                      monkeypatch):
+        args = cli.build_parser().parse_args(
+            ["--preset", "student_t_denoise", "--seed", str(seed)])
+        exp = cli.build_experiment(cli.effective_params(args))
+        V, spec, taus = exp.V, exp.spec, np.ones(exp.V.n)
+        order = red_black_order(V)
+        batch = scalar = PrimalDualState.initial(spec, exp.x0)
+        scalar_solves = []
+        for _ in range(20):
+            with monkeypatch.context() as m:
+                m.setattr(solvers, "solve_inclusion",
+                          lambda *a: scalar_solves.append(a) or
+                          solve_inclusion(*a))
+                batch = bia_sweep(V, spec, batch, taus,
+                                  order="red_black").state
+            scalar = bia_sweep(V, spec, scalar, taus, order=order).state
+            assert_close_states(batch, scalar)
+        # The batch settles all but a few of the 4,096 pixels per sweep
+        # (at most 26 were left over in these runs).
+        assert len(scalar_solves) <= 20 * 64
+
+    @settings(max_examples=40, deadline=None)
+    @given(h=st.integers(1, 9), w=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1),
+           gamma=st.sampled_from([0.0, 0.05, 0.5, 2.0]),
+           tau=st.floats(0.1, 10.0), box=st.booleans(),
+           mode=st.sampled_from(["keep_box", "forget_box"]))
+    def test_matches_scalar_sweep_on_small_images(self, h, w, seed, gamma,
+                                                  tau, box, mode):
+        # Impulse noise puts pixels on 0 and 1, the box edges; the start
+        # x_delta puts every pixel on its data kink and on the kink of J.
+        rng = np.random.default_rng(seed)
+        clean = rng.uniform(0.2, 0.8, (h, w))
+        x_delta = impulse_noise(clean, 0.3, seed=seed).ravel()
+        V = StudentTObjective(h, w, x_delta)
+        spec = BregmanSpec(x_delta, gamma, *((0.0, 1.0) if box else ()))
+        taus = np.full(V.n, tau)
+        batch = scalar = PrimalDualState.initial(spec, x_delta)
+        for _ in range(3):
+            before = batch
+            batch = bia_sweep(V, spec, batch, taus, mode, "red_black").state
+            scalar = bia_sweep(V, spec, scalar, taus, mode,
+                               red_black_order(V)).state
+            assert_close_states(batch, scalar)
+            assert_settled_lanes_solve_their_inclusion(V, spec, before, taus,
+                                                       mode)
+        variant = "ia" if gamma == 0 else \
+            "bia_modified" if mode == "forget_box" else "bia"
+        # run raises on a dissipation or membership failure.
+        _, records = run(V, spec, x_delta, SolverConfig(
+            variant, tau=tau, max_iters=3, order="red_black"))
+        assert len(records) == 3
+
+    def test_red_black_needs_a_student_t_inclusion_sweep(self):
+        with pytest.raises(SolverError):
+            SolverConfig("bia", order="zigzag")
+        q, _ = spd_system(6, 0)
+        spec = BregmanSpec.elastic_net(6, 0.5)
+        for variant in ("bia", "bsor"):
+            with pytest.raises(SolverError, match="red_black"):
+                make_sweeper(q, spec, SolverConfig(variant,
+                                                   order="red_black"))
+        V = StudentTObjective(3, 3, np.zeros(9))
+        with pytest.raises(SolverError, match="red_black"):
+            make_sweeper(V, BregmanSpec.euclidean(9),
+                         SolverConfig("sor", order="red_black"))
+
+
+def assert_settled_lanes_solve_their_inclusion(V, spec, state, taus, mode):
+    """Each lane the batch settles on the red pixels matches the scalar
+    solve; a moved one meets its inclusion to ``RESIDUAL_TOL`` by the
+    batch's own quotient, and ``p_new`` lies in the subdifferential."""
+    pix = V.colours[0]
+    clarke, dq = V.colour_quotients(state.x, pix)
+    p, tau = state.p[pix], taus[pix]
+    y, p_new, settled = solve_inclusions(spec, pix, state.x[pix], p, tau,
+                                         clarke, dq, mode)
+    t = p - tau * dq(y)
+    ctx = V.sweep_context(state.x)
+    for lane in np.flatnonzero(settled):
+        i = pix[lane]
+        sb = spec.piece(i)
+        want = solve_inclusion(InclusionProblem(
+            sb, state.x[i], state.p[i], taus[i], ctx.dq(i), ctx.clarke(i)),
+            mode)
+        assert abs(y[lane] - want.y) <= 1e-10
+        assert abs(p_new[lane] - want.p_new) <= 1e-10
+        lo, hi = sb.subdiff_interval(y[lane])
+        assert lo - 1e-12 <= p_new[lane] <= hi + 1e-12
+        if y[lane] != state.x[i]:
+            assert abs(t[lane] - min(max(t[lane], lo), hi)) <= RESIDUAL_TOL
