@@ -187,13 +187,10 @@ class BregmanSpec:
             raise BregmanError("point outside the box constraints")
         return self.intervals(x, self.shift)
 
-    def intervals(self, y, shift, box=True):
+    def intervals(self, y, shift):
         """Unchecked :meth:`subdiff_intervals` at points ``y`` of the pieces
-        with shifts ``shift``; without ``box``, of the pieces alone
-        (:meth:`ScalarBregman.j_interval`)."""
+        with shifts ``shift``."""
         lo, hi = l1_intervals(y, y - shift, self.gamma)
-        if not box:
-            return lo, hi
         return (np.where(y == self.lower, -math.inf, lo),
                 np.where(y == self.upper, math.inf, hi))
 

@@ -22,10 +22,13 @@ Brent may settle on any root inside its bracket.
 array lane each: the stationary test in closed form, then the first side's
 probe, doubling, kink split and Brent's method lane by lane, each lane
 freezing once it settles.  A lane that needs another branch (shrinking
-inward, a second side, divergence, a kink snap or ulp squeeze) is left to
-:func:`solve_inclusion`.  NumPy's ``log1p`` rounds unlike ``math.log1p``
-on some inputs, so the lanes agree with the scalar solver to rounding, not
-bitwise.
+inward, a second side, divergence, a kink snap or ulp squeeze) is left
+unsettled.  The roots it finds serve as the ``guess`` of
+:func:`solve_inclusion`, which still decides each coordinate: it takes a
+guess only where no stationary update applies and the residual at the
+guess, by the scalar quotient, is within tolerance.  NumPy's
+``log1p`` rounds unlike ``math.log1p`` on some inputs, so the lanes agree
+with the scalar solver to rounding, not bitwise.
 """
 
 from __future__ import annotations
@@ -106,9 +109,10 @@ def _try_stationary(prob: InclusionProblem, mode: str):
     ahi = vhi if math.isinf(slo) else min(vhi, (prob.p - slo) / prob.tau)
     if alo > ahi:
         return None
-    v = interval_project(0.0, alo, ahi)
-    p_new = _strip_box(prob.sb, prob.x, prob.p - prob.tau * v, mode)
-    return InclusionSolution(prob.x, p_new, True)
+    t = prob.p - prob.tau * interval_project(0.0, alo, ahi)
+    if mode == "forget_box":
+        slo, shi = prob.sb.j_interval(prob.x)
+    return InclusionSolution(prob.x, interval_project(t, slo, shi), True)
 
 
 def _nearest_stationary(prob: InclusionProblem, mode: str):
@@ -322,11 +326,15 @@ def _snap_to_kink(prob: InclusionProblem, root: float, g: float):
 
 
 def solve_inclusion(prob: InclusionProblem, mode: str = "keep_box",
+                    guess: float | None = None,
                     delta0: float | None = None) -> InclusionSolution:
     """Solve the scalar inclusion; see the module docstring.
 
     ``mode`` is "keep_box" (subgradient may include the box normal cone)
     or "forget_box" (the normal-cone part is discarded from p_new).
+    ``guess``, a root found elsewhere, is taken when no stationary update
+    applies, it moves x within the box, and its residual is within
+    ``RESIDUAL_TOL``; otherwise the search runs as without it.
     ``delta0`` overrides the warm probe distance.
     """
     if mode not in ("keep_box", "forget_box"):
@@ -334,6 +342,12 @@ def solve_inclusion(prob: InclusionProblem, mode: str = "keep_box",
     sol = _try_stationary(prob, mode)
     if sol is not None:
         return sol
+    if guess is not None and guess != prob.x and prob.sb.in_box(guess):
+        t = prob.p - prob.tau * prob.dq(guess)
+        lo, hi = prob.sb.subdiff_interval(guess)
+        if abs(t - interval_project(t, lo, hi)) <= RESIDUAL_TOL:
+            p_new = _strip_box(prob.sb, guess, t, mode)
+            return InclusionSolution(guess, p_new, False)
     # The search revisits points: side probes, bracket ends, Brent's last
     # iterate and the accepted root.
     prob = replace(prob, dq=lru_cache(maxsize=None)(prob.dq))
@@ -360,37 +374,36 @@ def solve_inclusion(prob: InclusionProblem, mode: str = "keep_box",
     return _nearest_stationary(prob, mode)
 
 
-def solve_inclusions(spec, pix, x, p, tau, clarke, dq, mode="keep_box"):
-    """:func:`solve_inclusion` for independent coordinates ``pix`` of
+def solve_inclusions(spec, pix, x, p, tau, clarke, dq):
+    """Roots of the inclusions of the independent coordinates ``pix`` of
     ``spec`` at once (see the module docstring), given arrays ``x``, ``p``,
     ``tau``, ``clarke = (lo, hi)`` and ``dq(y)``, the quotients of all
-    lanes at the points ``y``.  Returns ``(y, p_new, settled)``; an
-    unsettled lane keeps its x and p.
+    lanes at the points ``y``.  A lane that stays put, stationary or left
+    unsettled, keeps its x.
 
     Every step runs on all lanes and masks those it does not concern:
     NumPy keeps up to seven freed blocks of each size under 1 KiB, so
     arrays cut down to the lanes still open would hold memory of many
     sizes."""
     shift = spec.shift[pix]
-    y, p_new = x.copy(), p.copy()
+    y = x.copy()
     todo = np.ones(len(x), dtype=bool)
 
     def gap(yk):
-        """Residuals at yk, and the raw targets p - tau*DQ."""
+        """Residuals at yk."""
         t = p - tau * dq(yk)
-        return t - np.clip(t, *spec.intervals(yk, shift)), t
+        return t - np.clip(t, *spec.intervals(yk, shift))
 
-    def finish(yk, t, hit):
+    def finish(yk, hit):
         hit = hit & todo
-        box = spec.intervals(yk, shift, mode == "keep_box")
-        y[hit], p_new[hit], todo[hit] = yk[hit], np.clip(t, *box)[hit], False
+        y[hit], todo[hit] = yk[hit], False
 
     vlo, vhi = clarke
     slo, shi = spec.intervals(x, shift)
     with np.errstate(all="ignore"):
         alo = np.where(np.isinf(shi), vlo, np.maximum(vlo, (p - shi) / tau))
         ahi = np.where(np.isinf(slo), vhi, np.minimum(vhi, (p - slo) / tau))
-        finish(x, p - tau * np.clip(0.0, alo, ahi), alo <= ahi)
+        todo &= ~(alo <= ahi)
         dmin = np.maximum(1e-8, 1e-8 * np.abs(x))
         v = np.abs(np.clip(0.0, vlo, vhi))
         delta0 = np.minimum(np.maximum(dmin, 0.5 * tau * v), dmin * 2 ** 30)
@@ -400,9 +413,9 @@ def solve_inclusions(spec, pix, x, p, tau, clarke, dq, mode="keep_box"):
         plus = np.where(up != x, dq(up), math.inf) \
             <= np.where(down != x, -dq(down), math.inf)
         d, ya = np.where(plus, 1.0, -1.0), np.where(plus, up, down)
-        ga, t = gap(ya)
+        ga = gap(ya)
         on = todo & (ya != x)
-        finish(ya, t, on & (np.abs(ga) <= RESIDUAL_TOL))
+        finish(ya, on & (np.abs(ga) <= RESIDUAL_TOL))
         # Where g * d < 0 the root is closer: _shrink_inward's case.
         on &= todo & (ga * d >= 0)
         yb, gb, step = ya.copy(), ga.copy(), np.maximum(delta0, 2.0 * dmin)
@@ -411,8 +424,8 @@ def solve_inclusions(spec, pix, x, p, tau, clarke, dq, mode="keep_box"):
         while on.any():     # double outward, as _solve_on_side
             on &= step <= dmin * 2.0 ** _MAX_DOUBLINGS
             yn = np.clip(x + d * step, spec.lower, spec.upper)
-            gn, t = gap(yn)
-            finish(yn, t, on & (np.abs(gn) <= RESIDUAL_TOL))
+            gn = gap(yn)
+            finish(yn, on & (np.abs(gn) <= RESIDUAL_TOL))
             sign = on & todo & (gn * ga < 0)
             yb[sign], gb[sign] = yn[sign], gn[sign]
             bracket |= sign
@@ -421,19 +434,17 @@ def solve_inclusions(spec, pix, x, p, tau, clarke, dq, mode="keep_box"):
         lo, hi = np.minimum(ya, yb), np.maximum(ya, yb)
         glo, ghi = np.where(ya < yb, ga, gb), np.where(ya < yb, gb, ga)
         # Split at the kink of j, as _bracketed_root does.
-        gs, t = gap(shift)
+        gs = gap(shift)
         cut = bracket & (spec.gamma > 0) & (lo < shift) & (shift < hi)
-        finish(shift, t, cut & (np.abs(gs) <= RESIDUAL_TOL))
+        finish(shift, cut & (np.abs(gs) <= RESIDUAL_TOL))
         cut &= todo
         above = cut & ((gs < 0) == (glo < 0))
         lo[above], glo[above] = shift[above], gs[above]
         hi[cut & ~above], ghi[cut & ~above] = shift[cut & ~above], \
             gs[cut & ~above]
-        root, done = _brenth_lanes(lambda yk: gap(yk)[0], lo, hi, glo, ghi,
-                                   bracket & todo)
-        g, t = gap(root)
-        finish(root, t, done & (np.abs(g) <= RESIDUAL_TOL))
-    return y, p_new, ~todo
+        root, done = _brenth_lanes(gap, lo, hi, glo, ghi, bracket & todo)
+        finish(root, done & (np.abs(gap(root)) <= RESIDUAL_TOL))
+    return y
 
 
 def _brenth_lanes(f, a, b, fa, fb, run):

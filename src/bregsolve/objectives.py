@@ -393,9 +393,16 @@ def _local_deltas(wts, nbs, s, old, new):
 
 class _StudentTSweepContext(SweepContext):
     def dq(self, i: int):
+        """The quotient of coordinate i; it reads the stencil at its first
+        call, so a stationary solve, which needs none, skips it."""
         obj: StudentTObjective = self.objective
-        return partial(obj._quotient, self.y, obj._stencil_terms(self.y, i),
-                       i, float(self.y[i]))
+        y, old, terms = self.y, float(self.y[i]), []
+
+        def quotient(new):
+            if not terms:
+                terms.extend(obj._stencil_terms(y, i))
+            return obj._quotient(y, terms, i, old, new)
+        return quotient
 
 
 def itoh_abe_discrete_gradient(V: CoordinateObjective, x: np.ndarray,

@@ -132,29 +132,40 @@ def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
               state: PrimalDualState, taus: np.ndarray,
               mode: str = "keep_box", order="lexicographic") -> SweepResult:
     """One Bregman coordinate sweep solving n scalar inclusions, in index
-    order or in the permutation ``order``.  With ``order="red_black"`` the
-    pixels of each of ``V.colours`` in turn are one batch of
-    :func:`solve_inclusions`, and those it leaves unsettled follow one by
-    one."""
+    order, in the permutation ``order`` or, with ``order="red_black"``,
+    in the order of ``V.colours``; see :func:`_visits`."""
     taus = np.asarray(taus, dtype=float)
     ctx = V.sweep_context(state.x)
     p_new = state.p.copy()
-    batched = isinstance(order, str) and order == "red_black"
-    for pix in V.colours if batched else [None]:
-        todo = range(spec.n) if isinstance(order, str) else order
-        if pix is not None:
-            ctx.y[pix], p_new[pix], settled = solve_inclusions(
-                spec, pix, ctx.y[pix], p_new[pix], taus[pix],
-                *V.colour_quotients(ctx.y, pix), mode)
-            todo = pix[~settled]
-        for i in todo:
-            sol = solve_inclusion(InclusionProblem(
-                spec.piece(i), float(ctx.y[i]), float(p_new[i]),
-                float(taus[i]), ctx.dq(i), ctx.clarke(i)), mode)
-            p_new[i] = sol.p_new
-            if not sol.stationary:
-                ctx.commit(i, sol.y)
+    for i, guess, clarke in _visits(V, spec, ctx, p_new, taus, order):
+        sol = solve_inclusion(InclusionProblem(
+            spec.piece(i), float(ctx.y[i]), float(p_new[i]), float(taus[i]),
+            ctx.dq(i), clarke or ctx.clarke(i)), mode, guess)
+        p_new[i] = sol.p_new
+        if not sol.stationary:
+            ctx.commit(i, sol.y)
     return SweepResult(PrimalDualState(ctx.y, p_new, state.k + 1))
+
+
+def _visits(V, spec, ctx, p_new, taus, order):
+    """The coordinates of a :func:`bia_sweep` in turn, each with a root
+    guess and its Clarke interval, or None and None.  In red-black order
+    each colour, whose pixels share no stencil term, is first solved as
+    one batch of :func:`solve_inclusions` at the ``y`` the colour before
+    left; every pixel then still goes through :func:`solve_inclusion`,
+    which takes the batch's root once it checks the residual itself.  The
+    generator runs a colour's batch only once the sweep has committed the
+    colour before."""
+    if not (isinstance(order, str) and order == "red_black"):
+        for i in range(spec.n) if isinstance(order, str) else order:
+            yield i, None, None
+        return
+    for pix in V.colours:
+        clarke, dq = V.colour_quotients(ctx.y, pix)
+        y = solve_inclusions(spec, pix, ctx.y[pix], p_new[pix], taus[pix],
+                             clarke, dq)
+        for k, i in enumerate(pix.tolist()):
+            yield i, float(y[k]), (float(clarke[0][k]), float(clarke[1][k]))
 
 
 def ia_sweep(V: CoordinateObjective, state: PrimalDualState,
