@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -162,10 +163,17 @@ class BregmanSpec:
                             shifts: np.ndarray) -> "BregmanSpec":
         return cls(shifts, gamma)
 
+    @cached_property
+    def _pieces(self) -> tuple[ScalarBregman, ...]:
+        # One piece per distinct shift, by its bits: -0.0 keeps its own.
+        keys = [s.hex() for s in self.shift.tolist()]
+        made = {k: ScalarBregman(self.gamma, float.fromhex(k), self.lower,
+                                 self.upper) for k in set(keys)}
+        return tuple(made[k] for k in keys)
+
     def piece(self, i: int) -> ScalarBregman:
         """The scalar piece of coordinate ``i``."""
-        return ScalarBregman(self.gamma, float(self.shift[i]), self.lower,
-                             self.upper)
+        return self._pieces[i]
 
     def value(self, x: np.ndarray) -> float:
         """Value including the box indicator (+inf outside the box)."""

@@ -64,10 +64,11 @@ def support_stats(xk: np.ndarray, xstar: np.ndarray) -> tuple[float, float]:
     return match, 1.0 - match
 
 
-def clarke_dist(V: CoordinateObjective, x: np.ndarray) -> float:
+def clarke_dist(V: CoordinateObjective, x: np.ndarray, r=None) -> float:
     """l2 norm of the coordinate-wise distances of the Clarke intervals
-    from zero; equals the gradient norm at smooth points."""
-    lo, hi = V.clarke_intervals(np.asarray(x, dtype=float))
+    from zero; equals the gradient norm at smooth points.  A quadratic
+    ``V`` takes its intervals from the residual ``r`` of ``x`` if given."""
+    lo, hi = V.clarke_intervals(x) if r is None else V.clarke_intervals(x, r)
     return float(np.linalg.norm(interval_dist_zero(lo, hi)))
 
 

@@ -148,8 +148,11 @@ class QuadraticObjective(CoordinateObjective):
     def diag(self) -> np.ndarray:
         return np.diag(self.A)
 
-    def value(self, x: np.ndarray) -> float:
+    def value(self, x: np.ndarray, r: np.ndarray | None = None) -> float:
+        """``V(x)``, in O(n) from its residual ``r = A x - b`` if given."""
         x = self._check(x)
+        if r is not None:
+            return 0.5 * float(x @ (r - self.b))
         return 0.5 * float(x @ (self.A @ x)) - float(self.b @ x)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
@@ -164,21 +167,22 @@ class QuadraticObjective(CoordinateObjective):
         g = float(self.A[i] @ y - self.b[i])
         return _quadratic_quotient(g, float(self.A[i, i]), self.lam, old, new)
 
-    def clarke_intervals(self, x):
-        return l1_intervals(self.residual(x), x, self.lam)
+    def clarke_intervals(self, x, r=None):
+        return l1_intervals(self.residual(x) if r is None else r, x, self.lam)
 
-    def sweep_context(self, x):
-        return _QuadraticSweepContext(self, x)
+    def sweep_context(self, x, r=None):
+        return _QuadraticSweepContext(self, x, r)
 
 
 class _QuadraticSweepContext(SweepContext):
     """Maintains the residual cache ``r = A y - b`` across coordinate
     commits; a commit adds the contiguous row ``A[i]``, which equals the
-    column ``A[:, i]`` because the stored ``A`` is exactly symmetric."""
+    column ``A[:, i]`` because the stored ``A`` is exactly symmetric.  It
+    starts from a copy of ``r = A x - b`` if given."""
 
-    def __init__(self, objective: QuadraticObjective, x):
+    def __init__(self, objective: QuadraticObjective, x, r=None):
         super().__init__(objective, x)
-        self.r = objective.A @ self.y - objective.b
+        self.r = objective.residual(self.y) if r is None else np.array(r)
 
     def dq(self, i: int):
         g = float(self.r[i])
@@ -209,8 +213,8 @@ class L1QuadraticObjective(QuadraticObjective):
         self.n = quad.n
         self.lam = lam
 
-    def value(self, x):
-        return super().value(x) + self.lam * float(np.abs(x).sum())
+    def value(self, x, r=None):
+        return super().value(x, r) + self.lam * float(np.abs(x).sum())
 
 
 def _psi(t):

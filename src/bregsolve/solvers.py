@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,6 +40,10 @@ DISSIPATION_TOL = 1e-9
 
 #: Consecutive small-step sweeps required before declaring convergence.
 _STOP_STREAK = 3
+
+#: Sweeps between fresh residuals ``A x - b`` of a closed-form sweeper, which
+#: carries its pass's residual in between (van der Vorst & Ye, SISC 22, 2000).
+RESIDUAL_REFRESH = 50
 
 
 class SolverError(RuntimeError):
@@ -80,6 +85,7 @@ class SolverConfig:
 class SweepResult:
     """The iterate pair after one sweep; :func:`run` measures the step."""
     state: PrimalDualState
+    r: np.ndarray | None = None     #: ``A x - b``, from a closed-form pass
 
 
 # ---------------------------------------------------------------------------
@@ -87,13 +93,13 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 
 def _quadratic_pass(q: QuadraticObjective, x: np.ndarray, rule,
-                    compiled=None) -> np.ndarray:
-    """One lexicographic coordinate pass over the residual cache of ``q``;
-    ``rule(i, r_i, y_i, a_ii)`` gives the new ``y_i`` from the current
-    residual ``r_i = (A y - b)_i``.  Returns the swept vector.  On the
-    plain residual context, the C kernel, if it loaded, runs the pass
-    instead, bitwise alike, with its rule ``compiled = (name, aux, *c)``."""
-    ctx = q.sweep_context(x)
+                    compiled=None, r: np.ndarray | None = None):
+    """One lexicographic coordinate pass over the residual cache of ``q``,
+    from a copy of ``r = A x - b`` if given; ``rule(i, r_i, y_i, a_ii)``
+    gives the new ``y_i`` from ``r_i = (A y - b)_i``.  Returns ``y`` and
+    ``r``.  On the plain residual context the C kernel, if it loaded, runs
+    the pass instead, bitwise alike, with its rule ``(name, aux, *c)``."""
+    ctx = q.sweep_context(x) if r is None else q.sweep_context(x, r)
     r, y, diag, commit = ctx.r, ctx.y, q.diag, ctx.commit
     plain = compiled and type(ctx) is _QuadraticSweepContext
     kernel = _quadpass.load() if plain else None
@@ -101,10 +107,10 @@ def _quadratic_pass(q: QuadraticObjective, x: np.ndarray, rule,
         name, aux, *consts = compiled
         kernel(_quadpass.RULES[name], q.n, q.A, r, y, aux,
                np.array(consts, dtype=float))
-        return y
+        return y, r
     for i in range(q.n):
         commit(i, rule(i, r[i], y[i], diag[i]))
-    return y
+    return y, r
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +121,6 @@ def sor_sweep(q: QuadraticObjective, x: np.ndarray,
               omega: float) -> np.ndarray:
     """One relaxation sweep for ``A x = b``: :func:`blcd_sweep` at
     ``gamma = 0`` from ``p = x``, which shrinkage by 0 keeps bitwise."""
-    if not 0 < omega < 2:
-        raise SolverError(f"omega must lie in (0, 2), got {omega}")
     return blcd_sweep(q, PrimalDualState(x, x), 0.0, omega).state.x
 
 
@@ -180,7 +184,7 @@ def ia_sweep(V: CoordinateObjective, state: PrimalDualState,
 # ---------------------------------------------------------------------------
 
 def bsor_sweep(q: QuadraticObjective, state: PrimalDualState, gamma: float,
-               tau: float) -> SweepResult:
+               tau: float, r: np.ndarray | None = None) -> SweepResult:
     """Shrinkage-modified SOR sweep for ``J = ||.||^2/2 + gamma*||.||_1``.
 
     Equivalent to the scalar-inclusion sweep with elastic-net pieces, in
@@ -200,9 +204,9 @@ def bsor_sweep(q: QuadraticObjective, state: PrimalDualState, gamma: float,
             -g - (aii * (2.0 + tau) / (2.0 * tau)) * (x_new - xi))
         return x_new
 
-    y = _quadratic_pass(q, state.x, rule,
-                        ("bsor", rsub, omega, thr, tau, gamma))
-    return SweepResult(PrimalDualState(y, y + gamma * rsub, state.k + 1))
+    y, r = _quadratic_pass(q, state.x, rule,
+                           ("bsor", rsub, omega, thr, tau, gamma), r)
+    return SweepResult(PrimalDualState(y, y + gamma * rsub, state.k + 1), r)
 
 
 def _l1_case1_subgradient(p, g, t, gamma, lam):
@@ -215,7 +219,7 @@ def _l1_case1_subgradient(p, g, t, gamma, lam):
 
 
 def l1_bsor_sweep(q: QuadraticObjective, state: PrimalDualState,
-                  gamma: float, lam: float, tau: float) -> SweepResult:
+                  gamma: float, lam: float, tau: float, r=None) -> SweepResult:
     """Closed-form sweep for the l1-regularised quadratic objective with an
     elastic-net Bregman function: four coordinate cases (stay at zero,
     same-side shrinkage move, cross to zero, sign-crossing quadratic root),
@@ -235,8 +239,8 @@ def l1_bsor_sweep(q: QuadraticObjective, state: PrimalDualState,
                                                lam, kappa, aii, tau)
         return x_new
 
-    y = _quadratic_pass(q, state.x, rule)
-    return SweepResult(PrimalDualState(y, y + gamma * rsub, state.k + 1))
+    y, r = _quadratic_pass(q, state.x, rule, r=r)
+    return SweepResult(PrimalDualState(y, y + gamma * rsub, state.k + 1), r)
 
 
 def _l1_coordinate_update(xi, ri, g, c, t, tl, gamma, lam, kappa, aii, tau):
@@ -328,7 +332,7 @@ def _l1_scalar_residual(y_new, xi, ri, g, t, gamma, lam, aii, tau):
 # ---------------------------------------------------------------------------
 
 def blcd_sweep(q: QuadraticObjective, state: PrimalDualState, gamma: float,
-               alpha: float) -> SweepResult:
+               alpha: float, r: np.ndarray | None = None) -> SweepResult:
     """Linearised coordinate step through the elastic-net Bregman geometry.
 
     Each coordinate minimises the local linearisation plus a diagonal-scaled
@@ -344,8 +348,8 @@ def blcd_sweep(q: QuadraticObjective, state: PrimalDualState, gamma: float,
         p[i] -= (alpha / aii) * g
         return shrink(p[i], gamma)
 
-    y = _quadratic_pass(q, state.x, rule, ("blcd", p, alpha, gamma))
-    return SweepResult(PrimalDualState(y, p, state.k + 1))
+    y, r = _quadratic_pass(q, state.x, rule, ("blcd", p, alpha, gamma), r)
+    return SweepResult(PrimalDualState(y, p, state.k + 1), r)
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +424,23 @@ def make_sweeper(V: CoordinateObjective, spec: BregmanSpec,
         return lambda state: bia_sweep(V, spec, state, taus, mode, cfg.order)
 
     if variant == "bsor":
-        return lambda state: bsor_sweep(V, state, gamma, cfg.tau)
+        sweep = partial(bsor_sweep, V, gamma=gamma, tau=tau)
+    elif variant == "l1_bsor":
+        sweep = partial(l1_bsor_sweep, V, gamma=gamma, lam=V.lam, tau=tau)
+    else:   # sor(omega) and gauss_seidel, sor(1), are blcd at gamma = 0.
+        omega = 1.0 if variant == "gauss_seidel" else cfg.omega
+        sweep = partial(blcd_sweep, V, gamma=gamma, alpha=omega)
+    last, age = None, 0
 
-    if variant == "l1_bsor":
-        return lambda state: l1_bsor_sweep(V, state, gamma, V.lam, cfg.tau)
-
-    # sor(omega) and gauss_seidel, sor(1), are blcd at gamma = 0.
-    omega = 1.0 if variant == "gauss_seidel" else cfg.omega
-    return lambda state: blcd_sweep(V, state, gamma, omega)
+    def carried(state):
+        """``sweep(state, r)``, ``r`` the last result's residual if ``state``
+        is its state, else None (fresh), and None each RESIDUAL_REFRESH-th."""
+        nonlocal last, age
+        own = last is not None and state is last.state
+        age = (age + 1) % RESIDUAL_REFRESH if own else 0
+        last = sweep(state, r=last.r if age else None)
+        return last
+    return carried
 
 
 def run(V: CoordinateObjective, spec: BregmanSpec, x0: np.ndarray,
@@ -439,7 +452,8 @@ def run(V: CoordinateObjective, spec: BregmanSpec, x0: np.ndarray,
     ``V(x_k)``, evaluated once per sweep, and the support statistics
     against ``xstar`` when given; ``rel_objective`` is left NaN for the
     caller that knows ``V*``, and ``grad_dist`` is NaN unless
-    ``grad_dist`` is set.  Stops when the squared primal and dual steps
+    ``grad_dist`` is set.  When a sweep returns its residual, both come
+    from it in O(n).  Stops when the squared primal and dual steps
     stay below ``stop_tol**2`` for three consecutive sweeps.  Raises
     :class:`InvariantViolation` if a sweep's dissipation slack falls below
     ``-DISSIPATION_TOL * max(1, |V|)``, and :class:`BregmanError` if a
@@ -453,9 +467,10 @@ def run(V: CoordinateObjective, spec: BregmanSpec, x0: np.ndarray,
     streak = 0
     for _ in range(cfg.max_iters):
         t_start = time.perf_counter()
-        new = sweep(state).state
+        res = sweep(state)
         wall_ms = (time.perf_counter() - t_start) * 1e3
-        v = V.value(new.x)
+        new, r = res.state, res.r
+        v = V.value(new.x) if r is None else V.value(new.x, r)
         decrease = float(v_prev - v)
         step, dstep = new.x - state.x, new.p - state.p
         step_sq, dual_step_sq = float(step @ step), float(dstep @ dstep)
@@ -475,7 +490,7 @@ def run(V: CoordinateObjective, spec: BregmanSpec, x0: np.ndarray,
             rel_objective=math.nan,
             support_match=match,
             support_error=err,
-            grad_dist=clarke_dist(V, new.x) if grad_dist else math.nan,
+            grad_dist=clarke_dist(V, new.x, r) if grad_dist else math.nan,
             step_norm=math.sqrt(step_sq),
             dissipation_slack=slack,
             wall_ms=wall_ms,

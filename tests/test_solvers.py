@@ -574,6 +574,107 @@ class TestRowResidualUpdate:
                         <= 1e-12 * max(1.0, float(np.max(np.abs(ref)))), name
 
 
+def closed_form_setups(q, gamma, tau, omega):
+    """``(V, spec, cfg)`` of each closed-form variant on ``q``; l1_bsor
+    runs on ``q`` plus ``0.5 * ||.||_1``."""
+    net = BregmanSpec.elastic_net(q.n, gamma)
+    return {
+        "sor": (q, BregmanSpec.euclidean(q.n), SolverConfig("sor",
+                                                            omega=omega)),
+        "bsor": (q, net, SolverConfig("bsor", tau=tau)),
+        "blcd": (q, net, SolverConfig("blcd", omega=omega)),
+        "l1_bsor": (L1QuadraticObjective(q, 0.5), net,
+                    SolverConfig("l1_bsor", tau=tau)),
+    }
+
+
+def sweeper_chain(V, spec, cfg, x0, sweeps, handed=lambda s: s):
+    """The results of ``sweeps`` calls of one ``make_sweeper`` sweeper,
+    each handed ``handed(state)`` of the state the call before returned."""
+    sweep = make_sweeper(V, spec, cfg)
+    state, out = PrimalDualState.initial(spec, x0), []
+    for _ in range(sweeps):
+        out.append(sweep(handed(state)))
+        state = out[-1].state
+    return out
+
+
+def copied(state):
+    return PrimalDualState(state.x, state.p, state.k)
+
+
+class TestCarriedResidual:
+    """A closed-form sweeper carries the residual its pass ended with into
+    the next pass and computes it fresh every ``RESIDUAL_REFRESH`` sweeps
+    and for any state it did not return itself."""
+
+    def test_200_sweeps_stay_within_tolerance_of_fresh_residuals(self):
+        A, b, _ = gaussian_system(256, seed=11)
+        q = QuadraticObjective(A, b)
+        x0 = np.random.default_rng(11).standard_normal(256)
+        for name in ("sor", "bsor", "blcd"):
+            V, spec, cfg = closed_form_setups(q, 0.7, 2.0, 1.2)[name]
+            carried = sweeper_chain(V, spec, cfg, x0, 200)
+            fresh = sweeper_chain(V, spec, cfg, x0, 200, copied)
+            for c, f in zip(carried, fresh):
+                assert np.max(np.abs(c.state.x - f.state.x)) <= 1e-10, name
+                v = V.value(f.state.x)
+                assert abs(V.value(c.state.x, c.r) - v) <= 1e-12 * abs(v)
+            assert not all(np.array_equal(c.r, f.r)
+                           for c, f in zip(carried, fresh)), name
+
+    @needs_kernel
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           gamma=st.floats(0.05, 2.0), tau=st.floats(0.1, 10.0),
+           omega=st.floats(0.1, 1.9),
+           extra=st.integers(1, solvers.RESIDUAL_REFRESH))
+    def test_kernel_matches_numpy_pass_across_refreshes(self, n, seed, gamma,
+                                                        tau, omega, extra):
+        A, b, _ = gaussian_system(n, seed=seed)
+        q = QuadraticObjective(A, b)
+        x0 = np.random.default_rng(seed).standard_normal(n)
+        x0[::3] = 0.0
+        K = solvers.RESIDUAL_REFRESH
+        for name in ("sor", "bsor", "blcd"):
+            V, spec, cfg = closed_form_setups(q, gamma, tau, omega)[name]
+            got = sweeper_chain(V, spec, cfg, x0, K + extra)
+            with numpy_pass():
+                want = sweeper_chain(V, spec, cfg, x0, K + extra)
+            for g, w in zip(got, want):
+                for a, ref in ((g.state.x, w.state.x), (g.state.p, w.state.p),
+                               (g.r, w.r)):
+                    assert a.tobytes() == ref.tobytes(), name
+            # Sweep K + 1 starts from a fresh residual again.
+            state = got[K - 1].state
+            redo = make_sweeper(V, spec, cfg)(copied(state))
+            assert got[K].r.tobytes() == redo.r.tobytes(), name
+
+    @pytest.mark.parametrize("name", ["sor", "bsor", "blcd", "l1_bsor"])
+    def test_foreign_state_gets_a_fresh_residual(self, name):
+        A, b, _ = gaussian_system(24, seed=13)
+        q = QuadraticObjective(A, b)
+        x0 = np.random.default_rng(13).standard_normal(24)
+        V, spec, cfg = closed_form_setups(q, 0.7, 2.0, 1.2)[name]
+        direct = {
+            "sor": lambda s: blcd_sweep(V, s, 0.0, cfg.omega),
+            "bsor": lambda s: bsor_sweep(V, s, 0.7, cfg.tau),
+            "blcd": lambda s: blcd_sweep(V, s, 0.7, cfg.omega),
+            "l1_bsor": lambda s: l1_bsor_sweep(V, s, 0.7, 0.5, cfg.tau),
+        }[name]
+        sweep = make_sweeper(V, spec, cfg)
+        state0 = PrimalDualState.initial(spec, x0)
+        last = sweep(state0)
+        for _ in range(3):
+            last = sweep(last.state)
+        # An equal copy of its own last state, then a state from before.
+        for state in (copied(last.state), state0):
+            got, want = sweep(state), direct(state)
+            for a, ref in ((got.state.x, want.state.x),
+                           (got.state.p, want.state.p), (got.r, want.r)):
+                assert a.tobytes() == ref.tobytes()
+
+
 class TestReductions:
     def test_bia_euclidean_equals_ia(self):
         q, rng = spd_system(8, 43)
@@ -626,30 +727,51 @@ class TestRunLoop:
     def test_nan_objective_raises(self):
         # A NaN decrease must fail the monotonicity check, not pass it.
         q, _ = spd_system(4, 48)
-        q.value = lambda x: math.nan
+        q.value = lambda x, r=None: math.nan
         with pytest.raises(InvariantViolation):
             run(q, BregmanSpec.euclidean(4), np.zeros(4),
                 SolverConfig("sor", max_iters=3))
 
     def test_objective_evaluated_once_per_sweep(self):
         # k sweeps cost k + 1 values of V, and the trace holds V itself.
+        # A closed-form run makes one full evaluation, of x0, and k in O(n)
+        # from the residual each sweep returns; bia makes k + 1 full ones.
         q, _ = spd_system(8, 51)
-        calls = []
+        full, carried = [], []
         value = q.value
 
-        def counted(x):
-            calls.append(x)
-            return value(x)
+        def counted(x, r=None):
+            (full if r is None else carried).append(r)
+            return value(x, r)
         q.value = counted
+        sweeps = []
+        real = solvers.make_sweeper
+
+        def recording(V, spec, cfg):
+            sweep = real(V, spec, cfg)
+
+            def step(state):
+                sweeps.append(sweep(state))
+                return sweeps[-1]
+            return step
         for variant in ("sor", "bsor", "bia", "blcd"):
             spec = BregmanSpec.euclidean(8) if variant == "sor" \
                 else BregmanSpec.elastic_net(8, 1.0)
-            calls.clear()
-            state, records = run(q, spec, np.zeros(8),
-                                 SolverConfig(variant, max_iters=5))
+            full.clear()
+            carried.clear()
+            with mock.patch.object(solvers, "make_sweeper", recording):
+                state, records = run(q, spec, np.zeros(8),
+                                     SolverConfig(variant, max_iters=5))
             assert len(records) == 5
-            assert len(calls) == 6, variant
-            assert records[-1].objective == value(state.x)
+            last = records[-1].objective
+            if variant == "bia":
+                assert (len(full), len(carried)) == (6, 0)
+                assert last == value(state.x)
+                continue
+            assert (len(full), len(carried)) == (1, 5), variant
+            assert last == value(state.x, sweeps[-1].r)
+            assert sweeps[-1].state is state
+            assert abs(last - value(state.x)) <= 1e-12 * abs(last)
 
     def test_non_member_subgradient_raises(self, monkeypatch):
         # Every sweep's p must lie in dJ(x); a sweep that breaks it fails.
