@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -141,6 +140,7 @@ class BregmanSpec:
         if shift.ndim != 1 or not np.all(np.isfinite(shift)):
             raise BregmanError("shift must be a finite 1-d vector")
         object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "_pieces", {})
         # A piece with the spec's gamma and box checks both.
         ScalarBregman(self.gamma, 0.0, self.lower, self.upper)
 
@@ -163,17 +163,12 @@ class BregmanSpec:
                             shifts: np.ndarray) -> "BregmanSpec":
         return cls(shifts, gamma)
 
-    @cached_property
-    def _pieces(self) -> tuple[ScalarBregman, ...]:
-        # One piece per distinct shift, by its bits: -0.0 keeps its own.
-        keys = [s.hex() for s in self.shift.tolist()]
-        made = {k: ScalarBregman(self.gamma, float.fromhex(k), self.lower,
-                                 self.upper) for k in set(keys)}
-        return tuple(made[k] for k in keys)
-
     def piece(self, i: int) -> ScalarBregman:
-        """The scalar piece of coordinate ``i``."""
-        return self._pieces[i]
+        """The scalar piece of coordinate ``i``, built once per distinct
+        shift, keyed by its bits, so that -0.0 has its own."""
+        s = self.shift.item(i)
+        return self._pieces.get(s.hex()) or self._pieces.setdefault(
+            s.hex(), ScalarBregman(self.gamma, s, self.lower, self.upper))
 
     def value(self, x: np.ndarray) -> float:
         """Value including the box indicator (+inf outside the box)."""

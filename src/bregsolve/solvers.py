@@ -121,6 +121,8 @@ def sor_sweep(q: QuadraticObjective, x: np.ndarray,
               omega: float) -> np.ndarray:
     """One relaxation sweep for ``A x = b``: :func:`blcd_sweep` at
     ``gamma = 0`` from ``p = x``, which shrinkage by 0 keeps bitwise."""
+    if not 0 < omega < 2:
+        raise SolverError(f"omega must lie in (0, 2), got {omega}")
     return blcd_sweep(q, PrimalDualState(x, x), 0.0, omega).state.x
 
 

@@ -193,6 +193,18 @@ class TestBregmanSpec:
         spec0 = BregmanSpec.shifted_elastic_net(0.0, shifts)
         assert spec0.gamma == 0.0
 
+    def test_pieces_built_once_per_shift(self):
+        # Equal shifts share one piece; -0.0 keeps a piece of its own.
+        spec = BregmanSpec(np.array([0.3, 0.0, -0.0, 0.3, 0.0]), 0.5, -2.0,
+                           2.0)
+        pieces = [spec.piece(i) for i in range(spec.n)]
+        for i, sb in enumerate(pieces):
+            assert (sb.gamma, sb.lower, sb.upper) == (0.5, -2.0, 2.0)
+            assert np.float64(sb.shift).tobytes() == spec.shift[i].tobytes()
+            assert spec.piece(i) is sb
+        assert pieces[0] is pieces[3] and pieces[1] is pieces[4]
+        assert pieces[2] is not pieces[1]
+
     def test_min_norm_subgradient_membership(self):
         spec = BregmanSpec.elastic_net(4, 1.5)
         x = np.array([0.0, 2.0, -1.0, 0.0])
