@@ -1,4 +1,5 @@
-"""Builds, caches and loads the compiled coordinate pass in ``_quadpass.c``.
+"""Builds, caches and loads the compiled sweeps in ``_quadpass.c``: the
+closed-form coordinate pass and the student-t inclusion sweep.
 
 The library is built on first use and kept, named by the SHA-256 of its
 source and flags, in ``$XDG_CACHE_HOME/bregsolve`` or ``~/.cache/bregsolve``
@@ -26,6 +27,8 @@ SOURCE = Path(__file__).with_name("_quadpass.c")
 FLAGS = ("-O2", "-fvect-cost-model=cheap", "-ffp-contract=off", "-fPIC",
          "-shared")
 RULES = {"bsor": 0, "blcd": 1}
+#: The dtype of the index arrays the kernels read: C long.
+INDEX = np.dtype(f"i{ctypes.sizeof(ctypes.c_long)}")
 #: Libraries a build leaves in the cache, the newest by modification time.
 KEEP = 4
 
@@ -48,9 +51,10 @@ def compile_to(out: str):
 
 @lru_cache(maxsize=None)
 def load():
-    """``quad_pass(rule, n, A, r, y, aux, c)`` of the cached library, built
-    if need be; None, for the NumPy pass, if no private cache directory
-    (RuntimeError: no home), compiler or load works."""
+    """The cached library, built if need be, with ``quad_pass`` and
+    ``inclusion_sweep``, whose arrays are passed by :func:`ptr`; None, for
+    the Python passes, if no private cache directory (RuntimeError: no
+    home), compiler or load works."""
     try:
         key = SOURCE.read_bytes() + " ".join(FLAGS).encode()
         lib = cache_dir() / f"quadpass-{hashlib.sha256(key).hexdigest()}.so"
@@ -62,11 +66,23 @@ def load():
                 for stale in sorted(lib.parent.glob("quadpass-*.so"),
                                     key=lambda f: -f.stat().st_mtime)[KEEP:]:
                     stale.unlink()
-        fn = ctypes.CDLL(str(lib)).quad_pass
+        dll = ctypes.CDLL(str(lib))
+        quad, sweep = dll.quad_pass, dll.inclusion_sweep
     except (OSError, RuntimeError, subprocess.SubprocessError,
             AttributeError):
         return None
-    vec = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    fn.argtypes = [ctypes.c_int, ctypes.c_long] + [vec] * 5
-    fn.restype = None
-    return fn
+    long, addr = ctypes.c_long, ctypes.c_void_p
+    quad.argtypes, quad.restype = [ctypes.c_int, long] + [addr] * 5, None
+    sweep.argtypes = [long] * 2 + [ctypes.c_double] * 5 + [addr] * 6 \
+        + [long, addr]
+    sweep.restype = long
+    return dll
+
+
+def ptr(a: np.ndarray, dtype=np.dtype(np.float64)) -> int:
+    """The address of ``a``, which the caller keeps alive over the call;
+    TypeError unless ``a`` is a C-contiguous array of ``dtype``."""
+    if a.dtype != dtype or not a.flags.c_contiguous:
+        raise TypeError(f"expected a C-contiguous {dtype} array, got "
+                        f"{a.dtype}, C-contiguous: {a.flags.c_contiguous}")
+    return a.ctypes.data

@@ -188,14 +188,14 @@ class BregmanSpec:
         x = self._check_dim(x)
         if not self.in_box(x):
             raise BregmanError("point outside the box constraints")
-        return self.intervals(x, self.shift)
+        return self.intervals(x)
 
-    def intervals(self, y, shift):
-        """Unchecked :meth:`subdiff_intervals` at points ``y`` of the pieces
-        with shifts ``shift``."""
-        lo, hi = l1_intervals(y, y - shift, self.gamma)
-        return (np.where(y == self.lower, -math.inf, lo),
-                np.where(y == self.upper, math.inf, hi))
+    def intervals(self, x: np.ndarray):
+        """:meth:`subdiff_intervals` without its checks, for an ``x`` of
+        the right length known to lie in the box."""
+        lo, hi = l1_intervals(x, x - self.shift, self.gamma)
+        return (np.where(x == self.lower, -math.inf, lo),
+                np.where(x == self.upper, math.inf, hi))
 
     def min_norm_subgradient(self, x: np.ndarray) -> np.ndarray:
         """Element of the subdifferential at ``x`` of smallest magnitude."""
@@ -262,5 +262,6 @@ class PrimalDualState:
     def validate(self, spec: BregmanSpec, tol: float = MEMBERSHIP_TOL):
         if not spec.in_box(self.x):
             raise BregmanError("state x left the box constraints")
-        if not spec.contains_subgradient(self.x, self.p, tol):
+        lo, hi = spec.intervals(self.x)
+        if not np.all((lo - tol <= self.p) & (self.p <= hi + tol)):
             raise BregmanError("state p is not a subgradient of J at x")

@@ -216,7 +216,7 @@ def reference_values(exp: Experiment, params: dict,
                      report: dict | None = None) -> float:
     """Long reference run pinning down V*; it reads only the objective,
     so it skips the Clarke distance of each sweep, and on an image it
-    sweeps in red-black order, batched.  Its variant, order, sweeps and
+    sweeps in red-black order.  Its variant, order, sweeps and
     early stop go into ``report`` if given."""
     variant = _REFERENCE_SOLVER[exp.preset]
     order = "red_black" if exp.image_shape else "lexicographic"
@@ -279,6 +279,10 @@ def run_experiment(params: dict, out_dir: Path) -> dict:
     if ran & set(CLOSED_FORM_VARIANTS):
         kernel = ran & set(KERNEL_VARIANTS) and _quadpass.load() is not None
         manifest["quadratic_pass"] = "compiled" if kernel else "numpy"
+    if ran - set(CLOSED_FORM_VARIANTS):
+        kernel = type(exp.V) is StudentTObjective \
+            and _quadpass.load() is not None
+        manifest["inclusion_pass"] = "compiled" if kernel else "python"
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True)
                              + "\n")

@@ -17,18 +17,6 @@ Where the residual changes sign several times along the ray, the root
 returned lies in the first bracket found, not necessarily nearest x: a
 pair of sign changes between dmin and the warm distance is skipped, and
 Brent may settle on any root inside its bracket.
-
-:func:`solve_inclusions` solves many independent inclusions at once, one
-array lane each: the stationary test in closed form, then the first side's
-probe, doubling, kink split and Brent's method lane by lane, each lane
-freezing once it settles.  A lane that needs another branch (shrinking
-inward, a second side, divergence, a kink snap or ulp squeeze) is left
-unsettled.  The roots it finds serve as the ``guess`` of
-:func:`solve_inclusion`, which still decides each coordinate: it takes a
-guess only where no stationary update applies and the residual at the
-guess, by the scalar quotient, is within tolerance.  NumPy's
-``log1p`` rounds unlike ``math.log1p`` on some inputs, so the lanes agree
-with the scalar solver to rounding, not bitwise.
 """
 
 from __future__ import annotations
@@ -37,8 +25,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
-
-import numpy as np
 
 from .bregman import ScalarBregman, interval_project
 
@@ -372,119 +358,3 @@ def solve_inclusion(prob: InclusionProblem, mode: str = "keep_box",
     # No root on either side and no divergence signal: the root collapsed
     # onto x below resolution; take the best near-stationary update.
     return _nearest_stationary(prob, mode)
-
-
-def solve_inclusions(spec, pix, x, p, tau, clarke, dq):
-    """Roots of the inclusions of the independent coordinates ``pix`` of
-    ``spec`` at once (see the module docstring), given arrays ``x``, ``p``,
-    ``tau``, ``clarke = (lo, hi)`` and ``dq(y)``, the quotients of all
-    lanes at the points ``y``.  A lane that stays put, stationary or left
-    unsettled, keeps its x.
-
-    Every step runs on all lanes and masks those it does not concern:
-    NumPy keeps up to seven freed blocks of each size under 1 KiB, so
-    arrays cut down to the lanes still open would hold memory of many
-    sizes."""
-    shift = spec.shift[pix]
-    y = x.copy()
-    todo = np.ones(len(x), dtype=bool)
-
-    def gap(yk):
-        """Residuals at yk."""
-        t = p - tau * dq(yk)
-        return t - np.clip(t, *spec.intervals(yk, shift))
-
-    def finish(yk, hit):
-        hit = hit & todo
-        y[hit], todo[hit] = yk[hit], False
-
-    vlo, vhi = clarke
-    slo, shi = spec.intervals(x, shift)
-    with np.errstate(all="ignore"):
-        alo = np.where(np.isinf(shi), vlo, np.maximum(vlo, (p - shi) / tau))
-        ahi = np.where(np.isinf(slo), vhi, np.minimum(vhi, (p - slo) / tau))
-        todo &= ~(alo <= ahi)
-        dmin = np.maximum(1e-8, 1e-8 * np.abs(x))
-        v = np.abs(np.clip(0.0, vlo, vhi))
-        delta0 = np.minimum(np.maximum(dmin, 0.5 * tau * v), dmin * 2 ** 30)
-        # Probe the first side of _candidate_sides, ties going to d = 1.
-        up, down = (np.clip(x + d * dmin, spec.lower, spec.upper)
-                    for d in (1.0, -1.0))
-        plus = np.where(up != x, dq(up), math.inf) \
-            <= np.where(down != x, -dq(down), math.inf)
-        d, ya = np.where(plus, 1.0, -1.0), np.where(plus, up, down)
-        ga = gap(ya)
-        on = todo & (ya != x)
-        finish(ya, on & (np.abs(ga) <= RESIDUAL_TOL))
-        # Where g * d < 0 the root is closer: _shrink_inward's case.
-        on &= todo & (ga * d >= 0)
-        yb, gb, step = ya.copy(), ga.copy(), np.maximum(delta0, 2.0 * dmin)
-        bracket = np.zeros(len(x), dtype=bool)
-        bound = np.where(d > 0, spec.upper, spec.lower)
-        while on.any():     # double outward, as _solve_on_side
-            on &= step <= dmin * 2.0 ** _MAX_DOUBLINGS
-            yn = np.clip(x + d * step, spec.lower, spec.upper)
-            gn = gap(yn)
-            finish(yn, on & (np.abs(gn) <= RESIDUAL_TOL))
-            sign = on & todo & (gn * ga < 0)
-            yb[sign], gb[sign] = yn[sign], gn[sign]
-            bracket |= sign
-            on &= todo & ~sign & (yn != bound)
-            ya[on], ga[on], step[on] = yn[on], gn[on], 2.0 * step[on]
-        lo, hi = np.minimum(ya, yb), np.maximum(ya, yb)
-        glo, ghi = np.where(ya < yb, ga, gb), np.where(ya < yb, gb, ga)
-        # Split at the kink of j, as _bracketed_root does.
-        gs = gap(shift)
-        cut = bracket & (spec.gamma > 0) & (lo < shift) & (shift < hi)
-        finish(shift, cut & (np.abs(gs) <= RESIDUAL_TOL))
-        cut &= todo
-        above = cut & ((gs < 0) == (glo < 0))
-        lo[above], glo[above] = shift[above], gs[above]
-        hi[cut & ~above], ghi[cut & ~above] = shift[cut & ~above], \
-            gs[cut & ~above]
-        root, done = _brenth_lanes(gap, lo, hi, glo, ghi, bracket & todo)
-        finish(root, done & (np.abs(gap(root)) <= RESIDUAL_TOL))
-    return y
-
-
-def _brenth_lanes(f, a, b, fa, fb, run):
-    """:func:`brenth` lane by lane on the brackets ``[a, b]`` of the lanes
-    ``run``, with residuals ``fa``, ``fb`` of ``f`` at their ends, of
-    opposite signs.  Returns the roots and the mask of lanes that
-    converged; each lane's iterate is taken as it converges, and all lanes
-    step on until every one has, or for 100 steps."""
-    xpre, xcur, fpre, fcur = a, b, fa, fb
-    xblk = fblk = spre = scur = np.zeros_like(a)
-    root = np.full_like(a, math.nan)
-    for _ in range(_BRENT_MAXITER):
-        i = (fpre < 0) != (fcur < 0)
-        xblk, fblk = np.where(i, xpre, xblk), np.where(i, fpre, fblk)
-        spre, scur = (np.where(i, xcur - xpre, spre),
-                      np.where(i, xcur - xpre, scur))
-        i = np.abs(fblk) < np.abs(fcur)
-        xpre, xcur, xblk = (np.where(i, xcur, xpre), np.where(i, xblk, xcur),
-                            np.where(i, xcur, xblk))
-        fpre, fcur, fblk = (np.where(i, fcur, fpre), np.where(i, fblk, fcur),
-                            np.where(i, fcur, fblk))
-        delta = (_BRENT_XTOL + _BRENT_RTOL * np.abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        stop = run & ((fcur == 0) | (np.abs(sbis) < delta))
-        root = np.where(stop, xcur, root)
-        run = run & ~stop
-        if not run.any():
-            break
-        dpre = (fpre - fcur) / (xpre - xcur)
-        dblk = (fblk - fcur) / (xblk - xcur)
-        stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
-                        -fcur * (fblk - fpre) / (fblk * dpre - fpre * dblk))
-        # Bisect unless an extrapolation qualifies.
-        stry = np.where((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)),
-                        stry, math.inf)
-        take = 2 * np.abs(stry) < np.minimum(np.abs(spre),
-                                             3 * np.abs(sbis) - delta)
-        spre, scur = np.where(take, scur, sbis), np.where(take, stry, sbis)
-        xpre, fpre = xcur, fcur
-        xcur = xcur + np.where(np.abs(scur) > delta, scur,
-                               np.where(sbis > 0, delta, -delta))
-        fcur = f(xcur)
-    return root, ~np.isnan(root)

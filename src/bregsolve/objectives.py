@@ -235,10 +235,10 @@ class StudentTObjective(CoordinateObjective):
 
     def __init__(self, h: int, w: int, x_delta: np.ndarray,
                  phi: tuple[float, float] = (2.0, 2.0)):
-        x_delta = np.asarray(x_delta, dtype=float)
-        if x_delta.shape != (h * w,):
-            raise ObjectiveError(
-                f"x_delta must be flat of length {h * w}, got {x_delta.shape}")
+        x_delta = np.ascontiguousarray(x_delta, dtype=float)
+        if min(h, w) < 1 or x_delta.shape != (h * w,):
+            raise ObjectiveError(f"need h, w >= 1 and x_delta of shape "
+                                 f"(h*w,), got {h} x {w}, {x_delta.shape}")
         if not np.all(np.isfinite(x_delta)):
             raise ObjectiveError("x_delta must be finite")
         if not all(math.isfinite(p) and p >= 0 for p in phi):
@@ -336,63 +336,19 @@ class StudentTObjective(CoordinateObjective):
         r, c = np.divmod(np.arange(self.n), self.w)
         return [np.flatnonzero((r + c) % 2 == k) for k in (0, 1)]
 
-    def stencils(self, y, pix):
-        """Neighbour values in ``y`` and weights of the pixels ``pix``: two
-        lists of four arrays, in the order of :meth:`_stencil_terms`; an
-        absent neighbour is the pixel itself, with weight 0."""
-        r, c = np.divmod(pix, self.w)
-        edges = ((c + 1 < self.w, 1, 0), (c > 0, -1, 0),
-                 (r + 1 < self.h, self.w, 1), (r > 0, -self.w, 1))
-        return ([y[np.where(ok, pix + off, pix)] for ok, off, _ in edges],
-                [np.where(ok, self.phi[f], 0.0) for ok, _, f in edges])
-
-    def colour_quotients(self, y, pix):
-        """Clarke intervals ``(lo, hi)`` at ``y`` of the pixels ``pix`` of
-        one colour, and their batched quotient ``new -> DQ``, each pixel
-        moving alone from its value in ``y`` with the other colour fixed."""
-        (nbs, wts), old, s = self.stencils(y, pix), y[pix], self.x_delta[pix]
-        g = 0.0
-        for w, nb in zip(wts, nbs):
-            g = g + w * _psi_prime(old - nb)
-        lo, hi = l1_intervals(g, old - s, 1.0)
-        mid = 0.5 * (lo + hi)
-        tol = STATIONARY_REL_TOL * np.maximum(1.0, np.abs(old))
-
-        def dq(new):
-            step = new - old
-            still = np.abs(step) <= tol
-            delta = _local_deltas(wts, nbs, s, old, new)
-            return np.where(still, mid, delta / np.where(still, 1.0, step))
-        return (lo, hi), dq
-
     def clarke_intervals(self, x):
+        """Vectorised :meth:`coord_clarke_interval`, summed in its order."""
         x = self._check(x)
-        lo, hi = np.empty(self.n), np.empty(self.n)
-        for pix in self.colours:
-            (lo[pix], hi[pix]), _ = self.colour_quotients(x, pix)
-        return lo, hi
+        img, (ph, pv) = x.reshape(self.h, self.w), self.phi
+        g = np.zeros_like(img)
+        g[:, :-1] += ph * _psi_prime(img[:, :-1] - img[:, 1:])
+        g[:, 1:] += ph * _psi_prime(img[:, 1:] - img[:, :-1])
+        g[:-1] += pv * _psi_prime(img[:-1] - img[1:])
+        g[1:] += pv * _psi_prime(img[1:] - img[:-1])
+        return l1_intervals(g.ravel(), x - self.x_delta, 1.0)
 
     def sweep_context(self, x):
         return _StudentTSweepContext(self, x)
-
-
-def _local_deltas(wts, nbs, s, old, new):
-    """:meth:`StudentTObjective._local_delta` of many pixels at once, with
-    weights and neighbour values from :meth:`StudentTObjective.stencils`,
-    data ``s`` and moves ``old -> new``; summed in the same order, so that
-    it differs only where ``np.log1p`` rounds unlike ``math.log1p``."""
-    step = new - old
-    delta = 0.0
-    for w, nb in zip(wts, nbs):
-        d_old = old - nb
-        d_new = d_old + step
-        z = step * (d_new + d_old) / (1.0 + d_old * d_old)
-        delta = delta + w * np.log1p(z)     # 0 where no neighbour: d_old = 0
-    d_old, d_new = old - s, new - s
-    cross = np.where(d_new > 0, d_new + d_old, -(d_new + d_old))
-    return delta + np.where((d_old >= 0) & (d_new >= 0), step,
-                            np.where((d_old <= 0) & (d_new <= 0), -step,
-                                     cross))
 
 
 class _StudentTSweepContext(SweepContext):

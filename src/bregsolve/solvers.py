@@ -20,7 +20,7 @@ import numpy as np
 from . import _quadpass
 from .bregman import (BregmanSpec, PrimalDualState, interval_dist_zero,
                       interval_project, shrink)
-from .inclusion import InclusionProblem, solve_inclusion, solve_inclusions
+from .inclusion import InclusionProblem, solve_inclusion
 from .metrics import (TraceRecord, clarke_dist, dissipation_slack,
                       support_stats)
 from .objectives import (CoordinateObjective, QuadraticObjective,
@@ -102,11 +102,12 @@ def _quadratic_pass(q: QuadraticObjective, x: np.ndarray, rule,
     ctx = q.sweep_context(x) if r is None else q.sweep_context(x, r)
     r, y, diag, commit = ctx.r, ctx.y, q.diag, ctx.commit
     plain = compiled and type(ctx) is _QuadraticSweepContext
-    kernel = _quadpass.load() if plain else None
-    if kernel is not None:
+    lib = _quadpass.load() if plain else None
+    if lib is not None:
         name, aux, *consts = compiled
-        kernel(_quadpass.RULES[name], q.n, q.A, r, y, aux,
-               np.array(consts, dtype=float))
+        c = np.array(consts, dtype=float)
+        lib.quad_pass(_quadpass.RULES[name], q.n,
+                      *map(_quadpass.ptr, (q.A, r, y, aux, c)))
         return y, r
     for i in range(q.n):
         commit(i, rule(i, r[i], y[i], diag[i]))
@@ -139,39 +140,42 @@ def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
               mode: str = "keep_box", order="lexicographic") -> SweepResult:
     """One Bregman coordinate sweep solving n scalar inclusions, in index
     order, in the permutation ``order`` or, with ``order="red_black"``,
-    in the order of ``V.colours``; see :func:`_visits`."""
-    taus = np.asarray(taus, dtype=float)
+    the red pixels of ``V.colours`` and then the black."""
+    taus = np.ascontiguousarray(taus, dtype=float)
     ctx = V.sweep_context(state.x)
     p_new = state.p.copy()
-    for i, guess, clarke in _visits(V, spec, ctx, p_new, taus, order):
+    for i, root, clarke in _visits(V, spec, ctx.y, state.p, taus, order):
         sol = solve_inclusion(InclusionProblem(
             spec.piece(i), float(ctx.y[i]), float(p_new[i]), float(taus[i]),
-            ctx.dq(i), clarke or ctx.clarke(i)), mode, guess)
+            ctx.dq(i), clarke or ctx.clarke(i)), mode, root)
         p_new[i] = sol.p_new
         if not sol.stationary:
             ctx.commit(i, sol.y)
     return SweepResult(PrimalDualState(ctx.y, p_new, state.k + 1))
 
 
-def _visits(V, spec, ctx, p_new, taus, order):
-    """The coordinates of a :func:`bia_sweep` in turn, each with a root
-    guess and its Clarke interval, or None and None.  In red-black order
-    each colour, whose pixels share no stencil term, is first solved as
-    one batch of :func:`solve_inclusions` at the ``y`` the colour before
-    left; every pixel then still goes through :func:`solve_inclusion`,
-    which takes the batch's root once it checks the residual itself.  The
-    generator runs a colour's batch only once the sweep has committed the
-    colour before."""
-    if not (isinstance(order, str) and order == "red_black"):
-        for i in range(spec.n) if isinstance(order, str) else order:
-            yield i, None, None
-        return
-    for pix in V.colours:
-        clarke, dq = V.colour_quotients(ctx.y, pix)
-        y = solve_inclusions(spec, pix, ctx.y[pix], p_new[pix], taus[pix],
-                             clarke, dq)
-        for k, i in enumerate(pix.tolist()):
-            yield i, float(y[k]), (float(clarke[0][k]), float(clarke[1][k]))
+def _visits(V, spec, y, p, taus, order):
+    """The coordinates of a :func:`bia_sweep` in turn, each with its root
+    (x if it stays put) and Clarke interval from the compiled inclusion
+    sweep over a copy of ``y``, or None and None: without the kernel, on a
+    subclass, an order that is no permutation, and from where it stopped."""
+    lib = _quadpass.load() if type(V) is StudentTObjective else None
+    if isinstance(order, str):
+        order = np.concatenate(V.colours) if order == "red_black" \
+            else np.arange(spec.n)
+    idx, stop = np.asarray(order, dtype=_quadpass.INDEX), 0
+    if {taus.shape, p.shape, y.shape, spec.shift.shape} != {(V.n,)} \
+            or not np.array_equal(np.sort(idx), np.arange(V.n)):
+        lib = None
+    if lib is not None:
+        y, out = y.copy(), np.empty((3, len(idx)))
+        stop = lib.inclusion_sweep(
+            V.h, V.w, *V.phi, spec.gamma, spec.lower, spec.upper,
+            *map(_quadpass.ptr, (V.x_delta, spec.shift, taus, p, y)),
+            _quadpass.ptr(idx, _quadpass.INDEX), len(idx), _quadpass.ptr(out))
+        roots, lo, hi = out.tolist()
+    for k, i in enumerate(idx.tolist()):
+        yield (i, roots[k], (lo[k], hi[k])) if k < stop else (i, None, None)
 
 
 def ia_sweep(V: CoordinateObjective, state: PrimalDualState,

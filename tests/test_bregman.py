@@ -288,6 +288,21 @@ class TestPrimalDualState:
         with pytest.raises(BregmanError):
             state.validate(spec)
 
+    def test_validate_checks_the_box_once(self, monkeypatch):
+        spec = BregmanSpec.euclidean(2, 0.0, 1.0)
+        calls, in_box = [], BregmanSpec.in_box
+        monkeypatch.setattr(BregmanSpec, "in_box",
+                            lambda self, x: calls.append(x) or in_box(self, x))
+        PrimalDualState(np.array([0.5, 1.0]), np.array([0.5, 3.0])) \
+            .validate(spec)
+        assert len(calls) == 1
+        with pytest.raises(BregmanError, match="left the box"):
+            PrimalDualState(np.array([1.5, 0.5]), np.array([1.5, 0.5])) \
+                .validate(spec)
+        with pytest.raises(BregmanError, match="not a subgradient"):
+            PrimalDualState(np.array([0.5, 0.5]), np.array([0.5, 3.0])) \
+                .validate(spec)
+
     def test_state_copies_inputs(self):
         x = np.array([1.0])
         state = PrimalDualState(x, x.copy())

@@ -388,13 +388,52 @@ class TestManifestReport:
         assert got == numpy_run
 
     def test_no_quadratic_pass_without_a_closed_form_variant(self, tmp_path):
+        from bregsolve import _quadpass
         src = tmp_path / "in.pgm"
         write_pgm(src, make_test_image(6, 6))
-        runs = [("student_t_denoise", ["--image", str(src)], None),
-                ("gaussian_noisy_l1", ["--n", "12"], "numpy")]
-        for preset, args, want in runs:
+        kernel = _quadpass.load() is not None
+        runs = [("student_t_denoise", ["--image", str(src)], None,
+                 "compiled" if kernel else "python"),
+                ("gaussian_noisy_l1", ["--n", "12"], "numpy", "python"),
+                ("gaussian_noiseless", ["--n", "12", "--solvers", "bsor"],
+                 "compiled" if kernel else "numpy", None)]
+        for preset, args, quadratic, inclusion in runs:
             out = tmp_path / preset
             assert main(["--preset", preset, "--iters", "2", "--out-dir",
                          str(out)] + args) == 0
             manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest.get("quadratic_pass") == want
+            assert manifest.get("quadratic_pass") == quadratic
+            # ia on the l1-quadratic runs the Python inclusion sweep.
+            assert manifest.get("inclusion_pass") == inclusion
+
+    @pytest.mark.parametrize("cache, want", [(None, "compiled"),
+                                             ("/dev/null", "python")])
+    def test_inclusion_pass_is_recorded(self, tmp_path, monkeypatch, cache,
+                                        want):
+        from bregsolve import _quadpass
+        if cache:
+            monkeypatch.setenv("XDG_CACHE_HOME", cache)
+        _quadpass.load.cache_clear()
+        if want == "compiled" and _quadpass.load() is None:
+            pytest.skip("the C kernel cannot be built here")
+        src = tmp_path / "in.pgm"
+        write_pgm(src, make_test_image(9, 9))
+        argv = ["--preset", "student_t_denoise", "--image", str(src),
+                "--seed", "2", "--iters", "3"]
+        try:
+            assert main(argv + ["--out-dir", str(tmp_path / "a")]) == 0
+        finally:
+            _quadpass.load.cache_clear()
+        got = outputs_without_wall_ms(tmp_path / "a")
+        manifest = json.loads(got.pop("manifest.json"))
+        assert manifest["inclusion_pass"] == want
+        assert "quadratic_pass" not in manifest
+        for name, data in got.items():      # not in the CSV headers
+            assert b"# inclusion_pass" not in data, name
+        # The outputs do not say which sweep ran: they are the Python one's.
+        monkeypatch.setattr(_quadpass, "load", lambda: None)
+        assert main(argv + ["--out-dir", str(tmp_path / "b")]) == 0
+        python_run = outputs_without_wall_ms(tmp_path / "b")
+        assert json.loads(python_run.pop("manifest.json"))[
+            "inclusion_pass"] == "python"
+        assert got == python_run
