@@ -9,6 +9,9 @@ static double shrink(double x, double lam)
     return x > lam ? x - lam : x < -lam ? x + lam : 0.0;
 }
 
+#ifdef __x86_64__     /* one copy per instruction set, picked at load */
+__attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
 void quad_pass(int rule, long n, const double *A, double *r, double *y,
                double *aux, const double *c)
 {

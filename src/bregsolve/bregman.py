@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -65,7 +66,7 @@ def l1_intervals(g: np.ndarray, d: np.ndarray, w: float):
             g + w * np.where(s == 0, 1.0, s))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScalarBregman:
     """One separable piece ``j(x) = x^2/2 + gamma*|x - shift|`` on a box.
 
@@ -94,22 +95,20 @@ class ScalarBregman:
 
     def j_interval(self, x: float) -> tuple[float, float]:
         """Subdifferential of the scalar piece alone, as ``(lo, hi)``."""
-        if self.gamma == 0.0:
+        gamma = self.gamma
+        if gamma == 0.0:
             return (x, x)
-        return l1_interval(x, x - self.shift, self.gamma)
+        return (x - gamma if x <= self.shift else x + gamma,
+                x + gamma if x >= self.shift else x - gamma)
 
     def subdiff_interval(self, x: float) -> tuple[float, float]:
         """Subdifferential of piece + box indicator at ``x`` in the box."""
-        if not self.in_box(x):
-            raise BregmanError(
-                f"point {x} outside box [{self.lower}, {self.upper}]"
-            )
+        lower, upper = self.lower, self.upper
+        if not lower <= x <= upper:
+            raise BregmanError(f"point {x} outside box [{lower}, {upper}]")
         lo, hi = self.j_interval(x)
-        if x == self.upper:
-            hi = math.inf
-        if x == self.lower:
-            lo = -math.inf
-        return (lo, hi)
+        return (-math.inf if x == lower else lo,
+                math.inf if x == upper else hi)
 
 
 def euclidean_piece(lower: float = -math.inf,
@@ -140,7 +139,6 @@ class BregmanSpec:
         if shift.ndim != 1 or not np.all(np.isfinite(shift)):
             raise BregmanError("shift must be a finite 1-d vector")
         object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "_pieces", {})
         # A piece with the spec's gamma and box checks both.
         ScalarBregman(self.gamma, 0.0, self.lower, self.upper)
 
@@ -163,12 +161,15 @@ class BregmanSpec:
                             shifts: np.ndarray) -> "BregmanSpec":
         return cls(shifts, gamma)
 
-    def piece(self, i: int) -> ScalarBregman:
-        """The scalar piece of coordinate ``i``, built once per distinct
-        shift, keyed by its bits, so that -0.0 has its own."""
-        s = self.shift.item(i)
-        return self._pieces.get(s.hex()) or self._pieces.setdefault(
-            s.hex(), ScalarBregman(self.gamma, s, self.lower, self.upper))
+    @cached_property
+    def pieces(self) -> tuple[ScalarBregman, ...]:
+        """The scalar piece of each coordinate, built on first use once per
+        distinct shift, keyed by its bits, so that -0.0 has its own."""
+        _, first, inv = np.unique(self.shift.view(np.int64),
+                                  return_index=True, return_inverse=True)
+        made = [ScalarBregman(self.gamma, s, self.lower, self.upper)
+                for s in self.shift[first].tolist()]
+        return tuple(map(made.__getitem__, inv.tolist()))
 
     def value(self, x: np.ndarray) -> float:
         """Value including the box indicator (+inf outside the box)."""

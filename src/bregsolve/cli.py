@@ -33,21 +33,14 @@ from .solvers import (CLOSED_FORM_VARIANTS, EUCLIDEAN_VARIANTS,
 PRESETS = ("gaussian_noiseless", "gaussian_noiseless_binary",
            "gaussian_noisy", "gaussian_noisy_l1", "student_t_denoise")
 
+#: Default solvers of each preset; the last one also makes the long
+#: reference run that pins down V*.
 _DEFAULT_SOLVERS = {
     "gaussian_noiseless": ("sor", "bsor"),
     "gaussian_noiseless_binary": ("sor", "bsor"),
     "gaussian_noisy": ("sor", "bsor"),
     "gaussian_noisy_l1": ("ia", "l1_bsor"),
     "student_t_denoise": ("ia", "bia"),
-}
-
-#: Solver used for the long reference run that pins down V*.
-_REFERENCE_SOLVER = {
-    "gaussian_noiseless": "bsor",
-    "gaussian_noiseless_binary": "bsor",
-    "gaussian_noisy": "bsor",
-    "gaussian_noisy_l1": "l1_bsor",
-    "student_t_denoise": "bia",
 }
 
 _STUDENT_T_PHI = 2.0
@@ -218,7 +211,7 @@ def reference_values(exp: Experiment, params: dict,
     so it skips the Clarke distance of each sweep, and on an image it
     sweeps in red-black order.  Its variant, order, sweeps and
     early stop go into ``report`` if given."""
-    variant = _REFERENCE_SOLVER[exp.preset]
+    variant = _DEFAULT_SOLVERS[exp.preset][-1]
     order = "red_black" if exp.image_shape else "lexicographic"
     cfg = replace(solver_config(variant, params, stop_tol=1e-13,
                                 max_iters=10 * params["iters"]), order=order)

@@ -49,7 +49,7 @@ class ConvergenceError(InclusionError):
     """Root solve terminated without meeting the residual tolerance."""
 
 
-@dataclass
+@dataclass(slots=True)
 class InclusionProblem:
     sb: ScalarBregman
     x: float
@@ -61,11 +61,11 @@ class InclusionProblem:
     def __post_init__(self):
         if not self.tau > 0:
             raise InclusionError(f"tau must be > 0, got {self.tau}")
-        if not self.sb.in_box(self.x):
+        if not self.sb.lower <= self.x <= self.sb.upper:
             raise InclusionError("x outside the box constraints")
 
 
-@dataclass
+@dataclass(slots=True)
 class InclusionSolution:
     y: float
     p_new: float
@@ -74,10 +74,8 @@ class InclusionSolution:
 
 def _strip_box(sb: ScalarBregman, y: float, t: float, mode: str) -> float:
     """Project the raw subgradient target onto the admissible interval."""
-    if mode == "forget_box":
-        lo, hi = sb.j_interval(y)
-    else:
-        lo, hi = sb.subdiff_interval(y)
+    lo, hi = sb.j_interval(y) if mode == "forget_box" \
+        else sb.subdiff_interval(y)
     return interval_project(t, lo, hi)
 
 
@@ -88,42 +86,40 @@ def _residual(prob: InclusionProblem, y: float) -> float:
 
 
 def _try_stationary(prob: InclusionProblem, mode: str):
-    vlo, vhi = prob.clarke
-    slo, shi = prob.sb.subdiff_interval(prob.x)
+    sb, x, p, tau = prob.sb, prob.x, prob.p, prob.tau
+    # sb.subdiff_interval(x) without its box check: x is in the box.
+    jlo, jhi = sb.j_interval(x)
+    slo = -math.inf if x == sb.lower else jlo
+    shi = math.inf if x == sb.upper else jhi
     # v admissible iff p - tau*v lands in [slo, shi].
-    alo = vlo if math.isinf(shi) else max(vlo, (prob.p - shi) / prob.tau)
-    ahi = vhi if math.isinf(slo) else min(vhi, (prob.p - slo) / prob.tau)
+    vlo, vhi = prob.clarke
+    alo = vlo if math.isinf(shi) else max(vlo, (p - shi) / tau)
+    ahi = vhi if math.isinf(slo) else min(vhi, (p - slo) / tau)
     if alo > ahi:
         return None
-    t = prob.p - prob.tau * interval_project(0.0, alo, ahi)
+    t = p - tau * min(max(0.0, alo), ahi)
     if mode == "forget_box":
-        slo, shi = prob.sb.j_interval(prob.x)
-    return InclusionSolution(prob.x, interval_project(t, slo, shi), True)
+        slo, shi = jlo, jhi
+    return InclusionSolution(x, min(max(t, slo), shi), True)
 
 
 def _nearest_stationary(prob: InclusionProblem, mode: str):
-    """Best-effort stationary update when the root collapses onto x.
-
-    Picks the Clarke element whose raw target is closest to the
-    subdifferential at x.
-    """
-    vlo, vhi = prob.clarke
+    """Best-effort stationary update when the root collapses onto x: the
+    raw target of the Clarke element (the lower one on a tie) closest to
+    the subdifferential at x."""
     slo, shi = prob.sb.subdiff_interval(prob.x)
-    best_v, best_d = vlo, math.inf
-    for v in (vlo, vhi):
-        t = prob.p - prob.tau * v
+    best_t, best_d = prob.p - prob.tau * prob.clarke[0], math.inf
+    for t in (prob.p - prob.tau * v for v in prob.clarke):
         d = abs(t - interval_project(t, slo, shi))
         if d < best_d:
-            best_v, best_d = v, d
-    t = prob.p - prob.tau * best_v
-    return InclusionSolution(prob.x, _strip_box(prob.sb, prob.x, t, mode),
-                             True)
+            best_t, best_d = t, d
+    return InclusionSolution(prob.x, _strip_box(prob.sb, prob.x, best_t,
+                                                mode), True)
 
 
 def _finish(prob: InclusionProblem, y: float, mode: str) -> InclusionSolution:
     t = prob.p - prob.tau * prob.dq(y)
-    p_new = _strip_box(prob.sb, y, t, mode)
-    return InclusionSolution(y, p_new, False)
+    return InclusionSolution(y, _strip_box(prob.sb, y, t, mode), False)
 
 
 def _candidate_sides(prob: InclusionProblem, dmin: float):
@@ -293,6 +289,14 @@ def _ulp_root(prob: InclusionProblem, lo: float, hi: float, root: float,
     return lo if abs(glo) <= abs(ghi) else hi
 
 
+def _squeezed(prob: InclusionProblem, y: float, g: float) -> bool:
+    """Whether ``y``, whose residual ``g`` misses the tolerance, is the root
+    :func:`_ulp_root` takes between its adjacent floats in the box but x."""
+    lo, hi = (e if e != prob.x and prob.sb.in_box(e) else y for e in (
+        math.nextafter(y, -math.inf), math.nextafter(y, math.inf)))
+    return _ulp_root(prob, lo, hi, y, g) == y
+
+
 def _snap_to_kink(prob: InclusionProblem, root: float, g: float):
     """The subdifferential interval jumps at kinks of j and at the box
     edges; Brent may stop a rounding error away from such a point."""
@@ -319,8 +323,8 @@ def solve_inclusion(prob: InclusionProblem, mode: str = "keep_box",
     ``mode`` is "keep_box" (subgradient may include the box normal cone)
     or "forget_box" (the normal-cone part is discarded from p_new).
     ``guess``, a root found elsewhere, is taken when no stationary update
-    applies, it moves x within the box, and its residual is within
-    ``RESIDUAL_TOL``; otherwise the search runs as without it.
+    applies, it moves x within the box, and it meets ``RESIDUAL_TOL`` or
+    is an ulp squeeze's root (:func:`_squeezed`); else the search runs.
     ``delta0`` overrides the warm probe distance.
     """
     if mode not in ("keep_box", "forget_box"):
@@ -330,9 +334,10 @@ def solve_inclusion(prob: InclusionProblem, mode: str = "keep_box",
         return sol
     if guess is not None and guess != prob.x and prob.sb.in_box(guess):
         t = prob.p - prob.tau * prob.dq(guess)
-        lo, hi = prob.sb.subdiff_interval(guess)
-        if abs(t - interval_project(t, lo, hi)) <= RESIDUAL_TOL:
-            p_new = _strip_box(prob.sb, guess, t, mode)
+        p_new = interval_project(t, *prob.sb.subdiff_interval(guess))
+        if abs(t - p_new) <= RESIDUAL_TOL or _squeezed(prob, guess, t - p_new):
+            if mode == "forget_box":
+                p_new = _strip_box(prob.sb, guess, t, mode)
             return InclusionSolution(guess, p_new, False)
     # The search revisits points: side probes, bracket ends, Brent's last
     # iterate and the accepted root.

@@ -356,7 +356,7 @@ class _StudentTSweepContext(SweepContext):
         """The quotient of coordinate i; it reads the stencil at its first
         call, so a stationary solve, which needs none, skips it."""
         obj: StudentTObjective = self.objective
-        y, old, terms = self.y, float(self.y[i]), []
+        y, old, terms = self.y, self.y.item(i), []
 
         def quotient(new):
             if not terms:

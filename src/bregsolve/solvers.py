@@ -122,8 +122,6 @@ def sor_sweep(q: QuadraticObjective, x: np.ndarray,
               omega: float) -> np.ndarray:
     """One relaxation sweep for ``A x = b``: :func:`blcd_sweep` at
     ``gamma = 0`` from ``p = x``, which shrinkage by 0 keeps bitwise."""
-    if not 0 < omega < 2:
-        raise SolverError(f"omega must lie in (0, 2), got {omega}")
     return blcd_sweep(q, PrimalDualState(x, x), 0.0, omega).state.x
 
 
@@ -143,30 +141,31 @@ def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
     the red pixels of ``V.colours`` and then the black."""
     taus = np.ascontiguousarray(taus, dtype=float)
     ctx = V.sweep_context(state.x)
-    p_new = state.p.copy()
-    for i, root, clarke in _visits(V, spec, ctx.y, state.p, taus, order):
+    y, p_new, pieces = ctx.y, state.p.copy(), spec.pieces
+    for i, root, lo, hi in _visits(V, spec, y, state.p, taus, order):
         sol = solve_inclusion(InclusionProblem(
-            spec.piece(i), float(ctx.y[i]), float(p_new[i]), float(taus[i]),
-            ctx.dq(i), clarke or ctx.clarke(i)), mode, root)
+            pieces[i], y.item(i), p_new.item(i), taus.item(i), ctx.dq(i),
+            ctx.clarke(i) if lo is None else (lo, hi)), mode, root)
         p_new[i] = sol.p_new
         if not sol.stationary:
             ctx.commit(i, sol.y)
-    return SweepResult(PrimalDualState(ctx.y, p_new, state.k + 1))
+    return SweepResult(PrimalDualState(y, p_new, state.k + 1))
 
 
 def _visits(V, spec, y, p, taus, order):
-    """The coordinates of a :func:`bia_sweep` in turn, each with its root
-    (x if it stays put) and Clarke interval from the compiled inclusion
-    sweep over a copy of ``y``, or None and None: without the kernel, on a
-    subclass, an order that is no permutation, and from where it stopped."""
+    """The coordinates of a :func:`bia_sweep` in turn, zipped with the
+    compiled inclusion sweep's root (x if it stays put) and Clarke interval
+    ends over a copy of ``y``, or None: without the kernel, on a subclass,
+    an order that is no permutation, and from where it stopped."""
     lib = _quadpass.load() if type(V) is StudentTObjective else None
     if isinstance(order, str):
         order = np.concatenate(V.colours) if order == "red_black" \
             else np.arange(spec.n)
-    idx, stop = np.asarray(order, dtype=_quadpass.INDEX), 0
+    idx = np.asarray(order, dtype=_quadpass.INDEX)
     if {taus.shape, p.shape, y.shape, spec.shift.shape} != {(V.n,)} \
             or not np.array_equal(np.sort(idx), np.arange(V.n)):
         lib = None
+    roots = lo = hi = [None] * len(idx)
     if lib is not None:
         y, out = y.copy(), np.empty((3, len(idx)))
         stop = lib.inclusion_sweep(
@@ -174,15 +173,14 @@ def _visits(V, spec, y, p, taus, order):
             *map(_quadpass.ptr, (V.x_delta, spec.shift, taus, p, y)),
             _quadpass.ptr(idx, _quadpass.INDEX), len(idx), _quadpass.ptr(out))
         roots, lo, hi = out.tolist()
-    for k, i in enumerate(idx.tolist()):
-        yield (i, roots[k], (lo[k], hi[k])) if k < stop else (i, None, None)
+        roots[stop:] = lo[stop:] = hi[stop:] = [None] * (len(idx) - stop)
+    return zip(idx.tolist(), roots, lo, hi)
 
 
 def ia_sweep(V: CoordinateObjective, state: PrimalDualState,
              taus: np.ndarray) -> SweepResult:
     """Itoh-Abe discrete gradient sweep (euclidean Bregman function)."""
-    spec = BregmanSpec.euclidean(len(state.x))
-    return bia_sweep(V, spec, state, taus)
+    return bia_sweep(V, BregmanSpec.euclidean(len(state.x)), state, taus)
 
 
 # ---------------------------------------------------------------------------

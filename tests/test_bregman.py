@@ -159,7 +159,7 @@ class TestBregmanDistance:
         # any valid subgradient: random point of each interval
         p = np.empty(n)
         for i in range(n):
-            lo, hi = spec.piece(i).subdiff_interval(x[i])
+            lo, hi = spec.pieces[i].subdiff_interval(x[i])
             p[i] = rng.uniform(lo, hi)
         d = bregman_distance(spec, x, p, y)
         gap = 0.5 * spec.mu * float(np.sum((y - x) ** 2))
@@ -197,11 +197,11 @@ class TestBregmanSpec:
         # Equal shifts share one piece; -0.0 keeps a piece of its own.
         spec = BregmanSpec(np.array([0.3, 0.0, -0.0, 0.3, 0.0]), 0.5, -2.0,
                            2.0)
-        pieces = [spec.piece(i) for i in range(spec.n)]
+        pieces = spec.pieces
+        assert len(pieces) == spec.n and spec.pieces is pieces
         for i, sb in enumerate(pieces):
             assert (sb.gamma, sb.lower, sb.upper) == (0.5, -2.0, 2.0)
             assert np.float64(sb.shift).tobytes() == spec.shift[i].tobytes()
-            assert spec.piece(i) is sb
         assert pieces[0] is pieces[3] and pieces[1] is pieces[4]
         assert pieces[2] is not pieces[1]
 
@@ -230,7 +230,7 @@ class TestBregmanSpec:
         upper = data.draw(st.floats(min_value=lower, max_value=lower + 10))
         shift = np.array(data.draw(st.lists(small, min_size=n, max_size=n)))
         spec = BregmanSpec(shift, gamma, lower, upper)
-        pieces = [spec.piece(i) for i in range(n)]
+        pieces = spec.pieces
         x = np.array([data.draw(st.sampled_from([lower, upper, s])
                                 | st.floats(min_value=lower, max_value=upper))
                       for s in shift]).clip(lower, upper)

@@ -11,9 +11,10 @@ from bregsolve import inclusion, solvers
 from bregsolve.bregman import (BregmanError, ScalarBregman,
                                elastic_net_piece, euclidean_piece)
 from bregsolve.cli import build_experiment, build_parser, effective_params
-from bregsolve.inclusion import (ConvergenceError, DivergenceError,
-                                 InclusionError, InclusionProblem, brenth,
-                                 solve_inclusion)
+from bregsolve.inclusion import (RESIDUAL_TOL, ConvergenceError,
+                                 DivergenceError, InclusionError,
+                                 InclusionProblem, brenth, solve_inclusion)
+from bregsolve.objectives import StudentTObjective, impulse_noise
 
 
 def quadratic_dq(g, a, x):
@@ -185,6 +186,106 @@ class TestRootChoice:
         for kwargs in ({}, {"delta0": 1e-8}):
             y = self.solve((5e-9, 0.2, 1.3), **kwargs)
             assert y == pytest.approx(5e-9, rel=1e-9)
+
+
+def bits_of(sol):
+    return (float(sol.y).hex(), float(sol.p_new).hex(), sol.stationary)
+
+
+class TestGuess:
+    """A guess is taken when its residual is within the tolerance, and
+    also when it is the root an ulp squeeze returns.  Here x = p = 0, tau
+    = 1 and DQ(y) = -y - h(y), so the residual is h, a step from +a below
+    1.3 to -b from 1.3 on: no float meets the tolerance, and the search
+    squeezes the sign change between 1.3 and the float below it."""
+
+    R0 = 1.3
+
+    def problem(self, a, b, sb):
+        def dq(y):
+            return -y - (a if y < self.R0 else -b)
+        return InclusionProblem(sb=sb, x=0.0, p=0.0, tau=1.0, dq=dq,
+                                clarke=(-1.0, -1.0))
+
+    @staticmethod
+    def solve(prob, mode, guess, monkeypatch):
+        """The solution, and how often the search ran."""
+        searches = []
+        sides = inclusion._candidate_sides
+        monkeypatch.setattr(inclusion, "_candidate_sides",
+                            lambda prob, dmin: searches.append(prob.x)
+                            or sides(prob, dmin))
+        return solve_inclusion(prob, mode, guess), len(searches)
+
+    @pytest.mark.parametrize("mode", ["keep_box", "forget_box"])
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0)])
+    @pytest.mark.parametrize("upper", [math.inf, R0])
+    def test_squeezed_root_is_taken(self, mode, a, b, upper, monkeypatch):
+        below = math.nextafter(self.R0, -math.inf)
+        sb = euclidean_piece(upper=upper)
+        ref, searched = self.solve(self.problem(a, b, sb), mode, None,
+                                   monkeypatch)
+        # The smaller residual of the pair wins, the lower float a tie.
+        assert searched == 1 and ref.y == (self.R0 if b < a else below)
+        assert abs(inclusion._residual(self.problem(a, b, sb), ref.y)) \
+            > RESIDUAL_TOL
+        sol, searched = self.solve(self.problem(a, b, sb), mode, ref.y,
+                                   monkeypatch)
+        assert searched == 0 and bits_of(sol) == bits_of(ref)
+        # The other float of the pair, and floats two ulps from the root,
+        # are searched from scratch and give the same root.
+        other = self.R0 if ref.y == below else below
+        for guess in (other, math.nextafter(below, -math.inf),
+                      math.nextafter(self.R0, math.inf)):
+            if not sb.in_box(guess):
+                continue
+            sol, searched = self.solve(self.problem(a, b, sb), mode, guess,
+                                       monkeypatch)
+            assert searched == 1 and bits_of(sol) == bits_of(ref)
+
+    @pytest.mark.parametrize("mode", ["keep_box", "forget_box"])
+    def test_guess_outside_the_box_is_refused(self, mode, monkeypatch):
+        sb = euclidean_piece(lower=-2.0, upper=2.0)
+        ref, _ = self.solve(self.problem(1.0, 2.0, sb), mode, None,
+                            monkeypatch)
+        for guess in (2.5, -3.0, math.nextafter(2.0, math.inf)):
+            sol, searched = self.solve(self.problem(1.0, 2.0, sb), mode,
+                                       guess, monkeypatch)
+            assert searched == 1 and bits_of(sol) == bits_of(ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           gamma=st.sampled_from([0.0, 0.05, 0.5, 2.0]),
+           tau=st.floats(0.1, 10.0), box=st.booleans(),
+           mode=st.sampled_from(["keep_box", "forget_box"]),
+           student_t=st.booleans(), data=st.data())
+    def test_own_root_as_guess_is_bitwise_the_search(
+            self, seed, gamma, tau, box, mode, student_t, data):
+        # A coordinate of a 3 x 3 student-t image, from a random state on
+        # and off the kinks, or a quadratic quotient; shifted elastic-net
+        # pieces, on [0, 1] or unbounded.
+        rng = np.random.default_rng(seed)
+        x_delta = impulse_noise(rng.uniform(0.2, 0.8, (3, 3)), 0.3,
+                                seed=seed).ravel()
+        i = data.draw(st.integers(0, 8))
+        sb = ScalarBregman(gamma, float(x_delta[i]),
+                           *((0.0, 1.0) if box else ()))
+        y = np.where(rng.random(9) < 0.5, x_delta, rng.uniform(0, 1, 9))
+        lo, hi = sb.subdiff_interval(float(y[i]))
+        p = float(np.clip(rng.normal(y[i], 1.0), max(lo, -5), min(hi, 5)))
+
+        def problem():
+            if not student_t:
+                return make_problem(sb, float(y[i]), p, tau,
+                                    float(rng.uniform(-3, 3)), 1.0)
+            ctx = StudentTObjective(3, 3, x_delta).sweep_context(y)
+            return InclusionProblem(sb, float(y[i]), p, tau, ctx.dq(i),
+                                    ctx.clarke(i))
+        state = rng.bit_generator.state
+        ref = solve_inclusion(problem(), mode)
+        rng.bit_generator.state = state
+        sol = solve_inclusion(problem(), mode, ref.y)
+        assert bits_of(sol) == bits_of(ref)
 
 
 class TestBrenth:
