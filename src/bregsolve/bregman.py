@@ -38,8 +38,10 @@ def shrink(x: float, lam: float) -> float:
 
 
 def interval_project(t: float, lo: float, hi: float) -> float:
-    """Nearest point of the closed interval ``[lo, hi]`` to ``t``."""
-    return min(max(t, lo), hi)
+    """Nearest point of the closed interval ``[lo, hi]`` to ``t``: bitwise
+    ``min(max(t, lo), hi)``, whose first argument wins ties and NaN."""
+    t = lo if lo > t else t
+    return hi if hi < t else t
 
 
 def interval_dist_zero(lo, hi):

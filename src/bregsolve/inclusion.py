@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
-from .bregman import ScalarBregman, interval_project
+from .bregman import BregmanError, ScalarBregman, interval_project
 
 #: Absolute residual tolerance for the scalar inclusion.
 RESIDUAL_TOL = 1e-10
@@ -34,6 +34,7 @@ _BRENT_XTOL = 1e-14
 _BRENT_RTOL = 4.0 * math.ulp(1.0)
 _BRENT_MAXITER = 100
 _MAX_DOUBLINGS = 60
+_INF = math.inf
 
 
 class InclusionError(RuntimeError):
@@ -49,7 +50,7 @@ class ConvergenceError(InclusionError):
     """Root solve terminated without meeting the residual tolerance."""
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class InclusionProblem:
     sb: ScalarBregman
     x: float
@@ -58,11 +59,13 @@ class InclusionProblem:
     dq: Callable[[float], float]
     clarke: tuple[float, float]
 
-    def __post_init__(self):
-        if not self.tau > 0:
-            raise InclusionError(f"tau must be > 0, got {self.tau}")
-        if not self.sb.lower <= self.x <= self.sb.upper:
+    def __init__(self, sb, x, p, tau, dq, clarke):
+        if not tau > 0:
+            raise InclusionError(f"tau must be > 0, got {tau}")
+        if not sb.lower <= x <= sb.upper:
             raise InclusionError("x outside the box constraints")
+        self.sb, self.x, self.p = sb, x, p
+        self.tau, self.dq, self.clarke = tau, dq, clarke
 
 
 @dataclass(slots=True)
@@ -89,18 +92,23 @@ def _try_stationary(prob: InclusionProblem, mode: str):
     sb, x, p, tau = prob.sb, prob.x, prob.p, prob.tau
     # sb.subdiff_interval(x) without its box check: x is in the box.
     jlo, jhi = sb.j_interval(x)
-    slo = -math.inf if x == sb.lower else jlo
-    shi = math.inf if x == sb.upper else jhi
-    # v admissible iff p - tau*v lands in [slo, shi].
+    slo = -_INF if x == sb.lower else jlo
+    shi = _INF if x == sb.upper else jhi
+    # v admissible iff p - tau*v lands in [slo, shi].  Python's max(a, b)
+    # is ``b if b > a else a``, and min(a, b) is ``b if b < a else a``.
     vlo, vhi = prob.clarke
-    alo = vlo if math.isinf(shi) else max(vlo, (p - shi) / tau)
-    ahi = vhi if math.isinf(slo) else min(vhi, (p - slo) / tau)
+    alo = vlo if shi == _INF or shi == -_INF else (p - shi) / tau
+    ahi = vhi if slo == _INF or slo == -_INF else (p - slo) / tau
+    alo = alo if alo > vlo else vlo
+    ahi = ahi if ahi < vhi else vhi
     if alo > ahi:
         return None
-    t = p - tau * min(max(0.0, alo), ahi)
+    v = alo if alo > 0.0 else 0.0
+    t = p - tau * (ahi if ahi < v else v)
     if mode == "forget_box":
         slo, shi = jlo, jhi
-    return InclusionSolution(x, min(max(t, slo), shi), True)
+    t = slo if slo > t else t
+    return InclusionSolution(x, shi if shi < t else t, True)
 
 
 def _nearest_stationary(prob: InclusionProblem, mode: str):
@@ -289,6 +297,25 @@ def _ulp_root(prob: InclusionProblem, lo: float, hi: float, root: float,
     return lo if abs(glo) <= abs(ghi) else hi
 
 
+def _take_guess(prob: InclusionProblem, mode: str, guess: float | None):
+    """The update to ``guess``, if it moves x within the box (tested once)
+    and meets ``RESIDUAL_TOL`` or is an ulp squeeze's root, else None."""
+    if guess is None or guess == prob.x:
+        return None
+    try:
+        lo, hi = prob.sb.subdiff_interval(guess)
+    except BregmanError:
+        return None
+    t = prob.p - prob.tau * prob.dq(guess)
+    p_new = interval_project(t, lo, hi)
+    g = t - p_new
+    if -RESIDUAL_TOL <= g <= RESIDUAL_TOL or _squeezed(prob, guess, g):
+        if mode == "forget_box":
+            p_new = _strip_box(prob.sb, guess, t, mode)
+        return InclusionSolution(guess, p_new, False)
+    return None
+
+
 def _squeezed(prob: InclusionProblem, y: float, g: float) -> bool:
     """Whether ``y``, whose residual ``g`` misses the tolerance, is the root
     :func:`_ulp_root` takes between its adjacent floats in the box but x."""
@@ -329,16 +356,9 @@ def solve_inclusion(prob: InclusionProblem, mode: str = "keep_box",
     """
     if mode not in ("keep_box", "forget_box"):
         raise InclusionError(f"unknown mode {mode!r}")
-    sol = _try_stationary(prob, mode)
+    sol = _try_stationary(prob, mode) or _take_guess(prob, mode, guess)
     if sol is not None:
         return sol
-    if guess is not None and guess != prob.x and prob.sb.in_box(guess):
-        t = prob.p - prob.tau * prob.dq(guess)
-        p_new = interval_project(t, *prob.sb.subdiff_interval(guess))
-        if abs(t - p_new) <= RESIDUAL_TOL or _squeezed(prob, guess, t - p_new):
-            if mode == "forget_box":
-                p_new = _strip_box(prob.sb, guess, t, mode)
-            return InclusionSolution(guess, p_new, False)
     # The search revisits points: side probes, bracket ends, Brent's last
     # iterate and the accepted root.
     prob = replace(prob, dq=lru_cache(maxsize=None)(prob.dq))

@@ -31,7 +31,8 @@ def _midpoint(lo: float, hi: float) -> float:
 
 
 def is_stationary_move(old: float, new: float) -> bool:
-    return abs(new - old) <= STATIONARY_REL_TOL * max(1.0, abs(old))
+    a = abs(old)    # max(1.0, a) by the builtin's rule, as in _try_stationary
+    return abs(new - old) <= STATIONARY_REL_TOL * (a if a > 1.0 else 1.0)
 
 
 class CoordinateObjective:
@@ -272,44 +273,37 @@ class StudentTObjective(CoordinateObjective):
         r, c = divmod(i, w)
         terms = []
         if c + 1 < w:
-            terms.append((self.phi[0], float(y[i + 1])))
+            terms.append((self.phi[0], y.item(i + 1)))
         if c > 0:
-            terms.append((self.phi[0], float(y[i - 1])))
+            terms.append((self.phi[0], y.item(i - 1)))
         if r + 1 < h:
-            terms.append((self.phi[1], float(y[i + w])))
+            terms.append((self.phi[1], y.item(i + w)))
         if r > 0:
-            terms.append((self.phi[1], float(y[i - w])))
+            terms.append((self.phi[1], y.item(i - w)))
         return terms
 
-    def _smooth_partial(self, terms, xi: float) -> float:
-        g = 0.0
-        for wgt, nb in terms:
-            g += wgt * _psi_prime(xi - nb)
-        return g
-
     def coord_clarke_interval(self, y, i):
-        terms = self._stencil_terms(y, i)
-        xi = float(y[i])
-        g = self._smooth_partial(terms, xi)
+        xi, g = float(y[i]), 0.0
+        for wgt, nb in self._stencil_terms(y, i):
+            g += wgt * _psi_prime(xi - nb)
         return l1_interval(g, xi - self.x_delta[i], 1.0)
 
     def coord_diff_quotient(self, y, i, old, new):
-        return self._quotient(y, self._stencil_terms(y, i), i, old, new)
+        return self._quotient(y, i, old, [], new)
 
-    def _quotient(self, y, terms, i, old, new):
-        if is_stationary_move(old, new):
-            return _midpoint(*self.coord_clarke_interval(y, i))
-        return self._local_delta(terms, i, old, new) / (new - old)
-
-    def _local_delta(self, terms, i, old, new):
-        """Change in V from moving coordinate i, touching O(1) terms.
-
-        Computed cancellation-free: the psi difference is
+    def _quotient(self, y, i, old, terms, new):
+        """:meth:`coord_diff_quotient`, reading the stencil into ``terms``
+        if empty.  The change in V touches O(1) terms, cancellation-free:
+        the psi difference is
         ``log1p((d_new^2 - d_old^2) / (1 + d_old^2))`` with the squared
         difference in factored form, and the l1 difference reduces to
         ``+-(new - old)`` away from the data kink, so the result stays
         accurate relative to ``new - old`` even for tiny moves.
         """
+        if is_stationary_move(old, new):
+            return _midpoint(*self.coord_clarke_interval(y, i))
+        if not terms:
+            terms += self._stencil_terms(y, i)
         step = new - old
         delta = 0.0
         for wgt, nb in terms:
@@ -317,7 +311,7 @@ class StudentTObjective(CoordinateObjective):
             d_new = d_old + step
             z = step * (d_new + d_old) / (1.0 + d_old * d_old)
             delta += wgt * math.log1p(z)
-        s = self.x_delta[i]
+        s = self.x_delta.item(i)
         d_old = old - s
         d_new = new - s
         if d_old >= 0 and d_new >= 0:
@@ -327,7 +321,7 @@ class StudentTObjective(CoordinateObjective):
         else:
             # opposite signs: |d_new| - |d_old| = +-(d_new + d_old)
             delta += (d_new + d_old) if d_new > 0 else -(d_new + d_old)
-        return delta
+        return delta / step
 
     @cached_property
     def colours(self):
@@ -335,6 +329,11 @@ class StudentTObjective(CoordinateObjective):
         term touches two pixels of one colour."""
         r, c = np.divmod(np.arange(self.n), self.w)
         return [np.flatnonzero((r + c) % 2 == k) for k in (0, 1)]
+
+    @cached_property
+    def red_black(self) -> np.ndarray:
+        """The red pixels, then the black: a red-black sweep's order."""
+        return np.concatenate(self.colours)
 
     def clarke_intervals(self, x):
         """Vectorised :meth:`coord_clarke_interval`, summed in its order."""
@@ -352,17 +351,14 @@ class StudentTObjective(CoordinateObjective):
 
 
 class _StudentTSweepContext(SweepContext):
-    def dq(self, i: int):
-        """The quotient of coordinate i; it reads the stencil at its first
-        call, so a stationary solve, which needs none, skips it."""
-        obj: StudentTObjective = self.objective
-        y, old, terms = self.y, self.y.item(i), []
+    def __init__(self, objective: StudentTObjective, x):
+        super().__init__(objective, x)
+        self._quotient = partial(objective._quotient, self.y)
 
-        def quotient(new):
-            if not terms:
-                terms.extend(obj._stencil_terms(y, i))
-            return obj._quotient(y, terms, i, old, new)
-        return quotient
+    def dq(self, i: int):
+        """The quotient of coordinate i; its own stencil list is filled at
+        its first moving call, so a stationary solve never reads it."""
+        return partial(self._quotient, i, self.y.item(i), [])
 
 
 def itoh_abe_discrete_gradient(V: CoordinateObjective, x: np.ndarray,

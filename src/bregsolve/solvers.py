@@ -158,12 +158,12 @@ def _visits(V, spec, y, p, taus, order):
     ends over a copy of ``y``, or None: without the kernel, on a subclass,
     an order that is no permutation, and from where it stopped."""
     lib = _quadpass.load() if type(V) is StudentTObjective else None
-    if isinstance(order, str):
-        order = np.concatenate(V.colours) if order == "red_black" \
-            else np.arange(spec.n)
+    built = isinstance(order, str)      # a permutation by construction
+    if built:
+        order = V.red_black if order == "red_black" else np.arange(spec.n)
     idx = np.asarray(order, dtype=_quadpass.INDEX)
-    if {taus.shape, p.shape, y.shape, spec.shift.shape} != {(V.n,)} \
-            or not np.array_equal(np.sort(idx), np.arange(V.n)):
+    if {taus.shape, p.shape, y.shape, spec.shift.shape} != {(V.n,)} or not (
+            built or np.array_equal(np.sort(idx), np.arange(V.n))):
         lib = None
     roots = lo = hi = [None] * len(idx)
     if lib is not None:

@@ -1,6 +1,7 @@
 """Tests for the separable Bregman functions and scalar operators."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,12 @@ from bregsolve.bregman import (BregmanError, BregmanSpec, PrimalDualState,
                                shrink)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+#: Any float, with the values where a written-out min or max could part
+#: from the builtin drawn often: signed zeros, infinities, NaN, subnormals
+#: and the ends of the range.
+any_float = st.one_of(st.sampled_from([
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+    sys.float_info.max, -sys.float_info.max]), st.floats())
 
 
 class TestShrink:
@@ -68,6 +75,14 @@ class TestProjections:
         hi = np.array([3.0, -2.0, 1.0, 0.0])
         assert np.array_equal(interval_dist_zero(lo, hi),
                               [2.0, 2.0, 0.0, 0.0])
+
+    @settings(max_examples=500)
+    @given(any_float, any_float, any_float)
+    def test_interval_project_is_the_builtin_formula(self, t, lo, hi):
+        # Bitwise, NaN and the sign of zero included: the first argument
+        # of each builtin wins ties and NaN.
+        assert interval_project(t, lo, hi).hex() \
+            == min(max(t, lo), hi).hex()
 
 
 class TestScalarBregman:

@@ -1,6 +1,8 @@
 """Tests for the scalar inclusion solver."""
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from bregsolve.cli import build_experiment, build_parser, effective_params
 from bregsolve.inclusion import (RESIDUAL_TOL, ConvergenceError,
                                  DivergenceError, InclusionError,
                                  InclusionProblem, brenth, solve_inclusion)
-from bregsolve.objectives import StudentTObjective, impulse_noise
+from bregsolve.objectives import (STATIONARY_REL_TOL, StudentTObjective,
+                                  impulse_noise, is_stationary_move)
 
 
 def quadratic_dq(g, a, x):
@@ -28,6 +31,14 @@ def quadratic_dq(g, a, x):
 def make_problem(sb, x, p, tau, g, a):
     return InclusionProblem(sb=sb, x=x, p=p, tau=tau,
                             dq=quadratic_dq(g, a, x), clarke=(g, g))
+
+
+#: Any float, with the values where a written-out min, max or isinf could
+#: part from the builtin drawn often: signed zeros, infinities, NaN,
+#: subnormals and the ends of the range, where x +- gamma overflows.
+any_float = st.one_of(st.sampled_from([
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+    sys.float_info.max, -sys.float_info.max]), st.floats())
 
 
 def check_solution(prob, sol, tol=1e-9):
@@ -85,6 +96,126 @@ class TestBasicSolutions:
         prob = make_problem(euclidean_piece(), 0.0, 0.0, 1.0, 1.0, 1.0)
         with pytest.raises(InclusionError):
             solve_inclusion(prob, mode="bogus")
+
+
+class TestProblemContract:
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
+    def test_rejects_a_bad_tau(self, tau):
+        with pytest.raises(InclusionError, match="tau"):
+            make_problem(euclidean_piece(), 0.0, 0.0, tau, 1.0, 1.0)
+
+    @pytest.mark.parametrize("x", [-1.0, math.nextafter(1.0, 2.0), math.nan])
+    def test_rejects_x_outside_the_box(self, x):
+        with pytest.raises(InclusionError, match="box"):
+            make_problem(euclidean_piece(0.0, 1.0), x, 0.0, 1.0, 1.0, 1.0)
+
+    def test_replace_round_trips_and_checks(self):
+        prob = make_problem(euclidean_piece(0.0, 1.0), 0.5, 0.5, 1.0,
+                            1.0, 1.0)
+        f = quadratic_dq(2.0, 1.0, 0.5)
+        moved = dataclasses.replace(prob, dq=f)
+        assert moved.dq is f and moved != prob
+        assert dataclasses.replace(moved, dq=prob.dq) == prob
+        for bad in ({"tau": 0.0}, {"x": 2.0}):
+            with pytest.raises(InclusionError):
+                dataclasses.replace(prob, **bad)
+
+    def test_dq_is_assignable(self):
+        # bench/tracer.py wraps each problem's dq by assignment.
+        prob = make_problem(euclidean_piece(), 0.0, 0.0, 1.0, 1.0, 1.0)
+        f = quadratic_dq(2.0, 1.0, 0.0)
+        prob.dq = f
+        assert prob.dq is f
+
+
+def stationary_oracle(prob, mode):
+    """The stationary test as written with the builtins: ``(y, p_new)``,
+    or None where no stationary update applies."""
+    sb, x, p, tau = prob.sb, prob.x, prob.p, prob.tau
+    jlo, jhi = sb.j_interval(x)
+    slo = -math.inf if x == sb.lower else jlo
+    shi = math.inf if x == sb.upper else jhi
+    vlo, vhi = prob.clarke
+    alo = vlo if math.isinf(shi) else max(vlo, (p - shi) / tau)
+    ahi = vhi if math.isinf(slo) else min(vhi, (p - slo) / tau)
+    if alo > ahi:
+        return None
+    t = p - tau * min(max(0.0, alo), ahi)
+    if mode == "forget_box":
+        slo, shi = jlo, jhi
+    return x, min(max(t, slo), shi)
+
+
+def guess_oracle(prob, mode, guess):
+    """The guess check as written with ``in_box`` and the builtins."""
+    sb = prob.sb
+    if guess == prob.x or not sb.in_box(guess):
+        return None
+    t = prob.p - prob.tau * prob.dq(guess)
+    lo, hi = sb.subdiff_interval(guess)
+    p_new = min(max(t, lo), hi)
+    if abs(t - p_new) <= RESIDUAL_TOL \
+            or inclusion._squeezed(prob, guess, t - p_new):
+        if mode == "forget_box":
+            lo, hi = sb.j_interval(guess)
+            p_new = min(max(t, lo), hi)
+        return guess, p_new
+    return None
+
+
+@st.composite
+def edge_problems(draw):
+    """A piece on a box around x, each end possibly infinite, with p, tau,
+    the Clarke pair and a constant DQ drawn from any floats."""
+    finite = st.one_of(st.sampled_from([0.0, -0.0, sys.float_info.max,
+                                        -sys.float_info.max, 5e-324]),
+                       st.floats(allow_nan=False))
+    lower, x, upper = sorted(draw(st.lists(finite, min_size=3, max_size=3)))
+    lower = -math.inf if draw(st.booleans()) else lower
+    upper = math.inf if draw(st.booleans()) else upper
+    gamma = draw(st.one_of(st.sampled_from([0.0, 0.5, math.inf]),
+                           st.floats(min_value=0.0)))
+    shift = draw(st.one_of(st.just(x), finite.filter(math.isfinite)))
+    c = draw(any_float)
+    return InclusionProblem(
+        ScalarBregman(gamma, shift, lower, upper), x, draw(any_float),
+        draw(st.floats(min_value=0.0, exclude_min=True)), lambda y: c,
+        (draw(any_float), draw(any_float)))
+
+
+def float_bits(values):
+    """Each value's sign and bits, NaN as one value."""
+    return None if values is None else [float(v).hex() for v in values]
+
+
+class TestBuiltinOracles:
+    """The stationary test, the guess check and the stationary-move test
+    write min, max, isinf and abs out as comparisons; each must give the
+    builtins' bits, on signed zeros, infinities and NaN as well."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(prob=edge_problems(),
+           mode=st.sampled_from(["keep_box", "forget_box"]))
+    def test_stationary_test(self, prob, mode):
+        sol = inclusion._try_stationary(prob, mode)
+        assert float_bits(None if sol is None else (sol.y, sol.p_new)) \
+            == float_bits(stationary_oracle(prob, mode))
+        assert sol is None or sol.stationary
+
+    @settings(max_examples=300, deadline=None)
+    @given(prob=edge_problems(), guess=any_float,
+           mode=st.sampled_from(["keep_box", "forget_box"]))
+    def test_guess_check(self, prob, guess, mode):
+        sol = inclusion._take_guess(prob, mode, guess)
+        assert float_bits(None if sol is None else (sol.y, sol.p_new)) \
+            == float_bits(guess_oracle(prob, mode, guess))
+        assert sol is None or not sol.stationary
+
+    @settings(max_examples=300)
+    @given(any_float, any_float)
+    def test_stationary_move(self, old, new):
+        assert is_stationary_move(old, new) == (
+            abs(new - old) <= STATIONARY_REL_TOL * max(1.0, abs(old)))
 
 
 class TestBoxHandling:

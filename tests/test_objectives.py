@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bregsolve.bregman import BregmanSpec, PrimalDualState
+from bregsolve.bregman import BregmanSpec, PrimalDualState, euclidean_piece
+from bregsolve.inclusion import InclusionProblem, solve_inclusion
 from bregsolve.objectives import (CoordinateObjective, L1QuadraticObjective,
                                   ObjectiveError, QuadraticObjective,
                                   StudentTObjective, add_noise,
@@ -305,6 +306,75 @@ def random_stencil(h, w, seed, phi):
     on_kink = rng.random(h * w) < 1 / 3
     y[on_kink] = x_delta[on_kink]
     return StudentTObjective(h, w, x_delta, phi=phi), y, rng
+
+
+def quotient_oracle(V, y, i, old, new):
+    """The student-t quotient as it was written before it became one
+    method: neighbours read by ``float(y[k])``, the data term against the
+    array's own scalar, then ``delta / (new - old)``."""
+    if abs(new - old) <= 1e-14 * max(1.0, abs(old)):
+        lo, hi = V.coord_clarke_interval(y, i)
+        return 0.5 * (lo + hi)
+    r, c = divmod(i, V.w)
+    terms = [(V.phi[k], float(y[j])) for k, j, inside in (
+        (0, i + 1, c + 1 < V.w), (0, i - 1, c > 0),
+        (1, i + V.w, r + 1 < V.h), (1, i - V.w, r > 0)) if inside]
+    step, delta = new - old, 0.0
+    for wgt, nb in terms:
+        d_old = old - nb
+        d_new = d_old + step
+        delta += wgt * math.log1p(step * (d_new + d_old)
+                                  / (1.0 + d_old * d_old))
+    d_old, d_new = old - V.x_delta[i], new - V.x_delta[i]
+    if d_old >= 0 and d_new >= 0:
+        delta += step
+    elif d_old <= 0 and d_new <= 0:
+        delta -= step
+    else:
+        delta += (d_new + d_old) if d_new > 0 else -(d_new + d_old)
+    return delta / (new - old)
+
+
+class TestStudentTQuotient:
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from([(1, 1), (1, 5), (5, 1), (4, 5)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sweep_quotient_is_the_objective_quotient_bitwise(self, shape,
+                                                               seed):
+        # Every pixel: corners, edges and the interior.  Moves: none, one
+        # ulp either way, just past the stationary threshold, onto and
+        # across the data kink, and a random one.
+        V, y, rng = random_stencil(*shape, seed, (2.0, 3.0))
+        ctx = V.sweep_context(y)
+        for i in range(V.n):
+            old, s = y.item(i), V.x_delta.item(i)
+            tiny = 2e-14 * max(1.0, abs(old))
+            news = [old, math.nextafter(old, math.inf),
+                    math.nextafter(old, -math.inf), old + tiny, old - tiny,
+                    s, 2.0 * s - old, s + 0.1, s - 0.1,
+                    float(rng.uniform(-1.0, 2.0))]
+            dq = ctx.dq(i)
+            for new in news:
+                want = V.coord_diff_quotient(y, i, old, new)
+                assert float(dq(new)).hex() == float(want).hex() \
+                    == float(quotient_oracle(V, y, i, old, new)).hex()
+
+    def test_stationary_solve_reads_no_stencil(self, monkeypatch):
+        # A constant image on its data: 0 is in every Clarke interval, so
+        # the update is stationary and needs no quotient.
+        V = StudentTObjective(3, 3, np.full(9, 0.5))
+        ctx = V.sweep_context(np.full(9, 0.5))
+        reads, terms = [], StudentTObjective._stencil_terms
+        monkeypatch.setattr(StudentTObjective, "_stencil_terms",
+                            lambda self, y, i: reads.append(i)
+                            or terms(self, y, i))
+        prob = InclusionProblem(euclidean_piece(), 0.5, 0.5, 1.0,
+                                ctx.dq(4), (-1.0, 1.0))
+        assert solve_inclusion(prob).stationary and reads == []
+        # A moving quotient reads it once, on its first call.
+        for new in (0.7, 0.9):
+            prob.dq(new)
+        assert reads == [4]
 
 
 class TestStudentTColours:
