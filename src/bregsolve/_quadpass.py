@@ -1,11 +1,14 @@
-"""Builds, caches and loads the compiled sweeps in ``_quadpass.c``: the
-closed-form coordinate pass and the student-t inclusion sweep.
+"""Builds, caches and loads the compiled code: the sweeps in ``_quadpass.c``
+(the closed-form coordinate pass and the student-t inclusion sweep), a
+library loaded by ctypes, and the checked solve in ``_checked.c``, an
+extension module that also needs the interpreter's ``Python.h``.
 
-The library is built on first use and kept, named by the SHA-256 of its
-source and flags, in ``$XDG_CACHE_HOME/bregsolve`` or ``~/.cache/bregsolve``
-(mode 0700); a build there keeps the ``KEEP`` newest libraries, one per
-checkout sharing the cache, and removes older ones.  Without such a private
-directory it is not built at all.
+Each is built on first use and kept, named by the SHA-256 of its source,
+its flags and the interpreter's ``EXT_SUFFIX``, in
+``$XDG_CACHE_HOME/bregsolve`` or ``~/.cache/bregsolve`` (mode 0700); a build
+there keeps the ``KEEP`` newest libraries of its kind, one per checkout and
+interpreter sharing the cache, and removes older ones.  Without such a
+private directory nothing is built.
 """
 
 from __future__ import annotations
@@ -14,9 +17,12 @@ import ctypes
 import hashlib
 import os
 import subprocess
+import sysconfig
 import tempfile
 from contextlib import suppress
 from functools import lru_cache
+from importlib.machinery import ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +32,22 @@ SOURCE = Path(__file__).with_name("_quadpass.c")
 #: the cheap cost model vectorises the row update, each lane rounding alike.
 FLAGS = ("-O2", "-fvect-cost-model=cheap", "-ffp-contract=off", "-fPIC",
          "-shared")
+#: The checked solve's: an extension module, each operation rounding as
+#: Python's.
+CHECKED = SOURCE.with_name("_checked.c")
+CHECKED_FLAGS = ("-O2", "-fno-strict-aliasing", "-ffp-contract=off", "-fPIC",
+                 "-shared")
 RULES = {"bsor": 0, "blcd": 1}
 #: The dtype of the index arrays the kernels read: C long.
 INDEX = np.dtype(f"i{ctypes.sizeof(ctypes.c_long)}")
-#: Libraries a build leaves in the cache, the newest by modification time.
+#: Libraries of a kind a build leaves in the cache, the newest by
+#: modification time.
 KEEP = 4
+
+#: What a failed build or load raises: no private cache (RuntimeError: no
+#: home), no gcc, a failed compile, a library that does not load.
+FAILURES = (OSError, RuntimeError, subprocess.SubprocessError, ImportError,
+            AttributeError)
 
 
 def cache_dir() -> Path:
@@ -44,32 +61,42 @@ def cache_dir() -> Path:
     return path
 
 
-def compile_to(out: str):
-    subprocess.run(["gcc", *FLAGS, "-o", out, str(SOURCE)], check=True,
+def compile_to(out: str, source: Path, flags: tuple[str, ...]):
+    subprocess.run(["gcc", *flags, "-o", out, str(source)], check=True,
                    capture_output=True, timeout=300)
+
+
+def lib_name(stem: str, source: Path, flags: tuple[str, ...],
+             suffix: str = sysconfig.get_config_var("EXT_SUFFIX")) -> str:
+    """The cached library's file name: a build of another source, other
+    flags or for another interpreter ABI gets another."""
+    key = source.read_bytes() + " ".join(flags).encode() + suffix.encode()
+    return f"{stem}-{hashlib.sha256(key).hexdigest()}.so"
+
+
+def built(stem: str, source: Path, flags: tuple[str, ...]) -> Path:
+    """The cached library of ``source``, built first if need be."""
+    lib = cache_dir() / lib_name(stem, source, flags)
+    if not lib.exists():
+        with tempfile.TemporaryDirectory(dir=lib.parent) as tmp:
+            compile_to(f"{tmp}/{lib.name}", source, flags)
+            os.replace(f"{tmp}/{lib.name}", lib)
+        with suppress(OSError):     # another process may prune too
+            for stale in sorted(lib.parent.glob(f"{stem}-*.so"),
+                                key=lambda f: -f.stat().st_mtime)[KEEP:]:
+                stale.unlink()
+    return lib
 
 
 @lru_cache(maxsize=None)
 def load():
     """The cached library, built if need be, with ``quad_pass`` and
     ``inclusion_sweep``, whose arrays are passed by :func:`ptr`; None, for
-    the Python passes, if no private cache directory (RuntimeError: no
-    home), compiler or load works."""
+    the Python passes, if no build or load works."""
     try:
-        key = SOURCE.read_bytes() + " ".join(FLAGS).encode()
-        lib = cache_dir() / f"quadpass-{hashlib.sha256(key).hexdigest()}.so"
-        if not lib.exists():
-            with tempfile.TemporaryDirectory(dir=lib.parent) as tmp:
-                compile_to(f"{tmp}/{lib.name}")
-                os.replace(f"{tmp}/{lib.name}", lib)
-            with suppress(OSError):     # another process may prune too
-                for stale in sorted(lib.parent.glob("quadpass-*.so"),
-                                    key=lambda f: -f.stat().st_mtime)[KEEP:]:
-                    stale.unlink()
-        dll = ctypes.CDLL(str(lib))
+        dll = ctypes.CDLL(str(built("quadpass", SOURCE, FLAGS)))
         quad, sweep = dll.quad_pass, dll.inclusion_sweep
-    except (OSError, RuntimeError, subprocess.SubprocessError,
-            AttributeError):
+    except FAILURES:
         return None
     long, addr = ctypes.c_long, ctypes.c_void_p
     quad.argtypes, quad.restype = [ctypes.c_int, long] + [addr] * 5, None
@@ -77,6 +104,25 @@ def load():
         + [long, addr]
     sweep.restype = long
     return dll
+
+
+@lru_cache(maxsize=None)
+def load_checked():
+    """The extension module ``bregsolve._checked``, built if need be, whose
+    ``solve_inclusion`` is ``inclusion.solve_inclusion`` compiled; None, for
+    the Python solve, if the interpreter has no ``Python.h`` or no build or
+    load works."""
+    include = sysconfig.get_paths()["include"]
+    if not Path(include, "Python.h").is_file():
+        return None
+    try:
+        lib = built("checked", CHECKED, (*CHECKED_FLAGS, f"-I{include}"))
+        loader = ExtensionFileLoader("bregsolve._checked", str(lib))
+        module = module_from_spec(spec_from_loader(loader.name, loader))
+        loader.exec_module(module)
+        return module
+    except FAILURES:
+        return None
 
 
 def ptr(a: np.ndarray, dtype=np.dtype(np.float64)) -> int:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _quadpass
+from . import __version__
 from .bregman import BregmanError, BregmanSpec
 from .inclusion import InclusionError
 from .io_utils import IOError_, read_pgm, write_pgm, write_trace
@@ -26,9 +26,8 @@ from .metrics import relative_objective
 from .objectives import (L1QuadraticObjective, ObjectiveError,
                          QuadraticObjective, StudentTObjective, add_noise,
                          gaussian_system, impulse_noise, make_test_image)
-from .solvers import (CLOSED_FORM_VARIANTS, EUCLIDEAN_VARIANTS,
-                      KERNEL_VARIANTS, VARIANTS, SolverConfig, SolverError,
-                      make_sweeper, run)
+from .solvers import (CLOSED_FORM_VARIANTS, EUCLIDEAN_VARIANTS, VARIANTS,
+                      SolverConfig, SolverError, compiled, make_sweeper, run)
 
 PRESETS = ("gaussian_noiseless", "gaussian_noiseless_binary",
            "gaussian_noisy", "gaussian_noisy_l1", "student_t_denoise")
@@ -269,13 +268,15 @@ def run_experiment(params: dict, out_dir: Path) -> dict:
     # Kept out of the CSV headers: which pass ran depends on the host.
     manifest["reference"] = reference
     ran = set(params["solvers"]) | {reference["variant"]}
-    if ran & set(CLOSED_FORM_VARIANTS):
-        kernel = ran & set(KERNEL_VARIANTS) and _quadpass.load() is not None
+    closed = ran & set(CLOSED_FORM_VARIANTS)
+    if closed:
+        kernel = any(compiled("quadratic_pass", variant=v) is not None
+                     for v in closed)
         manifest["quadratic_pass"] = "compiled" if kernel else "numpy"
-    if ran - set(CLOSED_FORM_VARIANTS):
-        kernel = type(exp.V) is StudentTObjective \
-            and _quadpass.load() is not None
-        manifest["inclusion_pass"] = "compiled" if kernel else "python"
+    if ran - closed:
+        for layer in ("inclusion_pass", "checked_solve"):
+            kernel = compiled(layer, exp.V) is not None
+            manifest[layer] = "compiled" if kernel else "python"
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True)
                              + "\n")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
-from .bregman import BregmanError, ScalarBregman, interval_project
+from .bregman import ScalarBregman, interval_project
 
 #: Absolute residual tolerance for the scalar inclusion.
 RESIDUAL_TOL = 1e-10
@@ -298,16 +298,18 @@ def _ulp_root(prob: InclusionProblem, lo: float, hi: float, root: float,
 
 
 def _take_guess(prob: InclusionProblem, mode: str, guess: float | None):
-    """The update to ``guess``, if it moves x within the box (tested once)
-    and meets ``RESIDUAL_TOL`` or is an ulp squeeze's root, else None."""
-    if guess is None or guess == prob.x:
+    """The update to ``guess``, if it moves x within the box and meets
+    ``RESIDUAL_TOL`` or is an ulp squeeze's root, else None."""
+    if guess is None or guess == prob.x or not prob.sb.in_box(guess):
         return None
-    try:
-        lo, hi = prob.sb.subdiff_interval(guess)
-    except BregmanError:
-        return None
-    t = prob.p - prob.tau * prob.dq(guess)
-    p_new = interval_project(t, lo, hi)
+    return _guess_update(prob, mode, guess, prob.dq(guess))
+
+
+def _guess_update(prob: InclusionProblem, mode: str, guess: float,
+                  q: float):
+    """:func:`_take_guess` for a ``guess`` in the box with quotient ``q``."""
+    t = prob.p - prob.tau * q
+    p_new = interval_project(t, *prob.sb.subdiff_interval(guess))
     g = t - p_new
     if -RESIDUAL_TOL <= g <= RESIDUAL_TOL or _squeezed(prob, guess, g):
         if mode == "forget_box":
@@ -356,9 +358,14 @@ def solve_inclusion(prob: InclusionProblem, mode: str = "keep_box",
     """
     if mode not in ("keep_box", "forget_box"):
         raise InclusionError(f"unknown mode {mode!r}")
-    sol = _try_stationary(prob, mode) or _take_guess(prob, mode, guess)
-    if sol is not None:
-        return sol
+    return _try_stationary(prob, mode) or _take_guess(prob, mode, guess) \
+        or _search(prob, mode, delta0)
+
+
+def _search(prob: InclusionProblem, mode: str,
+            delta0: float | None) -> InclusionSolution:
+    """The root search of :func:`solve_inclusion`, run when neither the
+    stationary update nor the guess applies."""
     # The search revisits points: side probes, bracket ends, Brent's last
     # iterate and the accepted root.
     prob = replace(prob, dq=lru_cache(maxsize=None)(prob.dq))

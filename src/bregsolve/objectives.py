@@ -265,49 +265,49 @@ class StudentTObjective(CoordinateObjective):
             + self.phi[1] * float(_psi(dy).sum())
         return reg + float(np.abs(x - self.x_delta).sum())
 
-    def _stencil_terms(self, y: np.ndarray, i: int):
-        """(weight, neighbour) for the filter outputs touching i; psi is
-        even, so each adds ``weight * psi(y_i - neighbour)`` to V, whichever
-        way its filter points."""
-        h, w = self.h, self.w
-        r, c = divmod(i, w)
-        terms = []
-        if c + 1 < w:
-            terms.append((self.phi[0], y.item(i + 1)))
-        if c > 0:
-            terms.append((self.phi[0], y.item(i - 1)))
-        if r + 1 < h:
-            terms.append((self.phi[1], y.item(i + w)))
-        if r > 0:
-            terms.append((self.phi[1], y.item(i - w)))
-        return terms
+    @cached_property
+    def stencil(self) -> list[tuple[tuple[float, int], ...]]:
+        """Each pixel's ``(weight, offset)`` pairs, one per filter output
+        touching it, whose other pixel is ``i + offset``: right, left,
+        below, above.  psi is even, so each adds ``weight * psi(y_i -
+        y_{i+offset})`` to V, whichever way its filter points.  Pixels of
+        one kind (corner, edge or interior) share one tuple."""
+        pairs = ((self.phi[0], 1), (self.phi[0], -1), (self.phi[1], self.w),
+                 (self.phi[1], -self.w))
+        r, c = np.divmod(np.arange(self.n), self.w)
+        kind = (c + 1 < self.w) + 2 * (c > 0) + 4 * (r + 1 < self.h) \
+            + 8 * (r > 0)
+        kinds = [tuple(pair for k, pair in enumerate(pairs) if m >> k & 1)
+                 for m in range(16)]
+        return list(map(kinds.__getitem__, kind.tolist()))
 
     def coord_clarke_interval(self, y, i):
-        xi, g = float(y[i]), 0.0
-        for wgt, nb in self._stencil_terms(y, i):
-            g += wgt * _psi_prime(xi - nb)
-        return l1_interval(g, xi - self.x_delta[i], 1.0)
+        return self._clarke(self._check(y), i)
+
+    def _clarke(self, y: np.ndarray, i: int):
+        xi, g = y.item(i), 0.0
+        for wgt, d in self.stencil[i]:
+            u = xi - y.item(i + d)
+            g += wgt * (2.0 * u / (1.0 + u * u))    # _psi_prime(u)
+        return l1_interval(g, xi - self.x_delta.item(i), 1.0)
 
     def coord_diff_quotient(self, y, i, old, new):
-        return self._quotient(y, i, old, [], new)
+        return self._quotient(self._check(y), i, old, new)
 
-    def _quotient(self, y, i, old, terms, new):
-        """:meth:`coord_diff_quotient`, reading the stencil into ``terms``
-        if empty.  The change in V touches O(1) terms, cancellation-free:
-        the psi difference is
+    def _quotient(self, y: np.ndarray, i: int, old: float, new: float):
+        """:meth:`coord_diff_quotient` on an ndarray ``y``.  The change in V
+        touches O(1) terms, cancellation-free: the psi difference is
         ``log1p((d_new^2 - d_old^2) / (1 + d_old^2))`` with the squared
         difference in factored form, and the l1 difference reduces to
         ``+-(new - old)`` away from the data kink, so the result stays
         accurate relative to ``new - old`` even for tiny moves.
         """
         if is_stationary_move(old, new):
-            return _midpoint(*self.coord_clarke_interval(y, i))
-        if not terms:
-            terms += self._stencil_terms(y, i)
+            return _midpoint(*self._clarke(y, i))
         step = new - old
         delta = 0.0
-        for wgt, nb in terms:
-            d_old = old - nb
+        for wgt, d in self.stencil[i]:
+            d_old = old - y.item(i + d)
             d_new = d_old + step
             z = step * (d_new + d_old) / (1.0 + d_old * d_old)
             delta += wgt * math.log1p(z)
@@ -356,9 +356,10 @@ class _StudentTSweepContext(SweepContext):
         self._quotient = partial(objective._quotient, self.y)
 
     def dq(self, i: int):
-        """The quotient of coordinate i; its own stencil list is filled at
-        its first moving call, so a stationary solve never reads it."""
-        return partial(self._quotient, i, self.y.item(i), [])
+        return partial(self._quotient, i, self.y.item(i))
+
+    def clarke(self, i: int):
+        return self.objective._clarke(self.y, i)
 
 
 def itoh_abe_discrete_gradient(V: CoordinateObjective, x: np.ndarray,

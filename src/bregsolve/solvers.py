@@ -17,10 +17,10 @@ from functools import partial
 
 import numpy as np
 
-from . import _quadpass
+from . import _quadpass, inclusion
 from .bregman import (BregmanSpec, PrimalDualState, interval_dist_zero,
                       interval_project, shrink)
-from .inclusion import InclusionProblem, solve_inclusion
+from .inclusion import InclusionProblem
 from .metrics import (TraceRecord, clarke_dist, dissipation_slack,
                       support_stats)
 from .objectives import (CoordinateObjective, QuadraticObjective,
@@ -89,22 +89,47 @@ class SweepResult:
 
 
 # ---------------------------------------------------------------------------
+# Which passes run compiled
+# ---------------------------------------------------------------------------
+
+def compiled(layer: str, V=None, variant: str | None = None):
+    """The compiled code that runs ``layer``, or None where Python (NumPy)
+    runs it: the kernel library for the "quadratic_pass" of a ``variant``
+    in ``KERNEL_VARIANTS`` and for the "inclusion_pass" on a
+    ``StudentTObjective`` ``V``, not a subclass; the extension for the
+    "checked_solve".  None also if it did not load; callers add their
+    checks of the data."""
+    if layer == "checked_solve":
+        return _quadpass.load_checked()
+    plain = variant in KERNEL_VARIANTS if layer == "quadratic_pass" \
+        else type(V) is StudentTObjective
+    return _quadpass.load() if plain else None
+
+
+#: The checked solve of each coordinate of a Bregman sweep, compiled if it
+#: loaded; a module global, so that it can be wrapped.
+solve_inclusion = getattr(compiled("checked_solve"), "solve_inclusion",
+                          inclusion.solve_inclusion)
+
+
+# ---------------------------------------------------------------------------
 # The shared coordinate pass of the quadratic family
 # ---------------------------------------------------------------------------
 
 def _quadratic_pass(q: QuadraticObjective, x: np.ndarray, rule,
-                    compiled=None, r: np.ndarray | None = None):
+                    kernel_rule=None, r: np.ndarray | None = None):
     """One lexicographic coordinate pass over the residual cache of ``q``,
     from a copy of ``r = A x - b`` if given; ``rule(i, r_i, y_i, a_ii)``
     gives the new ``y_i`` from ``r_i = (A y - b)_i``.  Returns ``y`` and
     ``r``.  On the plain residual context the C kernel, if it loaded, runs
-    the pass instead, bitwise alike, with its rule ``(name, aux, *c)``."""
+    the pass instead, bitwise alike, with ``kernel_rule`` ``(name, aux,
+    *c)``."""
     ctx = q.sweep_context(x) if r is None else q.sweep_context(x, r)
     r, y, diag, commit = ctx.r, ctx.y, q.diag, ctx.commit
-    plain = compiled and type(ctx) is _QuadraticSweepContext
-    lib = _quadpass.load() if plain else None
+    name, aux, *consts = kernel_rule or (None, None)
+    lib = compiled("quadratic_pass", variant=name) \
+        if type(ctx) is _QuadraticSweepContext else None
     if lib is not None:
-        name, aux, *consts = compiled
         c = np.array(consts, dtype=float)
         lib.quad_pass(_quadpass.RULES[name], q.n,
                       *map(_quadpass.ptr, (q.A, r, y, aux, c)))
@@ -141,15 +166,15 @@ def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
     the red pixels of ``V.colours`` and then the black."""
     taus = np.ascontiguousarray(taus, dtype=float)
     ctx = V.sweep_context(state.x)
-    y, p_new, pieces = ctx.y, state.p.copy(), spec.pieces
+    y, pieces, p, tau = ctx.y, spec.pieces, state.p.tolist(), taus.tolist()
     for i, root, lo, hi in _visits(V, spec, y, state.p, taus, order):
         sol = solve_inclusion(InclusionProblem(
-            pieces[i], y.item(i), p_new.item(i), taus.item(i), ctx.dq(i),
+            pieces[i], y.item(i), p[i], tau[i], ctx.dq(i),
             ctx.clarke(i) if lo is None else (lo, hi)), mode, root)
-        p_new[i] = sol.p_new
+        p[i] = sol.p_new
         if not sol.stationary:
             ctx.commit(i, sol.y)
-    return SweepResult(PrimalDualState(y, p_new, state.k + 1))
+    return SweepResult(PrimalDualState(y, p, state.k + 1))
 
 
 def _visits(V, spec, y, p, taus, order):
@@ -157,7 +182,7 @@ def _visits(V, spec, y, p, taus, order):
     compiled inclusion sweep's root (x if it stays put) and Clarke interval
     ends over a copy of ``y``, or None: without the kernel, on a subclass,
     an order that is no permutation, and from where it stopped."""
-    lib = _quadpass.load() if type(V) is StudentTObjective else None
+    lib = compiled("inclusion_pass", V)
     built = isinstance(order, str)      # a permutation by construction
     if built:
         order = V.red_black if order == "red_black" else np.arange(spec.n)

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bregsolve import inclusion, solvers
@@ -417,6 +417,140 @@ class TestGuess:
         rng.bit_generator.state = state
         sol = solve_inclusion(problem(), mode, ref.y)
         assert bits_of(sol) == bits_of(ref)
+
+
+def outcome(solve, *args, **kwargs):
+    """What ``solve`` gives: y and p_new by type and bits, and the flag, or
+    the error's type and message."""
+    try:
+        sol = solve(*args, **kwargs)
+    except Exception as err:
+        return type(err), str(err)
+    return [(type(v), float(v).hex()) for v in (sol.y, sol.p_new)], \
+        sol.stationary
+
+
+needs_checked = pytest.mark.skipif(
+    solvers.solve_inclusion is solve_inclusion,
+    reason="the compiled checked solve cannot be built here")
+
+
+class SlottedProblem(InclusionProblem):
+    __slots__ = ()
+
+
+#: Replacements for one field of a problem, each of another type than a
+#: float or such that Python raises: the compiled solve hands these over.
+SWAPS = {
+    "x": lambda prob: np.float64(prob.x),
+    "p": lambda prob: int(prob.p) if math.isfinite(prob.p) else prob.p,
+    "tau": lambda prob: 0.0,
+    "clarke": lambda prob: list(prob.clarke),
+    "sb": lambda prob: dataclasses.replace(prob.sb, gamma=np.float64(1.0)),
+    "dq": lambda prob: (lambda y, dq=prob.dq: np.float64(dq(y))),
+    "class": lambda prob: SlottedProblem(prob.sb, prob.x, prob.p, prob.tau,
+                                         prob.dq, prob.clarke),
+}
+
+
+@st.composite
+def solve_calls(draw):
+    """A problem of :func:`edge_problems`, a guess (None, x, its neighbouring
+    floats, the box's ends, a point of the box, any float, or a float64),
+    and a mode; half the time p puts the guess's target at or beside an end
+    of its subdifferential or of the piece's interval, so that the guess is
+    often taken, and some of the time one field is swapped (see
+    ``SWAPS``)."""
+    prob = draw(edge_problems())
+    sb = prob.sb
+    inside = st.nothing()
+    if sb.lower < sb.upper:
+        inside = st.floats(None if math.isinf(sb.lower) else sb.lower,
+                           None if math.isinf(sb.upper) else sb.upper,
+                           allow_nan=False)
+    guess = draw(st.one_of(
+        st.sampled_from([None, prob.x, sb.lower, sb.upper,
+                         math.nextafter(prob.x, math.inf),
+                         math.nextafter(prob.x, -math.inf)]),
+        inside, any_float, any_float.map(np.float64)))
+    if type(guess) is float and sb.in_box(guess) and draw(st.booleans()):
+        ends = sb.subdiff_interval(guess) + sb.j_interval(guess)
+        target = draw(st.sampled_from(ends)) + draw(st.sampled_from([
+            0.0, -1.0, 1.0]))   # off the piece's ends, at a box end too
+        prob.p = target + prob.tau * prob.dq(guess)
+    swap = draw(st.sampled_from([None] * 7 + sorted(SWAPS)))
+    if swap == "class":
+        prob = SWAPS[swap](prob)
+    elif swap is not None:
+        setattr(prob, swap, SWAPS[swap](prob))
+    mode = draw(st.sampled_from(["keep_box", "forget_box"] * 3
+                                + ["no_box"]))
+    return prob, mode, guess
+
+
+class TestCompiledCheckedSolve:
+    """``solvers.solve_inclusion``, compiled, is ``solve_inclusion`` bit for
+    bit: its result, or its error and message."""
+
+    @needs_checked
+    @settings(max_examples=1000, deadline=None)
+    @given(call=solve_calls(), keywords=st.booleans())
+    @example(call=(make_problem(ScalarBregman(math.inf, 1.0), 0.0, 0.0, 1.0,
+                                0.5, 1.0), "keep_box", None), keywords=False)
+    @example(call=(make_problem(ScalarBregman(math.inf, -1.0), 0.0, 0.0, 1.0,
+                                0.5, 1.0), "forget_box", None), keywords=False)
+    def test_matches_the_python_solve(self, call, keywords):
+        # The examples' piece intervals are -inf or +inf at x on both ends.
+        prob, mode, guess = call
+        args, kwargs = ((prob,), dict(mode=mode, guess=guess)) if keywords \
+            else ((prob, mode, guess), {})
+        assert outcome(solvers.solve_inclusion, *args, **kwargs) \
+            == outcome(solve_inclusion, *args, **kwargs)
+
+    @needs_checked
+    @pytest.mark.parametrize("mode", ["keep_box", "forget_box"])
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0)])
+    def test_matches_on_ulp_squeezed_guesses(self, mode, a, b):
+        prob = TestGuess().problem(a, b, euclidean_piece(upper=TestGuess.R0))
+        below = math.nextafter(TestGuess.R0, -math.inf)
+        for guess in (None, TestGuess.R0, below,
+                      math.nextafter(below, -math.inf), 0.0, 2.0, math.nan,
+                      np.float64(TestGuess.R0), np.float64(below)):
+            assert outcome(solvers.solve_inclusion, prob, mode, guess) \
+                == outcome(solve_inclusion, prob, mode, guess)
+        for args in ((), (prob, mode, None, 1e-3, 0)):    # bad arities
+            assert outcome(solvers.solve_inclusion, *args) \
+                == outcome(solve_inclusion, *args)
+
+    @needs_checked
+    @pytest.mark.parametrize("mode", ["keep_box", "forget_box"])
+    @pytest.mark.parametrize("end, t", [(1.0, 2.0), (-1.0, -2.0),
+                                        (1.0, 1.0), (-1.0, -1.0)])
+    def test_matches_on_guesses_at_the_box_ends(self, mode, end, t):
+        # A guess at a box end is taken for any target beyond its side;
+        # forget_box then projects onto the piece's interval, +-1.5 here.
+        # A target of +-1 is short of it, and the search finds +-0.5.
+        c = 0.25
+        prob = InclusionProblem(ScalarBregman(0.5, 0.0, -1.0, 1.0), 0.0,
+                                t + c, 1.0, lambda y: c, (c, c))
+        want = outcome(solve_inclusion, prob, mode, end)
+        assert want == outcome(solvers.solve_inclusion, prob, mode, end)
+        assert want[1] is False
+
+    def test_the_reassigned_dq_is_called(self):
+        # bench/tracer.py swaps each problem's dq before its solve.
+        dq = quadratic_dq(1.0, 1.0, 1.0)
+        root = solve_inclusion(make_problem(euclidean_piece(), 1.0, 1.0, 1.0,
+                                            1.0, 1.0)).y
+
+        def replaced(y):
+            raise AssertionError("the replaced dq was called")
+        prob = InclusionProblem(euclidean_piece(), 1.0, 1.0, 1.0, replaced,
+                                (1.0, 1.0))
+        calls = []
+        prob.dq = lambda y: calls.append(y) or dq(y)
+        sol = solvers.solve_inclusion(prob, "keep_box", root)
+        assert calls == [root] and sol.y is root and not sol.stationary
 
 
 class TestBrenth:

@@ -392,6 +392,7 @@ class TestManifestReport:
         src = tmp_path / "in.pgm"
         write_pgm(src, make_test_image(6, 6))
         kernel = _quadpass.load() is not None
+        checked = "compiled" if _quadpass.load_checked() else "python"
         runs = [("student_t_denoise", ["--image", str(src)], None,
                  "compiled" if kernel else "python"),
                 ("gaussian_noisy_l1", ["--n", "12"], "numpy", "python"),
@@ -403,8 +404,10 @@ class TestManifestReport:
                          str(out)] + args) == 0
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest.get("quadratic_pass") == quadratic
-            # ia on the l1-quadratic runs the Python inclusion sweep.
+            # ia on the l1-quadratic runs the Python inclusion sweep, and
+            # the compiled checked solve, if it loaded, as every ia does.
             assert manifest.get("inclusion_pass") == inclusion
+            assert manifest.get("checked_solve") == (inclusion and checked)
 
     @pytest.mark.parametrize("cache, want", [(None, "compiled"),
                                              ("/dev/null", "python")])
@@ -437,3 +440,25 @@ class TestManifestReport:
         assert json.loads(python_run.pop("manifest.json"))[
             "inclusion_pass"] == "python"
         assert got == python_run
+
+    def test_checked_solve_is_recorded(self, tmp_path, monkeypatch):
+        from bregsolve import _quadpass, inclusion, solvers
+        if _quadpass.load_checked() is None:
+            pytest.skip("the compiled checked solve cannot be built here")
+        src = tmp_path / "in.pgm"
+        write_pgm(src, make_test_image(9, 9))
+        argv = ["--preset", "student_t_denoise", "--image", str(src),
+                "--seed", "2", "--iters", "3"]
+        runs = {}
+        for want in ("compiled", "python"):
+            if want == "python":    # as when it did not load
+                monkeypatch.setattr(_quadpass, "load_checked", lambda: None)
+                monkeypatch.setattr(solvers, "solve_inclusion",
+                                    inclusion.solve_inclusion)
+            assert main(argv + ["--out-dir", str(tmp_path / want)]) == 0
+            runs[want] = outputs_without_wall_ms(tmp_path / want)
+            manifest = json.loads(runs[want].pop("manifest.json"))
+            assert manifest["checked_solve"] == want
+            for name, data in runs[want].items():   # not in the CSV headers
+                assert b"# checked_solve" not in data, name
+        assert runs["compiled"] == runs["python"]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bregsolve import solvers
 from bregsolve.bregman import BregmanSpec, PrimalDualState, euclidean_piece
 from bregsolve.inclusion import InclusionProblem, solve_inclusion
 from bregsolve.objectives import (CoordinateObjective, L1QuadraticObjective,
@@ -357,24 +358,28 @@ class TestStudentTQuotient:
             for new in news:
                 want = V.coord_diff_quotient(y, i, old, new)
                 assert float(dq(new)).hex() == float(want).hex() \
-                    == float(quotient_oracle(V, y, i, old, new)).hex()
+                    == float(quotient_oracle(V, y, i, old, new)).hex() \
+                    == V.coord_diff_quotient(y.tolist(), i, old, new).hex()
+        with pytest.raises(ObjectiveError, match="length"):
+            V.coord_diff_quotient(y.tolist()[1:], 0, 0.0, 1.0)
 
     def test_stationary_solve_reads_no_stencil(self, monkeypatch):
         # A constant image on its data: 0 is in every Clarke interval, so
         # the update is stationary and needs no quotient.
         V = StudentTObjective(3, 3, np.full(9, 0.5))
+        reads, quotient = [], StudentTObjective._quotient
+        monkeypatch.setattr(StudentTObjective, "_quotient",
+                            lambda self, y, i, old, new: reads.append(i)
+                            or quotient(self, y, i, old, new))
         ctx = V.sweep_context(np.full(9, 0.5))
-        reads, terms = [], StudentTObjective._stencil_terms
-        monkeypatch.setattr(StudentTObjective, "_stencil_terms",
-                            lambda self, y, i: reads.append(i)
-                            or terms(self, y, i))
         prob = InclusionProblem(euclidean_piece(), 0.5, 0.5, 1.0,
                                 ctx.dq(4), (-1.0, 1.0))
-        assert solve_inclusion(prob).stationary and reads == []
-        # A moving quotient reads it once, on its first call.
+        for solve in (solve_inclusion, solvers.solve_inclusion):
+            assert solve(prob).stationary and reads == []
+        # A moving quotient reads its pixel's stencil at each call.
         for new in (0.7, 0.9):
             prob.dq(new)
-        assert reads == [4]
+        assert reads == [4, 4]
 
 
 class TestStudentTColours:
@@ -384,8 +389,7 @@ class TestStudentTColours:
         for pix in V.colours:
             mine = set(pix.tolist())
             for i in pix.tolist():
-                assert not mine & {int(nb) for _, nb in
-                                   V._stencil_terms(y, i)}
+                assert not mine & {int(y[i + d]) for _, d in V.stencil[i]}
         assert sorted(np.concatenate(V.colours)) == list(range(35))
 
     @settings(max_examples=50, deadline=None)
@@ -398,7 +402,10 @@ class TestStudentTColours:
         for i in range(V.n):
             want = V.coord_clarke_interval(y, i)
             assert [v.hex() for v in (lo.item(i), hi.item(i))] \
-                == [float(v).hex() for v in want]
+                == [float(v).hex() for v in want] \
+                == [v.hex() for v in V.coord_clarke_interval(y.tolist(), i)]
+        with pytest.raises(ObjectiveError, match="length"):
+            V.coord_clarke_interval(y.tolist() + [0.0], 0)
 
 
 class TestMeanValueIdentity:

@@ -4,6 +4,7 @@ import math
 import os
 import stat
 import subprocess
+import sysconfig
 import tempfile
 from contextlib import contextmanager
 from unittest import mock
@@ -486,7 +487,8 @@ class TestRowResidualUpdate:
         compiled = []
         real = _quadpass.compile_to
         monkeypatch.setattr(_quadpass, "compile_to",
-                            lambda out: (compiled.append(out), real(out)))
+                            lambda out, *how: (compiled.append(out),
+                                                  real(out, *how)))
         assert _quadpass.load() is not None and len(compiled) == 1
         lib, = fresh_kernel_cache.glob("quadpass-*.so")
         assert stat.S_IMODE(fresh_kernel_cache.stat().st_mode) == 0o700
@@ -531,13 +533,38 @@ class TestRowResidualUpdate:
         compiled = []
         real = _quadpass.compile_to
         monkeypatch.setattr(_quadpass, "compile_to",
-                            lambda out: (compiled.append(out), real(out)))
+                            lambda out, *how: (compiled.append(out),
+                                                  real(out, *how)))
         for source in sources * 3:
             monkeypatch.setattr(_quadpass, "SOURCE", source)
             _quadpass.load.cache_clear()
             assert _quadpass.load() is not None
         assert len(compiled) == 2
         assert len(list(fresh_kernel_cache.glob("quadpass-*.so"))) == 2
+
+    def test_library_names_depend_on_the_interpreter_abi(self):
+        # A cache shared by two Pythons keeps one extension for each.
+        names = {_quadpass.lib_name("checked", _quadpass.CHECKED,
+                                    _quadpass.CHECKED_FLAGS, suffix)
+                 for suffix in (".cpython-311-x86_64-linux-gnu.so",
+                                ".cpython-312-x86_64-linux-gnu.so")}
+        assert len(names) == 2
+        assert all(n.startswith("checked-") and n.endswith(".so")
+                   for n in names)
+
+    @needs_kernel
+    def test_missing_python_headers_leave_the_kernels(self, fresh_kernel_cache,
+                                                      monkeypatch, tmp_path):
+        paths = dict(sysconfig.get_paths(), include=str(tmp_path / "none"))
+        monkeypatch.setattr(sysconfig, "get_paths", lambda: paths)
+        _quadpass.load_checked.cache_clear()
+        try:
+            assert _quadpass.load_checked() is None
+            assert _quadpass.load() is not None
+        finally:
+            _quadpass.load_checked.cache_clear()
+        assert [lib.name.split("-")[0] for lib in
+                fresh_kernel_cache.iterdir()] == ["quadpass"]
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
