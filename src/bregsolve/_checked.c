@@ -184,6 +184,219 @@ in_python:
     return call(reference, args, nargs, kwnames);
 }
 
+/* solvers._problems for the coordinates the compiled inclusion sweep
+ * solved: problems(y, quotient, h, w, phi_x, phi_y, x_delta, pieces, p,
+ * tau, idx, out) yields each (i, problem, root) when its turn comes, the
+ * problem's dq a Quotient, StudentTObjective._quotient at the live y. */
+typedef struct {
+    PyObject_HEAD
+    Py_buffer y, xd, idx, out;          /* out: (3, m) roots, lo, hi */
+    PyObject *python, *pieces, *p, *tau;    /* python: ctx._quotient */
+    Py_ssize_t h, w, k;
+    double phi[2];
+} Visits;
+
+/* ctx.dq(i): new -> StudentTObjective._quotient(y, i, old, new) */
+typedef struct {
+    PyObject_HEAD
+    vectorcallfunc call;
+    Visits *of;
+    PyObject *old;
+    Py_ssize_t i, calls;
+} Quotient;
+
+/* StudentTObjective._quotient(y, i, old, new); 0 where Python raises: a
+ * log1p argument at or below -1, an unbounded Clarke interval */
+static int quotient(Visits *v, Py_ssize_t i, double old, double new,
+                    double *q)
+{
+    const double *y = v->y.buf, xd = ((const double *)v->xd.buf)[i];
+    Py_ssize_t r = i / v->w, c = i % v->w;
+    Py_ssize_t nb[4] = {i + 1, i - 1, i + v->w, i - v->w};
+    int in[4] = {c + 1 < v->w, c > 0, r + 1 < v->h, r > 0};
+    double step = new - old, a = fabs(old), delta = 0.0, g = 0.0, d, u, z;
+    if (fabs(step) <= 1e-14 * (a > 1.0 ? a : 1.0)) {    /* stationary */
+        for (int t = 0; t < 4; t++)     /* _midpoint(*_clarke(y, i)) */
+            if (in[t])
+                u = y[i] - y[nb[t]], g += v->phi[t / 2] * (2.0 * u
+                                                          / (1.0 + u * u));
+        double lo = (d = y[i] - xd) > 0 ? g + 1.0 : g - 1.0;
+        double hi = d < 0 ? g - 1.0 : g + 1.0;
+        *q = 0.5 * (lo + hi);
+        return !isinf(lo) && !isinf(hi);
+    }
+    for (int t = 0; t < 4; t++) {       /* right, left, below, above */
+        if (!in[t])
+            continue;
+        double d_old = old - y[nb[t]], d_new = d_old + step;
+        if ((z = step * (d_new + d_old) / (1.0 + d_old * d_old)) <= -1.0)
+            return 0;
+        delta += v->phi[t / 2] * log1p(z);
+    }
+    double d_old = old - xd, d_new = new - xd;
+    if (d_old >= 0 && d_new >= 0)
+        delta += step;
+    else if (d_old <= 0 && d_new <= 0)
+        delta -= step;
+    else
+        delta += d_new > 0 ? d_new + d_old : -(d_new + d_old);
+    return *q = delta / step, 1;
+}
+
+/* dq(new), counted; Python's ctx._quotient(i, old, new) where the
+ * compiled quotient does not apply */
+static PyObject *quotient_call(PyObject *self, PyObject *const *args,
+                               size_t nargsf, PyObject *kwnames)
+{
+    Quotient *dq = (Quotient *)self;
+    PyObject *at, *got;
+    double q;
+    dq->calls++;
+    if (PyVectorcall_NARGS(nargsf) != 1 || kwnames != NULL)
+        return PyErr_Format(PyExc_TypeError, "dq takes one argument");
+    if (PyFloat_CheckExact(args[0]) && quotient(dq->of, dq->i,
+            PyFloat_AS_DOUBLE(dq->old), PyFloat_AS_DOUBLE(args[0]), &q))
+        return PyFloat_FromDouble(q);
+    if ((at = PyLong_FromSsize_t(dq->i)) == NULL)
+        return NULL;
+    got = PyObject_Vectorcall(dq->of->python,
+                              (PyObject *[]){at, dq->old, args[0]}, 3, NULL);
+    Py_DECREF(at);
+    return got;
+}
+
+static void quotient_free(PyObject *self)
+{
+    Py_XDECREF(((Quotient *)self)->of), Py_XDECREF(((Quotient *)self)->old);
+    PyObject_Free(self);
+}
+
+static PyMemberDef quotient_members[] = {
+    {"calls", T_PYSSIZET, offsetof(Quotient, calls), READONLY}, {NULL}};
+
+static PyTypeObject quotient_type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "bregsolve._checked.Quotient",
+    .tp_basicsize = sizeof(Quotient),
+    .tp_dealloc = quotient_free,
+    .tp_vectorcall_offset = offsetof(Quotient, call),
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_members = quotient_members,
+};
+
+/* InclusionProblem(*f), its slots set as its __init__ sets them where its
+ * checks pass; else the class's own, which raises as Python does */
+static PyObject *problem(PyObject **f)
+{
+    PyObject *sb = f[SB], *prob, *box[2] = {NULL, NULL};
+    if (Py_IS_TYPE(sb, Piece))
+        box[0] = SLOT(sb, piece_at[LOWER]), box[1] = SLOT(sb, piece_at[UPPER]);
+    double x = PyFloat_AS_DOUBLE(f[X]);
+    if (floats(box, 2) && floats(f + TAU, 1) && PyFloat_AS_DOUBLE(f[TAU]) > 0
+            && PyFloat_AS_DOUBLE(box[0]) <= x
+            && x <= PyFloat_AS_DOUBLE(box[1])) {
+        if ((prob = Problem->tp_alloc(Problem, 0)) != NULL)
+            for (int k = 0; k < 6; k++)
+                SLOT(prob, prob_at[k]) = Py_NewRef(f[k]);
+        return prob;
+    }
+    return PyObject_Vectorcall((PyObject *)Problem, f, 6, NULL);
+}
+
+static PyObject *visit(PyObject *self)
+{
+    Visits *v = (Visits *)self;
+    Py_ssize_t k = v->k, m = v->out.shape[1], i;
+    const double *out = v->out.buf;
+    if (k >= v->idx.shape[0])
+        return NULL;
+    i = ((const long *)v->idx.buf)[k];
+    if (i < 0 || i >= v->y.shape[0] || i >= PyList_GET_SIZE(v->p)
+            || i >= PyList_GET_SIZE(v->tau))
+        return PyErr_Format(PyExc_IndexError, "no coordinate %zd", i);
+    Quotient *dq = PyObject_New(Quotient, &quotient_type);
+    PyObject *old = PyFloat_FromDouble(((const double *)v->y.buf)[i]);
+    PyObject *lo = PyFloat_FromDouble(out[m + k]), *got = NULL, *prob;
+    PyObject *hi = PyFloat_FromDouble(out[2 * m + k]);
+    PyObject *at = PyLong_FromSsize_t(i), *root = PyFloat_FromDouble(out[k]);
+    PyObject *f[6] = {PyTuple_GET_ITEM(v->pieces, i), old,
+                      Py_NewRef(PyList_GET_ITEM(v->p, i)),
+                      Py_NewRef(PyList_GET_ITEM(v->tau, i)), (PyObject *)dq,
+                      lo && hi ? PyTuple_Pack(2, lo, hi) : NULL};
+    v->k++;
+    if (dq != NULL)
+        dq->call = quotient_call, dq->of = (Visits *)Py_NewRef(self),
+        dq->old = Py_XNewRef(old), dq->i = i, dq->calls = 0;
+    if (dq && old && f[CLARKE] && at && root && (prob = problem(f)) != NULL)
+        got = PyTuple_Pack(3, at, prob, root), Py_DECREF(prob);
+    Py_XDECREF(dq), Py_XDECREF(old), Py_XDECREF(lo), Py_XDECREF(hi);
+    Py_XDECREF(f[CLARKE]), Py_XDECREF(at), Py_XDECREF(root);
+    Py_DECREF(f[P]), Py_DECREF(f[TAU]);
+    return got;
+}
+
+static void visits_free(PyObject *self)
+{
+    Visits *v = (Visits *)self;
+    PyBuffer_Release(&v->y), PyBuffer_Release(&v->xd);
+    PyBuffer_Release(&v->idx), PyBuffer_Release(&v->out);
+    Py_XDECREF(v->python), Py_XDECREF(v->pieces);
+    Py_XDECREF(v->p), Py_XDECREF(v->tau);
+    PyObject_Free(self);
+}
+
+static PyTypeObject visits_type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "bregsolve._checked.Visits",
+    .tp_basicsize = sizeof(Visits),
+    .tp_dealloc = visits_free,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_iter = PyObject_SelfIter,
+    .tp_iternext = visit,
+};
+
+/* PyArg_Parse converters to C-contiguous views: of doubles, of longs,
+ * and of a (3, m) table of doubles */
+static int view(PyObject *o, Py_buffer *b, int ndim, const char *fmt)
+{
+    if (PyObject_GetBuffer(o, b, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        return 0;
+    if (b->ndim == ndim && strcmp(b->format, fmt) == 0
+            && (ndim == 1 || b->shape[0] == 3))
+        return 1;
+    PyErr_Format(PyExc_TypeError, "expected a %d-d array of '%s'", ndim, fmt);
+    return 0;
+}
+static int doubles(PyObject *o, void *b) { return view(o, b, 1, "d"); }
+static int longs(PyObject *o, void *b) { return view(o, b, 1, "l"); }
+static int table(PyObject *o, void *b) { return view(o, b, 2, "d"); }
+
+static PyObject *problems(PyObject *self, PyObject *args)
+{
+    Visits *v = PyObject_New(Visits, &visits_type);
+    if (v == NULL)
+        return NULL;
+    memset(&v->y, 0, sizeof *v - offsetof(Visits, y));
+    if (PyArg_ParseTuple(args, "O&OnnddO&O!O!O!O&O&", doubles, &v->y,
+                         &v->python, &v->h, &v->w, v->phi, v->phi + 1,
+                         doubles, &v->xd, &PyTuple_Type, &v->pieces,
+                         &PyList_Type, &v->p, &PyList_Type, &v->tau, longs,
+                         &v->idx, table, &v->out)) {
+        Py_INCREF(v->python), Py_INCREF(v->pieces);
+        Py_INCREF(v->p), Py_INCREF(v->tau);
+        if (v->h > 0 && v->w > 0 && v->h * v->w == v->y.shape[0]
+                && v->xd.shape[0] == v->y.shape[0]
+                && PyTuple_GET_SIZE(v->pieces) == v->y.shape[0]
+                && v->out.shape[1] >= v->idx.shape[0])
+            return (PyObject *)v;
+        PyErr_SetString(PyExc_ValueError, "the arrays do not fit the image");
+    } else
+        v->python = v->pieces = v->p = v->tau = NULL;
+    Py_DECREF(v);
+    return NULL;
+}
+
 /* the offset of each slot in names of type; ImportError if one is not a
  * slot holding an object */
 static int offsets(PyTypeObject *type, const char *const *names, int n,
@@ -221,6 +434,9 @@ static PyMethodDef methods[] = {
      "solve_inclusion(prob, mode='keep_box', guess=None, delta0=None)\n--\n\n"
      "inclusion.solve_inclusion with its stationary test and guess check "
      "compiled."},
+    {"problems", problems, METH_VARARGS,
+     "problems(y, quotient, h, w, phi_x, phi_y, x_delta, pieces, p, tau, "
+     "idx, out)\n--\n\nsolvers._problems with the kernel's out, in C."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -243,10 +459,15 @@ PyMODINIT_FUNC PyInit__checked(void)
                 || !(Solution = type_of("InclusionSolution"))
                 || offsets(Problem, prob_names, 6, prob_at)
                 || offsets(Piece, piece_names, 4, piece_at)
-                || offsets(Solution, sol_names, 3, sol_at)) {
+                || offsets(Solution, sol_names, 3, sol_at)
+                || PyType_Ready(&quotient_type)
+                || PyType_Ready(&visits_type)) {
             Py_CLEAR(inclusion);
             return NULL;
         }
     }
-    return PyModule_Create(&module);
+    PyObject *m = PyModule_Create(&module);
+    if (m != NULL && PyModule_AddType(m, &quotient_type) < 0)
+        Py_CLEAR(m);
+    return m;
 }

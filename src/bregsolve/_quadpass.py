@@ -4,11 +4,12 @@ library loaded by ctypes, and the checked solve in ``_checked.c``, an
 extension module that also needs the interpreter's ``Python.h``.
 
 Each is built on first use and kept, named by the SHA-256 of its source,
-its flags and the interpreter's ``EXT_SUFFIX``, in
+its flags and the interpreter's extension suffix, in
 ``$XDG_CACHE_HOME/bregsolve`` or ``~/.cache/bregsolve`` (mode 0700); a build
 there keeps the ``KEEP`` newest libraries of its kind, one per checkout and
 interpreter sharing the cache, and removes older ones.  Without such a
-private directory nothing is built.
+private directory nothing is built.  The ``sysconfig`` data, for the
+interpreter's headers, is read only when the extension is built.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sysconfig
 import tempfile
 from contextlib import suppress
 from functools import lru_cache
-from importlib.machinery import ExtensionFileLoader
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
 from pathlib import Path
 
@@ -67,17 +68,24 @@ def compile_to(out: str, source: Path, flags: tuple[str, ...]):
 
 
 def lib_name(stem: str, source: Path, flags: tuple[str, ...],
-             suffix: str = sysconfig.get_config_var("EXT_SUFFIX")) -> str:
+             suffix: str = EXTENSION_SUFFIXES[0]) -> str:
     """The cached library's file name: a build of another source, other
     flags or for another interpreter ABI gets another."""
     key = source.read_bytes() + " ".join(flags).encode() + suffix.encode()
     return f"{stem}-{hashlib.sha256(key).hexdigest()}.so"
 
 
-def built(stem: str, source: Path, flags: tuple[str, ...]) -> Path:
-    """The cached library of ``source``, built first if need be."""
+def built(stem: str, source: Path, flags: tuple[str, ...],
+          headers: bool = False) -> Path:
+    """The cached library of ``source``, built first if need be, against
+    the interpreter's ``Python.h`` if ``headers`` (FileNotFoundError if it
+    has none)."""
     lib = cache_dir() / lib_name(stem, source, flags)
     if not lib.exists():
+        if headers:
+            include = sysconfig.get_paths()["include"]
+            Path(include, "Python.h").stat()
+            flags = (*flags, f"-I{include}")
         with tempfile.TemporaryDirectory(dir=lib.parent) as tmp:
             compile_to(f"{tmp}/{lib.name}", source, flags)
             os.replace(f"{tmp}/{lib.name}", lib)
@@ -112,11 +120,8 @@ def load_checked():
     ``solve_inclusion`` is ``inclusion.solve_inclusion`` compiled; None, for
     the Python solve, if the interpreter has no ``Python.h`` or no build or
     load works."""
-    include = sysconfig.get_paths()["include"]
-    if not Path(include, "Python.h").is_file():
-        return None
     try:
-        lib = built("checked", CHECKED, (*CHECKED_FLAGS, f"-I{include}"))
+        lib = built("checked", CHECKED, CHECKED_FLAGS, headers=True)
         loader = ExtensionFileLoader("bregsolve._checked", str(lib))
         module = module_from_spec(spec_from_loader(loader.name, loader))
         loader.exec_module(module)

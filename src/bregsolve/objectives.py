@@ -114,6 +114,14 @@ def _quadratic_quotient(g: float, aii: float, lam: float, old: float,
     return dq + lam * (abs(new) - abs(old)) / (new - old)
 
 
+def _symmetric(A: np.ndarray, tile: int = 64) -> bool:
+    """``np.array_equal(A, A.T)`` for a square ``A`` without NaN, comparing
+    each band of ``tile`` rows right of the diagonal with the band of
+    columns below it, whose transpose is read in short strides."""
+    return all(np.array_equal(A[s:s + tile, s:], A[s:, s:s + tile].T)
+               for s in range(0, len(A), tile))
+
+
 class QuadraticObjective(CoordinateObjective):
     """``V(x) = <x, A x>/2 - <b, x> + lam * ||x||_1`` for symmetric PSD A
     with positive diagonal; ``lam`` is 0 here and set by
@@ -133,7 +141,7 @@ class QuadraticObjective(CoordinateObjective):
             raise ObjectiveError("b length must match A")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ObjectiveError("A and b must be finite")
-        if not np.array_equal(A, A.T):
+        if not _symmetric(A):
             if not np.allclose(A, A.T, rtol=1e-12, atol=1e-12):
                 raise ObjectiveError("A must be symmetric")
             A = 0.5 * (A + A.T)

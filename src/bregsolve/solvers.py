@@ -14,6 +14,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -166,40 +167,53 @@ def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
     the red pixels of ``V.colours`` and then the black."""
     taus = np.ascontiguousarray(taus, dtype=float)
     ctx = V.sweep_context(state.x)
-    y, pieces, p, tau = ctx.y, spec.pieces, state.p.tolist(), taus.tolist()
-    for i, root, lo, hi in _visits(V, spec, y, state.p, taus, order):
-        sol = solve_inclusion(InclusionProblem(
-            pieces[i], y.item(i), p[i], tau[i], ctx.dq(i),
-            ctx.clarke(i) if lo is None else (lo, hi)), mode, root)
+    p = state.p.tolist()
+    for i, prob, root in _visits(V, spec, ctx, state.p, taus, p, order):
+        sol = solve_inclusion(prob, mode, root)
         p[i] = sol.p_new
         if not sol.stationary:
             ctx.commit(i, sol.y)
-    return SweepResult(PrimalDualState(y, p, state.k + 1))
+    return SweepResult(PrimalDualState(ctx.y, p, state.k + 1))
 
 
-def _visits(V, spec, y, p, taus, order):
-    """The coordinates of a :func:`bia_sweep` in turn, zipped with the
-    compiled inclusion sweep's root (x if it stays put) and Clarke interval
-    ends over a copy of ``y``, or None: without the kernel, on a subclass,
-    an order that is no permutation, and from where it stopped."""
+def _visits(V, spec, ctx, p0, taus, p, order):
+    """:func:`_problems` of the coordinates of a :func:`bia_sweep`, each
+    with the compiled inclusion sweep's root (x if it stays put) over a
+    copy of ``ctx.y`` from ``p0``, or None: without the kernel, on a
+    subclass, an order that is no permutation, and from where it stopped.
+    The extension, if it loaded, builds the kernel's problems."""
     lib = compiled("inclusion_pass", V)
     built = isinstance(order, str)      # a permutation by construction
     if built:
         order = V.red_black if order == "red_black" else np.arange(spec.n)
     idx = np.asarray(order, dtype=_quadpass.INDEX)
-    if {taus.shape, p.shape, y.shape, spec.shift.shape} != {(V.n,)} or not (
-            built or np.array_equal(np.sort(idx), np.arange(V.n))):
+    if {taus.shape, p0.shape, ctx.y.shape, spec.shift.shape} != {(V.n,)} \
+            or not (built or np.array_equal(np.sort(idx), np.arange(V.n))):
         lib = None
-    roots = lo = hi = [None] * len(idx)
+    pieces, tau, stop, head = spec.pieces, taus.tolist(), 0, ()
     if lib is not None:
-        y, out = y.copy(), np.empty((3, len(idx)))
+        y, out = ctx.y.copy(), np.empty((3, len(idx)))
         stop = lib.inclusion_sweep(
             V.h, V.w, *V.phi, spec.gamma, spec.lower, spec.upper,
-            *map(_quadpass.ptr, (V.x_delta, spec.shift, taus, p, y)),
+            *map(_quadpass.ptr, (V.x_delta, spec.shift, taus, p0, y)),
             _quadpass.ptr(idx, _quadpass.INDEX), len(idx), _quadpass.ptr(out))
-        roots, lo, hi = out.tolist()
-        roots[stop:] = lo[stop:] = hi[stop:] = [None] * (len(idx) - stop)
-    return zip(idx.tolist(), roots, lo, hi)
+        ext = compiled("checked_solve")
+        head = _problems(ctx, pieces, p, tau, idx[:stop], out) \
+            if ext is None else ext.problems(
+                ctx.y, ctx._quotient, V.h, V.w, *V.phi, V.x_delta, pieces,
+                p, tau, idx[:stop], out)
+    return chain(head, _problems(ctx, pieces, p, tau, idx[stop:]))
+
+
+def _problems(ctx, pieces, p, tau, idx, out=None):
+    """Each coordinate ``i`` of ``idx`` with its problem, built when its
+    turn comes from the live ``ctx.y`` and ``p``, and its guess: None, or
+    the root in ``out``'s column, whose Clarke interval it then takes."""
+    for k, i in enumerate(idx.tolist()):
+        root, lo, hi = (None,) * 3 if out is None else out[:, k].tolist()
+        yield i, InclusionProblem(
+            pieces[i], ctx.y.item(i), p[i], tau[i], ctx.dq(i),
+            ctx.clarke(i) if out is None else (lo, hi)), root
 
 
 def ia_sweep(V: CoordinateObjective, state: PrimalDualState,

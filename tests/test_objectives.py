@@ -14,7 +14,7 @@ from bregsolve.objectives import (CoordinateObjective, L1QuadraticObjective,
                                   ObjectiveError, QuadraticObjective,
                                   StudentTObjective, add_noise,
                                   gaussian_system, impulse_noise,
-                                  itoh_abe_discrete_gradient,
+                                  _symmetric, itoh_abe_discrete_gradient,
                                   make_test_image)
 from bregsolve.solvers import (blcd_sweep, bsor_sweep, l1_bsor_sweep,
                                sor_sweep)
@@ -114,6 +114,42 @@ class TestQuadraticObjective:
                 got = sweep(qf, got)
             assert got.x.tobytes() == want.x.tobytes()
             assert got.p.tobytes() == want.p.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 130])
+    def test_one_asymmetric_entry_is_found_in_any_tile(self, n):
+        # Above and below the diagonal, in the first tile and in the last,
+        # partial unless n is a multiple of 64, C- and F-ordered.
+        A, b, _ = gaussian_system(n, seed=n)
+        last = n - 1
+        for order in "CF":
+            S = np.array(A, order=order)
+            q = QuadraticObjective(S, b)
+            assert _symmetric(S) and np.shares_memory(q.A, S)
+            for i, j in {(0, last), (last, 0), (last, last - 1),
+                         (last - 1, last), (n // 2, 1)} - {(1, 1)}:
+                B = S.copy(order=order)
+                B[i, j] *= 1.0 + 1e-14
+                assert not _symmetric(B)
+                q = QuadraticObjective(B, b)
+                assert q.A.tobytes() == (0.5 * (B + B.T)).tobytes()
+                B[i, j] += 1.0
+                assert not _symmetric(B)
+                with pytest.raises(ObjectiveError, match="symmetric"):
+                    QuadraticObjective(B, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 12), tile=st.integers(1, 13),
+           seed=st.integers(0, 2**32 - 1),
+           flips=st.lists(st.tuples(st.integers(0, 143),
+                                    st.integers(0, 143)), max_size=3),
+           order=st.sampled_from("CF"))
+    def test_tiled_symmetry_check_is_array_equal(self, n, tile, seed, flips,
+                                                 order):
+        G = np.random.default_rng(seed).standard_normal((n, n))
+        A = np.array(G + G.T, order=order)
+        for i, j in flips:
+            A[i % n, j % n] += 1.0
+        assert _symmetric(A, tile) == np.array_equal(A, A.T)
 
     def test_residual_cache_coherence(self):
         q, rng = random_quadratic(10, 1)

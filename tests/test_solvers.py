@@ -1,9 +1,11 @@
 """Tests for the sweep schemes, their equivalences, and the run loop."""
 
+import dataclasses
 import math
 import os
 import stat
 import subprocess
+import sys
 import sysconfig
 import tempfile
 from contextlib import contextmanager
@@ -17,8 +19,9 @@ from hypothesis import strategies as st
 from bregsolve import _quadpass, cli, inclusion, solvers
 from bregsolve.bregman import BregmanError, BregmanSpec, PrimalDualState
 from bregsolve.inclusion import RESIDUAL_TOL, solve_inclusion
-from bregsolve.objectives import (L1QuadraticObjective, QuadraticObjective,
-                                  StudentTObjective, _QuadraticSweepContext,
+from bregsolve.objectives import (L1QuadraticObjective, ObjectiveError,
+                                  QuadraticObjective, StudentTObjective,
+                                  _QuadraticSweepContext,
                                   gaussian_system, impulse_noise,
                                   make_test_image)
 from bregsolve.solvers import (InvariantViolation, SolverConfig, SolverError,
@@ -565,6 +568,20 @@ class TestRowResidualUpdate:
             _quadpass.load_checked.cache_clear()
         assert [lib.name.split("-")[0] for lib in
                 fresh_kernel_cache.iterdir()] == ["quadpass"]
+
+    def test_warm_import_reads_no_sysconfig_data(self):
+        # Cached libraries are named by the extension suffix; the path of
+        # the headers is read for a build only.
+        if _quadpass.load_checked() is None:
+            pytest.skip("the compiled checked solve cannot be built here")
+        code = ("import sys, bregsolve.solvers as s; "
+                "print(type(s.solve_inclusion).__name__, sorted("
+                "m for m in sys.modules if m.startswith('_sysconfigdata')))")
+        src = os.path.dirname(os.path.dirname(solvers.__file__))
+        run = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert run.stdout.split() == ["builtin_function_or_method", "[]"]
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
@@ -1127,3 +1144,193 @@ class TestRedBlackSweep:
         with pytest.raises(SolverError, match="red_black"):
             make_sweeper(V, BregmanSpec.euclidean(9),
                          SolverConfig("sor", order="red_black"))
+
+
+needs_checked = pytest.mark.skipif(
+    solvers.compiled("checked_solve") is None,
+    reason="the compiled checked solve cannot be built here")
+
+
+def compiled_problems(ctx, pieces, p, tau, idx, out):
+    """``solvers._problems`` of a student-t sweep context, built by the
+    extension."""
+    V = ctx.objective
+    return solvers.compiled("checked_solve").problems(
+        ctx.y, ctx._quotient, V.h, V.w, *V.phi, V.x_delta, pieces, p, tau,
+        idx, out)
+
+
+@needs_kernel
+@needs_checked
+class TestCompiledProblems:
+    """The extension builds the problems of the kernel's coordinates: the
+    fields of those :func:`solvers._problems` builds, each problem built
+    when its turn comes, and ``prob.dq`` as ``bench/tracer.py`` uses it."""
+
+    @pytest.mark.parametrize("order", ["lexicographic", "red_black"])
+    def test_tracer_contract_on_the_preset(self, order):
+        args = cli.build_parser().parse_args(
+            ["--preset", "student_t_denoise", "--seed", "1"])
+        exp = cli.build_experiment(cli.effective_params(args))
+        V, spec, taus = exp.V, exp.spec, np.ones(exp.V.n)
+        state = PrimalDualState.initial(spec, exp.x0)
+        want = bia_sweep(V, spec, state, taus, order=order).state
+        real, seen, wrapped = solvers.solve_inclusion, [], [0]
+
+        def traced(prob, *args, **kwargs):     # as the tracer wraps it
+            dq = prob.dq
+            seen.append((prob, dq))
+
+            def counted(y):
+                wrapped[0] += 1
+                return dq(y)
+            prob.dq = counted
+            try:
+                return real(prob, *args, **kwargs)
+            finally:
+                prob.dq = dq
+        with mock.patch.object(solvers, "solve_inclusion", traced):
+            got = bia_sweep(V, spec, state, taus, order=order).state
+        quotient = solvers.compiled("checked_solve").Quotient
+        assert len(seen) == V.n
+        assert all(prob.dq is dq and type(dq) is quotient
+                   for prob, dq in seen)
+        assert sum(dq.calls for _, dq in seen) == wrapped[0] > 0
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.p.tobytes() == want.p.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(h=st.integers(1, 6), w=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1), box=st.booleans())
+    def test_fields_are_the_python_problems(self, h, w, seed, box):
+        rng = np.random.default_rng(seed)
+        x_delta = impulse_noise(rng.uniform(0.2, 0.8, (h, w)), 0.3,
+                                seed=seed).ravel()
+        V = StudentTObjective(h, w, x_delta)
+        spec = BregmanSpec(x_delta, 0.5, *((0.0, 1.0) if box else ()))
+        ctx = V.sweep_context(x_delta)
+        p, tau = rng.standard_normal(V.n).tolist(), [0.5] * V.n
+        idx = rng.permutation(V.n).astype(_quadpass.INDEX)
+        out = rng.standard_normal((3, V.n))
+        python = solvers._problems(ctx, spec.pieces, p, tau, idx, out)
+        built = compiled_problems(ctx, spec.pieces, p, tau, idx, out)
+        for (i, prob, root), (j, want, guess) in zip(built, python,
+                                                     strict=True):
+            assert (i, type(prob), bits(root)) == (j, type(want), bits(guess))
+            assert prob.sb is want.sb and prob.p is want.p
+            assert prob.tau is want.tau
+            assert bits(prob.x, *prob.clarke) == bits(want.x, *want.clarke)
+            assert type(prob.clarke) is tuple
+            assert dataclasses.replace(prob).clarke == prob.clarke
+            # Built when its turn comes: a commit shows in the next.
+            ctx.commit(i, prob.x + 0.25)
+            p[i] = 2.0
+
+    @staticmethod
+    def quotients(V, y, seed):
+        """The sweep context at ``y`` and, in a random order, each pixel
+        with the compiled ``dq`` of its problem."""
+        ctx = V.sweep_context(y)
+        idx = np.random.default_rng(seed).permutation(V.n)
+        problems = compiled_problems(
+            ctx, BregmanSpec(V.x_delta, 0.5).pieces, [0.0] * V.n,
+            [1.0] * V.n, idx.astype(_quadpass.INDEX), np.zeros((3, V.n)))
+        return ctx, ((i, prob.dq) for i, prob, _ in problems)
+
+    @settings(max_examples=80, deadline=None)
+    @given(h=st.integers(1, 5), w=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1),
+           phi=st.tuples(st.sampled_from([0.0, 2.0]) | st.floats(0.0, 4.0),
+                         st.sampled_from([0.0, 3.0]) | st.floats(0.0, 4.0)))
+    def test_quotient_is_the_objective_quotient_bitwise(self, h, w, seed,
+                                                        phi):
+        # Every stencil kind (corners, edges, interior, 1 x w, h x 1), a
+        # third of the pixels on their data kink and one at 0, whose move
+        # to 1e-14 is exactly at the stationary threshold.  Moves: none,
+        # within and just past the threshold, onto and across the data
+        # kink, and a random one; after each pixel's commit the earlier
+        # quotients read the moved image.
+        rng = np.random.default_rng(seed)
+        x_delta, y = rng.uniform(-1.0, 2.0, (2, h * w))
+        kink = rng.random(h * w) < 1 / 3
+        y[kink] = x_delta[kink]
+        y[int(rng.integers(h * w))] = 0.0
+        V = StudentTObjective(h, w, x_delta, phi=phi)
+        ctx, quotients = self.quotients(V, y, seed)
+        seen = []
+        for i, dq in quotients:
+            old, s = ctx.y.item(i), V.x_delta.item(i)
+            tol = 1e-14 * max(1.0, abs(old))
+            news = [old, old + tol, old - tol, old + 2.0 * tol,
+                    math.nextafter(old, math.inf),
+                    math.nextafter(old, -math.inf), s, 2.0 * s - old,
+                    s + 0.1, s - 0.1, float(rng.uniform(-1.0, 2.0))]
+            for new in news:
+                assert bits(dq(new)) == bits(V._quotient(ctx.y, i, old, new))
+            assert dq.calls == len(news)
+            seen.append((i, old, dq))
+            ctx.commit(i, news[int(rng.integers(len(news)))])
+            for j, old_j, dq_j in seen:
+                for new in (old_j, old_j + 0.5):
+                    assert bits(dq_j(new)) \
+                        == bits(V._quotient(ctx.y, j, old_j, new))
+
+    def test_quotient_hands_other_calls_and_errors_to_python(self):
+        # Pixel 1 moving onto its neighbour's 0: the log1p argument rounds
+        # to -1.  Pixel 1 of a 1 x 3 image with filter weights of 1e308:
+        # the stationary Clarke midpoint is unbounded.
+        cases = [(StudentTObjective(1, 2, np.zeros(2)),
+                  np.array([0.0, 1e9]), 0.0, ValueError),
+                 (StudentTObjective(1, 3, np.zeros(3), (1e308, 1e308)),
+                  np.array([0.0, 1.0, 0.0]), 1.0, ObjectiveError)]
+        for V, y, new, error in cases:
+            ctx, quotients = self.quotients(V, y, 0)
+            dq = dict(quotients)[1]
+            with pytest.raises(error) as got:
+                dq(new)
+            with pytest.raises(error) as want:
+                ctx.dq(1)(new)
+            assert str(got.value) == str(want.value)
+        V = StudentTObjective(3, 3, np.linspace(0.0, 1.0, 9))
+        y = np.linspace(1.0, -1.0, 9)
+        ctx, quotients = self.quotients(V, y, 5)
+        for i, dq in quotients:
+            want = ctx.dq(i)
+            for new in (np.float64(0.25), 1, y.item(i)):
+                assert type(dq(new)) is type(want(new))
+                assert bits(dq(new)) == bits(want(new))
+            for call in (dq, lambda: dq(new=0.5), lambda: dq(1.0, 2.0)):
+                with pytest.raises(TypeError, match="one argument"):
+                    call()
+            assert dq.calls == 9
+
+    def test_failed_checks_raise_pythons_error(self):
+        V = StudentTObjective(1, 3, np.full(3, 0.5))
+        spec = BregmanSpec(V.x_delta, 0.5, 0.0, 1.0)
+        ctx = V.sweep_context(np.array([0.5, -0.5, 0.5]))
+        idx = np.arange(3, dtype=_quadpass.INDEX)
+        build = compiled_problems
+        for tau, k in (([1.0, 1.0, 1.0], 1), ([1.0, 1.0, 0.0], 0),
+                       ([1.0, 1.0, math.nan], 0)):
+            if k == 0:
+                ctx.y[1] = 0.5
+            errors = []
+            for problems in (build, solvers._problems):
+                got = problems(ctx, spec.pieces, [0.0] * 3, tau, idx,
+                               np.zeros((3, 3)))
+                next(got)
+                if k:
+                    with pytest.raises(inclusion.InclusionError) as err:
+                        next(got)
+                else:
+                    next(got)
+                    with pytest.raises(inclusion.InclusionError) as err:
+                        next(got)
+                errors.append(str(err.value))
+            assert errors[0] == errors[1]
+        with pytest.raises(ValueError, match="fit"):
+            build(ctx, spec.pieces[:2], [0.0] * 3, [1.0] * 3, idx,
+                  np.zeros((3, 3)))
+        with pytest.raises(TypeError):
+            build(ctx, spec.pieces, [0.0] * 3, [1.0] * 3, idx.astype(float),
+                  np.zeros((3, 3)))
