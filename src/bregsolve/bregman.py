@@ -143,6 +143,12 @@ class BregmanSpec:
         object.__setattr__(self, "shift", shift)
         # A piece with the spec's gamma and box checks both.
         ScalarBregman(self.gamma, 0.0, self.lower, self.upper)
+        # J must be finite on the box: at gamma = inf, J(shift) is inf * 0.
+        if not math.isfinite(self.gamma):
+            raise BregmanError(f"gamma must be finite, got {self.gamma}")
+        # Plain floats, which the compiled sweep reads from the pieces.
+        for name in ("gamma", "lower", "upper"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def n(self) -> int:

@@ -94,22 +94,18 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 
 def compiled(layer: str, V=None, variant: str | None = None):
-    """The compiled code that runs ``layer``, or None where Python (NumPy)
-    runs it: the kernel library for the "quadratic_pass" of a ``variant``
-    in ``KERNEL_VARIANTS`` and for the "inclusion_pass" on a
-    ``StudentTObjective`` ``V``, not a subclass; the extension for the
-    "checked_solve".  None also if it did not load; callers add their
-    checks of the data."""
-    if layer == "checked_solve":
-        return _quadpass.load_checked()
+    """The compiled module if it loaded and runs ``layer``: the
+    "quadratic_pass" of a ``variant`` in ``KERNEL_VARIANTS``, the
+    "inclusion_pass" on a ``StudentTObjective`` ``V``, not a subclass;
+    else None, where Python (NumPy) runs it.  Callers add their checks."""
     plain = variant in KERNEL_VARIANTS if layer == "quadratic_pass" \
         else type(V) is StudentTObjective
     return _quadpass.load() if plain else None
 
 
-#: The checked solve of each coordinate of a Bregman sweep, compiled if it
-#: loaded; a module global, so that it can be wrapped.
-solve_inclusion = getattr(compiled("checked_solve"), "solve_inclusion",
+#: The checked solve of each coordinate of a Bregman sweep, compiled if the
+#: module loaded; a module global, so that it can be wrapped.
+solve_inclusion = getattr(_quadpass.load(), "solve_inclusion",
                           inclusion.solve_inclusion)
 
 
@@ -131,9 +127,7 @@ def _quadratic_pass(q: QuadraticObjective, x: np.ndarray, rule,
     lib = compiled("quadratic_pass", variant=name) \
         if type(ctx) is _QuadraticSweepContext else None
     if lib is not None:
-        c = np.array(consts, dtype=float)
-        lib.quad_pass(_quadpass.RULES[name], q.n,
-                      *map(_quadpass.ptr, (q.A, r, y, aux, c)))
+        lib.quad_pass(_quadpass.RULES[name], q.A, r, y, aux, *consts)
         return y, r
     for i in range(q.n):
         commit(i, rule(i, r[i], y[i], diag[i]))
@@ -168,7 +162,7 @@ def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
     taus = np.ascontiguousarray(taus, dtype=float)
     ctx = V.sweep_context(state.x)
     p = state.p.tolist()
-    for i, prob, root in _visits(V, spec, ctx, state.p, taus, p, order):
+    for i, prob, root in _visits(V, spec, ctx, taus, p, order):
         sol = solve_inclusion(prob, mode, root)
         p[i] = sol.p_new
         if not sol.stationary:
@@ -176,44 +170,32 @@ def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
     return SweepResult(PrimalDualState(ctx.y, p, state.k + 1))
 
 
-def _visits(V, spec, ctx, p0, taus, p, order):
+def _visits(V, spec, ctx, taus, p, order):
     """:func:`_problems` of the coordinates of a :func:`bia_sweep`, each
-    with the compiled inclusion sweep's root (x if it stays put) over a
-    copy of ``ctx.y`` from ``p0``, or None: without the kernel, on a
-    subclass, an order that is no permutation, and from where it stopped.
-    The extension, if it loaded, builds the kernel's problems."""
+    with the compiled inclusion sweep's root (x if it stays put), or None:
+    without the module, on a subclass, an order that is no permutation,
+    and from where the compiled sweep stopped."""
     lib = compiled("inclusion_pass", V)
     built = isinstance(order, str)      # a permutation by construction
     if built:
         order = V.red_black if order == "red_black" else np.arange(spec.n)
-    idx = np.asarray(order, dtype=_quadpass.INDEX)
-    if {taus.shape, p0.shape, ctx.y.shape, spec.shift.shape} != {(V.n,)} \
+    idx = np.asarray(order, dtype=np.intp)
+    if {taus.shape, ctx.y.shape, (len(p),), (spec.n,)} != {(V.n,)} \
             or not (built or np.array_equal(np.sort(idx), np.arange(V.n))):
         lib = None
     pieces, tau, stop, head = spec.pieces, taus.tolist(), 0, ()
     if lib is not None:
-        y, out = ctx.y.copy(), np.empty((3, len(idx)))
-        stop = lib.inclusion_sweep(
-            V.h, V.w, *V.phi, spec.gamma, spec.lower, spec.upper,
-            *map(_quadpass.ptr, (V.x_delta, spec.shift, taus, p0, y)),
-            _quadpass.ptr(idx, _quadpass.INDEX), len(idx), _quadpass.ptr(out))
-        ext = compiled("checked_solve")
-        head = _problems(ctx, pieces, p, tau, idx[:stop], out) \
-            if ext is None else ext.problems(
-                ctx.y, ctx._quotient, V.h, V.w, *V.phi, V.x_delta, pieces,
-                p, tau, idx[:stop], out)
+        head, stop = lib.problems(ctx.y, ctx._quotient, V.h, V.w, *V.phi,
+                                  V.x_delta, idx, pieces, p, tau)
     return chain(head, _problems(ctx, pieces, p, tau, idx[stop:]))
 
 
-def _problems(ctx, pieces, p, tau, idx, out=None):
+def _problems(ctx, pieces, p, tau, idx):
     """Each coordinate ``i`` of ``idx`` with its problem, built when its
-    turn comes from the live ``ctx.y`` and ``p``, and its guess: None, or
-    the root in ``out``'s column, whose Clarke interval it then takes."""
-    for k, i in enumerate(idx.tolist()):
-        root, lo, hi = (None,) * 3 if out is None else out[:, k].tolist()
-        yield i, InclusionProblem(
-            pieces[i], ctx.y.item(i), p[i], tau[i], ctx.dq(i),
-            ctx.clarke(i) if out is None else (lo, hi)), root
+    turn comes from the live ``ctx.y`` and ``p``, and no guess."""
+    for i in idx.tolist():
+        yield i, InclusionProblem(pieces[i], ctx.y.item(i), p[i], tau[i],
+                                  ctx.dq(i), ctx.clarke(i)), None
 
 
 def ia_sweep(V: CoordinateObjective, state: PrimalDualState,

@@ -200,6 +200,22 @@ class TestBregmanSpec:
         spec = BregmanSpec.elastic_net(3, 0.7)
         assert spec.gamma == 0.7
 
+    def test_gamma_must_be_finite(self):
+        # At gamma = inf, J(shift) is inf * 0.  A scalar piece keeps
+        # gamma = inf, which the inclusion tests draw.
+        for gamma in (math.inf, -math.inf, math.nan):
+            with pytest.raises(BregmanError, match="gamma"):
+                BregmanSpec.elastic_net(3, gamma)
+        assert ScalarBregman(math.inf).gamma == math.inf
+
+    def test_fields_are_plain_floats(self):
+        # The compiled sweep reads the pieces' fields as plain floats.
+        spec = BregmanSpec(np.zeros(2), np.float64(0.5), 0, 1)
+        sb = spec.pieces[0]
+        for v in (spec.gamma, spec.lower, spec.upper, sb.gamma, sb.shift,
+                  sb.lower, sb.upper):
+            assert type(v) is float
+
     def test_shifted_factory(self):
         shifts = np.array([0.1, 0.9])
         spec = BregmanSpec.shifted_elastic_net(0.5, shifts)

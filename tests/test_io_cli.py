@@ -266,7 +266,8 @@ class TestCliMain:
                     ["--noise-level", "inf"], ["--gamma", "nan"],
                     ["--stop-tol", "-1"], ["--stop-tol", "nan"],
                     ["--lambda", "-1"], ["--lambda", "nan"],
-                    ["--gamma", "1e308"], ["--tau", "1e308"]]
+                    ["--gamma", "1e308"], ["--tau", "1e308"],
+                    ["--gamma", "inf"]]
         # Closed forms that solve the quadratic alone do not fit the l1
         # preset; the later --preset and --solvers override the earlier.
         bad_args += [["--preset", "gaussian_noisy_l1", "--iters", "3",
@@ -286,6 +287,18 @@ class TestCliMain:
                          "--solvers", "bsor", "--out-dir", str(tmp_path)]
                         + bad)
             assert code == 3, bad
+
+    def test_infinite_gamma_exits_3(self, tmp_path, monkeypatch, capsys):
+        # J(shift) would be inf * 0: rejected before the reference run,
+        # on the student-t preset too, which has no step constants.
+        def no_reference(*args):
+            pytest.fail("the reference run started")
+        monkeypatch.setattr(cli, "reference_values", no_reference)
+        for preset in (["student_t_denoise", "--iters", "2"],
+                       ["gaussian_noiseless", "--n", "8"]):
+            assert main(["--preset", *preset, "--gamma", "inf",
+                         "--out-dir", str(tmp_path)]) == 3
+            assert "gamma must be finite" in capsys.readouterr().err
 
     def test_l1_preset_at_lambda_zero(self, tmp_path):
         # l1_bsor at lam = 0 is bsor; the l1 preset runs as the quadratic.
@@ -392,7 +405,7 @@ class TestManifestReport:
         src = tmp_path / "in.pgm"
         write_pgm(src, make_test_image(6, 6))
         kernel = _quadpass.load() is not None
-        checked = "compiled" if _quadpass.load_checked() else "python"
+        checked = "compiled" if _quadpass.load() else "python"
         runs = [("student_t_denoise", ["--image", str(src)], None,
                  "compiled" if kernel else "python"),
                 ("gaussian_noisy_l1", ["--n", "12"], "numpy", "python"),
@@ -443,7 +456,7 @@ class TestManifestReport:
 
     def test_checked_solve_is_recorded(self, tmp_path, monkeypatch):
         from bregsolve import _quadpass, inclusion, solvers
-        if _quadpass.load_checked() is None:
+        if _quadpass.load() is None:
             pytest.skip("the compiled checked solve cannot be built here")
         src = tmp_path / "in.pgm"
         write_pgm(src, make_test_image(9, 9))
@@ -452,7 +465,7 @@ class TestManifestReport:
         runs = {}
         for want in ("compiled", "python"):
             if want == "python":    # as when it did not load
-                monkeypatch.setattr(_quadpass, "load_checked", lambda: None)
+                monkeypatch.setattr(_quadpass, "load", lambda: None)
                 monkeypatch.setattr(solvers, "solve_inclusion",
                                     inclusion.solve_inclusion)
             assert main(argv + ["--out-dir", str(tmp_path / want)]) == 0

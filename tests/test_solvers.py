@@ -3,12 +3,14 @@
 import dataclasses
 import math
 import os
+import shutil
 import stat
 import subprocess
 import sys
 import sysconfig
 import tempfile
 from contextlib import contextmanager
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -357,8 +359,35 @@ def kernel_rule_outputs(A, b, x0, gamma, tau, omega, sweeps):
     return out
 
 
-needs_kernel = pytest.mark.skipif(_quadpass.load() is None,
-                                  reason="the C kernel cannot be built here")
+def red_black_setup():
+    """A 4 x 5 student-t image with impulse noise, a boxed spec with its
+    data as shifts, and the start at the data."""
+    x_delta = impulse_noise(np.full((4, 5), 0.5), 0.3, seed=2).ravel()
+    V = StudentTObjective(4, 5, x_delta)
+    spec = BregmanSpec(x_delta, 0.5, 0.0, 1.0)
+    return V, spec, PrimalDualState.initial(spec, x_delta)
+
+
+def red_black_bits(V, spec, state, sweeps=3):
+    """Bytes of ``x`` and ``p`` after ``sweeps`` red-black bia sweeps."""
+    for _ in range(sweeps):
+        state = bia_sweep(V, spec, state, np.ones(V.n),
+                          order="red_black").state
+    return state.x.tobytes(), state.p.tobytes()
+
+
+def compiled_problems(ctx, spec, p, tau, idx):
+    """The problems of a student-t sweep context that the compiled module
+    builds after its inclusion sweep over ``idx`` from ``p`` and ``tau``,
+    and the number of coordinates that sweep solved."""
+    V = ctx.objective
+    return _quadpass.load().problems(ctx.y, ctx._quotient, V.h, V.w, *V.phi,
+                                     V.x_delta, idx, spec.pieces, p, tau)
+
+
+needs_kernel = pytest.mark.skipif(
+    _quadpass.load() is None,
+    reason="the compiled module cannot be built here")
 
 
 @pytest.fixture
@@ -397,31 +426,43 @@ class TestRowResidualUpdate:
             want = kernel_rule_outputs(A, b, x0, gamma, tau, omega, sweeps)
         assert got == want
 
-    def test_ptr_rejects_arrays_the_kernels_would_misread(self):
-        a = np.arange(6.0)
-        assert _quadpass.ptr(a) == a.ctypes.data
-        for bad in (a.astype(np.float32), a.astype(">f8"), a[::2],
-                    a.reshape(2, 3).T, np.arange(6)):
-            with pytest.raises(TypeError, match="C-contiguous"):
-                _quadpass.ptr(bad)
-        idx = np.arange(6, dtype=_quadpass.INDEX)
-        assert _quadpass.ptr(idx, _quadpass.INDEX) == idx.ctypes.data
-        with pytest.raises(TypeError):
-            _quadpass.ptr(idx.astype(np.int32), _quadpass.INDEX)
-        if _quadpass.load() is None:
-            return
-        # A bad array raises before the kernel runs, and changes nothing.
+    @needs_kernel
+    def test_module_rejects_arrays_it_would_misread(self):
+        # A bad array raises before the pass runs, and changes nothing.
+        lib = _quadpass.load()
         q, rng = spd_system(6, 1)
-        x, aux = rng.standard_normal(6), np.zeros(12)[::2]
-        r = q.residual(x)
-        with pytest.raises(TypeError):
-            solvers._quadratic_pass(q, x, None, ("blcd", aux, 1.0, 0.5), r)
-        assert np.array_equal(r, q.residual(x)) and not aux.any()
+        x = rng.standard_normal(6)
+        want = q.residual(x)
+        for bad in (np.zeros(6, np.float32), np.zeros(6, ">f8"),
+                    np.zeros(12)[::2], np.zeros((2, 3)).T,
+                    np.zeros(6, np.intp)):
+            r, y, aux = want.copy(), x.copy(), np.zeros(6)
+            for args in ((bad, y, aux), (r, y, bad)):
+                with pytest.raises(TypeError, match="C-contiguous"):
+                    lib.quad_pass(1, q.A, *args, 1.0, 0.5)
+            with pytest.raises(TypeError, match="C-contiguous"):
+                solvers._quadratic_pass(q, x, None, ("blcd", bad, 1.0, 0.5),
+                                        r)
+            assert np.array_equal(r, want) and not aux.any()
+            assert np.array_equal(y, x) and not bad.any()
+        with pytest.raises(ValueError, match="fit"):
+            lib.quad_pass(1, q.A, r[:5], y, aux, 1.0, 0.5)
+        # The inclusion sweep's order is read as C longs.
+        V = StudentTObjective(2, 3, np.zeros(6))
+        ctx = V.sweep_context(np.zeros(6))
+        spec = BregmanSpec.euclidean(6)
+        for idx in (np.arange(6, dtype=np.int32), np.arange(12)[::2]):
+            with pytest.raises(TypeError, match="C-contiguous"):
+                compiled_problems(ctx, spec, [0.0] * 6, [1.0] * 6, idx)
+        for idx in (np.array([0, 6]), np.array([-1])):
+            with pytest.raises(ValueError, match="fit"):
+                compiled_problems(ctx, spec, [0.0] * 6, [1.0] * 6, idx)
+        assert not ctx.y.any()
 
     @pytest.mark.parametrize("owner, name, error", [
         (_quadpass, "compile_to", FileNotFoundError("no gcc")),
         (_quadpass, "compile_to", subprocess.CalledProcessError(1, "gcc")),
-        (_quadpass.ctypes, "CDLL", OSError("cannot load")),
+        (_quadpass, "ExtensionFileLoader", ImportError("cannot load")),
     ])
     def test_failed_kernel_falls_back_to_numpy_pass(self, owner, name, error,
                                                     fresh_kernel_cache,
@@ -493,7 +534,7 @@ class TestRowResidualUpdate:
                             lambda out, *how: (compiled.append(out),
                                                   real(out, *how)))
         assert _quadpass.load() is not None and len(compiled) == 1
-        lib, = fresh_kernel_cache.glob("quadpass-*.so")
+        lib, = fresh_kernel_cache.glob("compiled-*.so")
         assert stat.S_IMODE(fresh_kernel_cache.stat().st_mode) == 0o700
         _quadpass.load.cache_clear()
         assert _quadpass.load() is not None and len(compiled) == 1
@@ -506,7 +547,7 @@ class TestRowResidualUpdate:
         # removes older ones and nothing else; a later load neither
         # removes nor rebuilds its own.
         fresh_kernel_cache.mkdir(mode=0o700)
-        stale = [fresh_kernel_cache / f"quadpass-{k:064d}.so"
+        stale = [fresh_kernel_cache / f"compiled-{k:064d}.so"
                  for k in range(_quadpass.KEEP)]
         for age, lib in enumerate(stale):
             lib.write_bytes(b"")
@@ -514,7 +555,7 @@ class TestRowResidualUpdate:
         other = fresh_kernel_cache / "notes.txt"
         other.write_bytes(b"")
         assert _quadpass.load() is not None
-        lib, = set(fresh_kernel_cache.glob("quadpass-*.so")) - set(stale)
+        lib, = set(fresh_kernel_cache.glob("compiled-*.so")) - set(stale)
         kept = [lib, other] + stale[:-1]
         assert sorted(fresh_kernel_cache.iterdir()) == sorted(kept)
         inode = lib.stat().st_ino
@@ -530,7 +571,7 @@ class TestRowResidualUpdate:
                                                    monkeypatch, tmp_path):
         # Two checkouts with different kernel sources sharing one cache,
         # as a parent and a change benchmarked alternately.
-        other = tmp_path / "_quadpass.c"
+        other = tmp_path / "_compiled.c"
         other.write_text(_quadpass.SOURCE.read_text() + "/* changed */\n")
         sources = [_quadpass.SOURCE, other]
         compiled = []
@@ -543,37 +584,76 @@ class TestRowResidualUpdate:
             _quadpass.load.cache_clear()
             assert _quadpass.load() is not None
         assert len(compiled) == 2
-        assert len(list(fresh_kernel_cache.glob("quadpass-*.so"))) == 2
+        assert len(list(fresh_kernel_cache.glob("compiled-*.so"))) == 2
 
     def test_library_names_depend_on_the_interpreter_abi(self):
         # A cache shared by two Pythons keeps one extension for each.
-        names = {_quadpass.lib_name("checked", _quadpass.CHECKED,
-                                    _quadpass.CHECKED_FLAGS, suffix)
+        names = {_quadpass.lib_name(suffix)
                  for suffix in (".cpython-311-x86_64-linux-gnu.so",
                                 ".cpython-312-x86_64-linux-gnu.so")}
         assert len(names) == 2
-        assert all(n.startswith("checked-") and n.endswith(".so")
+        assert all(n.startswith("compiled-") and n.endswith(".so")
                    for n in names)
 
     @needs_kernel
-    def test_missing_python_headers_leave_the_kernels(self, fresh_kernel_cache,
-                                                      monkeypatch, tmp_path):
+    def test_missing_python_headers_leave_nothing_compiled(
+            self, fresh_kernel_cache, monkeypatch, tmp_path):
+        # Without Python.h nothing is built, and the closed-form and
+        # red-black sweeps give the compiled ones' bits.
+        A, b, _ = gaussian_system(12, seed=7)
+        x0 = np.random.default_rng(7).standard_normal(12)
+        V, spec, state = red_black_setup()
+        want = (kernel_rule_outputs(A, b, x0, 0.7, 2.0, 1.2, 3),
+                red_black_bits(V, spec, state))
+        for lib in fresh_kernel_cache.glob("*.so"):
+            lib.unlink()
         paths = dict(sysconfig.get_paths(), include=str(tmp_path / "none"))
         monkeypatch.setattr(sysconfig, "get_paths", lambda: paths)
-        _quadpass.load_checked.cache_clear()
-        try:
-            assert _quadpass.load_checked() is None
-            assert _quadpass.load() is not None
-        finally:
-            _quadpass.load_checked.cache_clear()
-        assert [lib.name.split("-")[0] for lib in
-                fresh_kernel_cache.iterdir()] == ["quadpass"]
+        _quadpass.load.cache_clear()
+        assert _quadpass.load() is None
+        assert (kernel_rule_outputs(A, b, x0, 0.7, 2.0, 1.2, 3),
+                red_black_bits(V, spec, state)) == want
+        assert list(fresh_kernel_cache.iterdir()) == []
 
+    @needs_kernel
+    def test_fresh_cache_compiles_one_module_once(self, tmp_path):
+        # An import, a bsor sweep and a red-black bia sweep in a new
+        # process: one gcc call, through a gcc that logs its calls, and
+        # one module left in the cache.
+        bin_dir, log = tmp_path / "bin", tmp_path / "gcc.log"
+        bin_dir.mkdir()
+        (bin_dir / "gcc").write_text(
+            f'#!/bin/sh\necho "$@" >> {log}\nexec {shutil.which("gcc")} "$@"\n')
+        (bin_dir / "gcc").chmod(0o755)
+        code = """if True:
+            import numpy as np
+            from bregsolve import solvers
+            from bregsolve.bregman import BregmanSpec, PrimalDualState
+            from bregsolve.objectives import (QuadraticObjective,
+                                              StudentTObjective)
+            q = QuadraticObjective(np.eye(4) * 2.0, np.ones(4))
+            spec = BregmanSpec.elastic_net(4, 0.5)
+            solvers.bsor_sweep(q, PrimalDualState.initial(spec, np.ones(4)),
+                               0.5, 1.0)
+            V = StudentTObjective(3, 3, np.linspace(0.0, 1.0, 9))
+            spec = BregmanSpec(V.x_delta, 0.5)
+            solvers.bia_sweep(V, spec, PrimalDualState.initial(
+                spec, V.x_delta), np.ones(9), order="red_black")
+        """
+        src = os.path.dirname(os.path.dirname(solvers.__file__))
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env=dict(os.environ, PYTHONPATH=src,
+                                XDG_CACHE_HOME=str(tmp_path / "cache"),
+                                PATH=f"{bin_dir}{os.pathsep}"
+                                     f"{os.environ['PATH']}"))
+        assert len(log.read_text().splitlines()) == 1
+        assert [lib.name.split("-")[0] for lib in
+                (tmp_path / "cache" / "bregsolve").iterdir()] == ["compiled"]
+
+    @needs_kernel
     def test_warm_import_reads_no_sysconfig_data(self):
         # Cached libraries are named by the extension suffix; the path of
         # the headers is read for a build only.
-        if _quadpass.load_checked() is None:
-            pytest.skip("the compiled checked solve cannot be built here")
         code = ("import sys, bregsolve.solvers as s; "
                 "print(type(s.solve_inclusion).__name__, sorted("
                 "m for m in sys.modules if m.startswith('_sysconfigdata')))")
@@ -1146,26 +1226,12 @@ class TestRedBlackSweep:
                          SolverConfig("sor", order="red_black"))
 
 
-needs_checked = pytest.mark.skipif(
-    solvers.compiled("checked_solve") is None,
-    reason="the compiled checked solve cannot be built here")
-
-
-def compiled_problems(ctx, pieces, p, tau, idx, out):
-    """``solvers._problems`` of a student-t sweep context, built by the
-    extension."""
-    V = ctx.objective
-    return solvers.compiled("checked_solve").problems(
-        ctx.y, ctx._quotient, V.h, V.w, *V.phi, V.x_delta, pieces, p, tau,
-        idx, out)
-
-
 @needs_kernel
-@needs_checked
 class TestCompiledProblems:
-    """The extension builds the problems of the kernel's coordinates: the
-    fields of those :func:`solvers._problems` builds, each problem built
-    when its turn comes, and ``prob.dq`` as ``bench/tracer.py`` uses it."""
+    """The compiled module builds the problems of the coordinates its
+    inclusion sweep solved: the fields of those :func:`solvers._problems`
+    builds, each problem built when its turn comes, and ``prob.dq`` as
+    ``bench/tracer.py`` uses it."""
 
     @pytest.mark.parametrize("order", ["lexicographic", "red_black"])
     def test_tracer_contract_on_the_preset(self, order):
@@ -1191,7 +1257,7 @@ class TestCompiledProblems:
                 prob.dq = dq
         with mock.patch.object(solvers, "solve_inclusion", traced):
             got = bia_sweep(V, spec, state, taus, order=order).state
-        quotient = solvers.compiled("checked_solve").Quotient
+        quotient = _quadpass.load().Quotient
         assert len(seen) == V.n
         assert all(prob.dq is dq and type(dq) is quotient
                    for prob, dq in seen)
@@ -1210,20 +1276,22 @@ class TestCompiledProblems:
         spec = BregmanSpec(x_delta, 0.5, *((0.0, 1.0) if box else ()))
         ctx = V.sweep_context(x_delta)
         p, tau = rng.standard_normal(V.n).tolist(), [0.5] * V.n
-        idx = rng.permutation(V.n).astype(_quadpass.INDEX)
-        out = rng.standard_normal((3, V.n))
-        python = solvers._problems(ctx, spec.pieces, p, tau, idx, out)
-        built = compiled_problems(ctx, spec.pieces, p, tau, idx, out)
+        idx = rng.permutation(V.n)
+        built, stop = compiled_problems(ctx, spec, p, tau, idx)
+        assert ctx.y.tobytes() == x_delta.tobytes()     # swept on a copy
+        python = solvers._problems(ctx, spec.pieces, p, tau, idx[:stop])
         for (i, prob, root), (j, want, guess) in zip(built, python,
                                                      strict=True):
-            assert (i, type(prob), bits(root)) == (j, type(want), bits(guess))
+            assert (i, type(prob), guess) == (j, type(want), None)
             assert prob.sb is want.sb and prob.p is want.p
             assert prob.tau is want.tau
+            # The sweep's Clarke interval, at the roots before i, is
+            # ctx.clarke(i) once the sweep commits them.
             assert bits(prob.x, *prob.clarke) == bits(want.x, *want.clarke)
             assert type(prob.clarke) is tuple
             assert dataclasses.replace(prob).clarke == prob.clarke
             # Built when its turn comes: a commit shows in the next.
-            ctx.commit(i, prob.x + 0.25)
+            ctx.commit(i, root)
             p[i] = 2.0
 
     @staticmethod
@@ -1232,9 +1300,11 @@ class TestCompiledProblems:
         with the compiled ``dq`` of its problem."""
         ctx = V.sweep_context(y)
         idx = np.random.default_rng(seed).permutation(V.n)
-        problems = compiled_problems(
-            ctx, BregmanSpec(V.x_delta, 0.5).pieces, [0.0] * V.n,
-            [1.0] * V.n, idx.astype(_quadpass.INDEX), np.zeros((3, V.n)))
+        # The piece of each pixel spans +-1e300 at its x, so that the sweep
+        # keeps every pixel put and builds the problems of all.
+        problems, stop = compiled_problems(ctx, BregmanSpec(y, 1e300),
+                                           y.tolist(), [1.0] * V.n, idx)
+        assert stop == V.n
         return ctx, ((i, prob.dq) for i, prob, _ in problems)
 
     @settings(max_examples=80, deadline=None)
@@ -1308,16 +1378,21 @@ class TestCompiledProblems:
         V = StudentTObjective(1, 3, np.full(3, 0.5))
         spec = BregmanSpec(V.x_delta, 0.5, 0.0, 1.0)
         ctx = V.sweep_context(np.array([0.5, -0.5, 0.5]))
-        idx = np.arange(3, dtype=_quadpass.INDEX)
-        build = compiled_problems
+        idx = np.arange(3)
+
+        def build(ctx, pieces, p, tau, idx):
+            problems, stop = _quadpass.load().problems(
+                ctx.y, ctx._quotient, V.h, V.w, *V.phi, V.x_delta, idx,
+                pieces, p, tau)
+            return chain(problems, solvers._problems(ctx, pieces, p, tau,
+                                                     idx[stop:]))
         for tau, k in (([1.0, 1.0, 1.0], 1), ([1.0, 1.0, 0.0], 0),
                        ([1.0, 1.0, math.nan], 0)):
             if k == 0:
                 ctx.y[1] = 0.5
             errors = []
             for problems in (build, solvers._problems):
-                got = problems(ctx, spec.pieces, [0.0] * 3, tau, idx,
-                               np.zeros((3, 3)))
+                got = problems(ctx, spec.pieces, [0.0] * 3, tau, idx)
                 next(got)
                 if k:
                     with pytest.raises(inclusion.InclusionError) as err:
@@ -1329,8 +1404,6 @@ class TestCompiledProblems:
                 errors.append(str(err.value))
             assert errors[0] == errors[1]
         with pytest.raises(ValueError, match="fit"):
-            build(ctx, spec.pieces[:2], [0.0] * 3, [1.0] * 3, idx,
-                  np.zeros((3, 3)))
+            build(ctx, spec.pieces[:2], [0.0] * 3, [1.0] * 3, idx)
         with pytest.raises(TypeError):
-            build(ctx, spec.pieces, [0.0] * 3, [1.0] * 3, idx.astype(float),
-                  np.zeros((3, 3)))
+            build(ctx, spec.pieces, [0.0] * 3, [1.0] * 3, idx.astype(float))
