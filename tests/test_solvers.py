@@ -462,7 +462,8 @@ class TestRowResidualUpdate:
     @pytest.mark.parametrize("owner, name, error", [
         (_quadpass, "compile_to", FileNotFoundError("no gcc")),
         (_quadpass, "compile_to", subprocess.CalledProcessError(1, "gcc")),
-        (_quadpass, "ExtensionFileLoader", ImportError("cannot load")),
+        pytest.param(_quadpass, "ExtensionFileLoader",
+                     ImportError("cannot load"), id="loader-ImportError"),
     ])
     def test_failed_kernel_falls_back_to_numpy_pass(self, owner, name, error,
                                                     fresh_kernel_cache,
