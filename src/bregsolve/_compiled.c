@@ -1,8 +1,8 @@
 /* The compiled code of bregsolve, one CPython extension module whose every
  * operation is Python's or NumPy's, in its order, so that its results are
  * bitwise theirs: quad_pass, the closed-form coordinate pass; problems,
- * the student-t inclusion sweep and the problems of the coordinates it
- * solved; solve_inclusion, the checked solve of each coordinate. */
+ * the problem of each coordinate of a student-t sweep with the inclusion
+ * kernel's root; solve_inclusion, the checked solve of each coordinate. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -175,7 +175,7 @@ static int piece(PyObject *sb, Piece *b)
     return 1;
 }
 
-/* The inclusion sweep's solve of one coordinate: inclusion.solve_inclusion
+/* The inclusion kernel's solve of one coordinate: inclusion.solve_inclusion
  * without a guess, each branch of the Python search in its order. */
 
 #define RTOL (4.0 * 2.220446049250313e-16)
@@ -399,7 +399,7 @@ static PyObject *call(PyObject *name, PyObject *const *args, Py_ssize_t n,
     return out;
 }
 
-/* solve_inclusion(prob, mode, guess, delta0): the stationary test
+/* solve_inclusion(prob, mode, guess): the stationary test
  * (inclusion._try_stationary) and the guess check (inclusion._take_guess)
  * run here, and the rest is Python's own: prob.dq for the guess residual,
  * inclusion._squeezed when that misses the tolerance, inclusion._search
@@ -415,7 +415,7 @@ static PyObject *checked_solve(PyObject *self, PyObject *const *args,
     PyObject *mode = nargs > 1 ? args[1] : keep_box;
     PyObject *guess = nargs > 2 ? args[2] : Py_None;
     Piece b;
-    if (kwnames != NULL || nargs < 1 || nargs > 4
+    if (kwnames != NULL || nargs < 1 || nargs > 3
             || !Py_IS_TYPE(prob, Problem) || !PyUnicode_CheckExact(mode))
         goto in_python;
     int forget = PyUnicode_Compare(mode, forget_box) == 0;
@@ -484,22 +484,22 @@ static PyObject *checked_solve(PyObject *self, PyObject *const *args,
                     Py_False);
 
 searching: {
-        PyObject *rest[] = {prob, mode, nargs > 3 ? args[3] : Py_None};
-        return call(search, rest, 3, NULL);
+        PyObject *rest[] = {prob, mode};
+        return call(search, rest, 2, NULL);
     }
 in_python:
     return call(reference, args, nargs, kwnames);
 }
 
-/* solvers._problems for the coordinates the inclusion sweep solved:
- * yields each (i, problem, root) when its turn comes, the problem's dq a
- * Quotient, StudentTObjective._quotient at the live y. */
+/* solvers._problems with the inclusion kernel's roots: yields each (i,
+ * problem, root) when its turn comes, read from the live y; the problem's
+ * dq is a Quotient, StudentTObjective._quotient at the live y. */
 typedef struct {
     PyObject_HEAD
     Py_buffer y, xd, idx;               /* y: the sweep context's, live */
     PyObject *python, *pieces, *p, *tau;    /* python: ctx._quotient */
-    Py_ssize_t h, w, k, stop;
-    double phi[2], (*out)[3];   /* out: each root, lo, hi; then its y */
+    Py_ssize_t h, w, k;
+    double phi[2];
 } Visits;
 
 /* ctx.dq(i): new -> StudentTObjective._quotient(y, i, old, new) */
@@ -577,26 +577,40 @@ static PyObject *problem(PyObject **f)
     return PyObject_Vectorcall((PyObject *)Problem, f, 6, NULL);
 }
 
+/* The k-th coordinate i of idx, solved by the kernel on the live y: its
+ * root (x if it stays put), or None, for the checked solve's search, where
+ * a field is not a float or Python raises.  IndexError for an i outside
+ * the image, checked here since idx and p may change between visits. */
 static PyObject *visit(PyObject *self)
 {
     Visits *v = (Visits *)self;
-    Py_ssize_t k = v->k, i;
-    if (k >= v->stop)
+    Py_ssize_t i, n = v->y.len / sizeof(double);
+    if (v->k >= v->idx.len / (Py_ssize_t)sizeof(long))
         return NULL;
-    i = ((const long *)v->idx.buf)[k];
-    if (i >= PyList_GET_SIZE(v->p) || i >= PyList_GET_SIZE(v->tau))
+    i = ((const long *)v->idx.buf)[v->k++];
+    if (i < 0 || i >= n || i >= PyList_GET_SIZE(v->p)
+            || i >= PyList_GET_SIZE(v->tau))
         return PyErr_Format(PyExc_IndexError, "no coordinate %zd", i);
+    PyObject *pt[2] = {Py_NewRef(PyList_GET_ITEM(v->p, i)),
+                       Py_NewRef(PyList_GET_ITEM(v->tau, i))};
+    Coord c = {.err = 0};
+    double y;
+    stencil(&c.s, v->y.buf, v->h, v->w, v->phi, v->xd.buf, i);
+    int solved = piece(PyTuple_GET_ITEM(v->pieces, i), &c.b)
+        && floats(pt, 2);
+    if (solved) {
+        c.p = PyFloat_AS_DOUBLE(pt[0]), c.tau = PyFloat_AS_DOUBLE(pt[1]);
+        solved = solve(&c, &y) != FAIL && !c.err;
+    }
     Quotient *dq = PyObject_New(Quotient, &quotient_type);
-    PyObject *old = PyFloat_FromDouble(((const double *)v->y.buf)[i]);
-    PyObject *lo = PyFloat_FromDouble(v->out[k][1]), *got = NULL, *prob;
-    PyObject *hi = PyFloat_FromDouble(v->out[k][2]);
+    PyObject *old = PyFloat_FromDouble(c.s.x), *got = NULL, *prob;
+    PyObject *lo = PyFloat_FromDouble(c.s.lo);
+    PyObject *hi = PyFloat_FromDouble(c.s.hi);
     PyObject *at = PyLong_FromSsize_t(i);
-    PyObject *root = PyFloat_FromDouble(v->out[k][0]);
-    PyObject *f[6] = {PyTuple_GET_ITEM(v->pieces, i), old,
-                      Py_NewRef(PyList_GET_ITEM(v->p, i)),
-                      Py_NewRef(PyList_GET_ITEM(v->tau, i)), (PyObject *)dq,
+    PyObject *root = solved ? PyFloat_FromDouble(y) : Py_NewRef(Py_None);
+    PyObject *f[6] = {PyTuple_GET_ITEM(v->pieces, i), old, pt[0], pt[1],
+                      (PyObject *)dq,
                       lo && hi ? PyTuple_Pack(2, lo, hi) : NULL};
-    v->k++;
     if (dq != NULL)
         dq->call = quotient_call, dq->of = (Visits *)Py_NewRef(self),
         dq->old = Py_XNewRef(old), dq->i = i, dq->calls = 0;
@@ -604,7 +618,7 @@ static PyObject *visit(PyObject *self)
         got = PyTuple_Pack(3, at, prob, root), Py_DECREF(prob);
     Py_XDECREF(dq), Py_XDECREF(old), Py_XDECREF(lo), Py_XDECREF(hi);
     Py_XDECREF(f[CLARKE]), Py_XDECREF(at), Py_XDECREF(root);
-    Py_DECREF(f[P]), Py_DECREF(f[TAU]);
+    Py_DECREF(pt[0]), Py_DECREF(pt[1]);
     return got;
 }
 
@@ -612,7 +626,7 @@ static void visits_free(PyObject *self)
 {
     Visits *v = (Visits *)self;
     PyBuffer_Release(&v->y), PyBuffer_Release(&v->xd);
-    PyBuffer_Release(&v->idx), PyMem_Free(v->out);
+    PyBuffer_Release(&v->idx);
     Py_XDECREF(v->python), Py_XDECREF(v->pieces);
     Py_XDECREF(v->p), Py_XDECREF(v->tau);
     PyObject_Free(self);
@@ -627,31 +641,6 @@ static PyTypeObject visits_type = {
     .tp_iter = PyObject_SelfIter,
     .tp_iternext = visit,
 };
-
-/* The inclusion sweep over the m coordinates of idx in turn, from the
- * sweep's pieces, p and tau, each root committed to y: out[k] gets the
- * k-th root (x if it stays put) and Clarke interval.  Returns m, or the
- * first k where Python raises or a field is not a float. */
-static Py_ssize_t sweep(Visits *v, Py_ssize_t m, double *y)
-{
-    Py_ssize_t k;
-    for (k = 0; k < m; k++) {
-        long i = ((const long *)v->idx.buf)[k];
-        PyObject *pt[2] = {PyList_GET_ITEM(v->p, i),
-                           PyList_GET_ITEM(v->tau, i)};
-        Coord c = {.err = 0};
-        double root;
-        if (!piece(PyTuple_GET_ITEM(v->pieces, i), &c.b) || !floats(pt, 2))
-            break;
-        c.p = PyFloat_AS_DOUBLE(pt[0]), c.tau = PyFloat_AS_DOUBLE(pt[1]);
-        stencil(&c.s, y, v->h, v->w, v->phi, v->xd.buf, i);
-        if (solve(&c, &root) == FAIL || c.err)
-            break;
-        v->out[k][0] = y[i] = root, v->out[k][1] = c.s.lo;
-        v->out[k][2] = c.s.hi;
-    }
-    return k;
-}
 
 /* PyArg_Parse converters to C-contiguous views of doubles and of longs;
  * the caller releases the buffer, also when the check fails */
@@ -669,7 +658,7 @@ static int doubles(PyObject *o, void *b) { return view(o, b, "d"); }
 static int longs(PyObject *o, void *b) { return view(o, b, "l"); }
 
 /* problems(y, quotient, h, w, phi_x, phi_y, x_delta, idx, pieces, p, tau):
- * the inclusion sweep over idx on a copy of y, then its problems */
+ * the visits of idx */
 static PyObject *problems(PyObject *self, PyObject *args)
 {
     Visits *v = PyObject_New(Visits, &visits_type);
@@ -687,22 +676,12 @@ static PyObject *problems(PyObject *self, PyObject *args)
     }
     Py_INCREF(v->python), Py_INCREF(v->pieces);
     Py_INCREF(v->p), Py_INCREF(v->tau);
-    Py_ssize_t n = v->y.len / sizeof(double), m = v->idx.len / sizeof(long);
-    const long *idx = v->idx.buf;
-    int fit = v->h > 0 && v->w > 0 && v->h * v->w == n
-        && v->xd.len == v->y.len && PyTuple_GET_SIZE(v->pieces) == n
-        && PyList_GET_SIZE(v->p) == n && PyList_GET_SIZE(v->tau) == n;
-    for (Py_ssize_t k = 0; fit && k < m; k++)
-        fit = idx[k] >= 0 && idx[k] < n;
-    if (fit && (v->out = PyMem_Malloc(m * sizeof *v->out + v->y.len))) {
-        double *y = memcpy(v->out + m, v->y.buf, v->y.len);     /* a copy */
-        v->stop = sweep(v, m, y);
-        return Py_BuildValue("Nn", v, v->stop);
-    }
-    if (fit)
-        PyErr_NoMemory();
-    else
-        PyErr_SetString(PyExc_ValueError, "the arrays do not fit the image");
+    Py_ssize_t n = v->y.len / sizeof(double);
+    if (v->h > 0 && v->w > 0 && v->h * v->w == n && v->xd.len == v->y.len
+            && PyTuple_GET_SIZE(v->pieces) == n && PyList_GET_SIZE(v->p) == n
+            && PyList_GET_SIZE(v->tau) == n)
+        return (PyObject *)v;
+    PyErr_SetString(PyExc_ValueError, "the arrays do not fit the image");
     Py_DECREF(v);
     return NULL;
 }
@@ -769,10 +748,11 @@ static PyMethodDef methods[] = {
      "solvers._quadratic_pass with the rule bsor (0) or blcd (1)."},
     {"problems", problems, METH_VARARGS,
      "problems(y, quotient, h, w, phi_x, phi_y, x_delta, idx, pieces, p, "
-     "tau)\n--\n\nsolvers._problems after the inclusion sweep, and k."},
+     "tau)\n--\n\nsolvers._problems, each with the inclusion kernel's "
+     "root."},
     {"solve_inclusion", (PyCFunction)(void (*)(void))checked_solve,
      METH_FASTCALL | METH_KEYWORDS,
-     "solve_inclusion(prob, mode='keep_box', guess=None, delta0=None)\n--\n\n"
+     "solve_inclusion(prob, mode='keep_box', guess=None)\n--\n\n"
      "inclusion.solve_inclusion with its stationary test and guess check "
      "compiled."},
     {NULL, NULL, 0, NULL},

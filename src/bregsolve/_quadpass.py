@@ -5,7 +5,8 @@ It is built on first use and kept, named by the SHA-256 of its source, its
 flags and the interpreter's extension suffix, in ``$XDG_CACHE_HOME/bregsolve``
 or ``~/.cache/bregsolve`` (mode 0700); a build there keeps the ``KEEP``
 newest modules, one per checkout and interpreter sharing the cache, and
-removes older ones.  Without such a private directory, gcc or ``Python.h``
+removes every older ``*.so``, also those that earlier versions named
+otherwise.  Without such a private directory, gcc or ``Python.h``
 nothing is compiled.  The ``sysconfig`` data, for the interpreter's headers,
 is read only when the module is built.
 """
@@ -73,7 +74,7 @@ def built() -> Path:
             compile_to(f"{tmp}/{lib.name}", SOURCE, (*FLAGS, f"-I{include}"))
             os.replace(f"{tmp}/{lib.name}", lib)
         with suppress(OSError):     # another process may prune too
-            for stale in sorted(lib.parent.glob("compiled-*.so"),
+            for stale in sorted(lib.parent.glob("*.so"),
                                 key=lambda f: -f.stat().st_mtime)[KEEP:]:
                 stale.unlink()
     return lib

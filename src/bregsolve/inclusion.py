@@ -345,8 +345,7 @@ def _snap_to_kink(prob: InclusionProblem, root: float, g: float):
 
 
 def solve_inclusion(prob: InclusionProblem, mode: str = "keep_box",
-                    guess: float | None = None,
-                    delta0: float | None = None) -> InclusionSolution:
+                    guess: float | None = None) -> InclusionSolution:
     """Solve the scalar inclusion; see the module docstring.
 
     ``mode`` is "keep_box" (subgradient may include the box normal cone)
@@ -354,26 +353,23 @@ def solve_inclusion(prob: InclusionProblem, mode: str = "keep_box",
     ``guess``, a root found elsewhere, is taken when no stationary update
     applies, it moves x within the box, and it meets ``RESIDUAL_TOL`` or
     is an ulp squeeze's root (:func:`_squeezed`); else the search runs.
-    ``delta0`` overrides the warm probe distance.
     """
     if mode not in ("keep_box", "forget_box"):
         raise InclusionError(f"unknown mode {mode!r}")
     return _try_stationary(prob, mode) or _take_guess(prob, mode, guess) \
-        or _search(prob, mode, delta0)
+        or _search(prob, mode)
 
 
-def _search(prob: InclusionProblem, mode: str,
-            delta0: float | None) -> InclusionSolution:
+def _search(prob: InclusionProblem, mode: str) -> InclusionSolution:
     """The root search of :func:`solve_inclusion`, run when neither the
     stationary update nor the guess applies."""
     # The search revisits points: side probes, bracket ends, Brent's last
     # iterate and the accepted root.
     prob = replace(prob, dq=lru_cache(maxsize=None)(prob.dq))
     dmin = max(1e-8, 1e-8 * abs(prob.x))
-    if delta0 is None:
-        # The cap keeps a bracket inside the probe to a ratio Brent resolves.
-        v = interval_project(0.0, *prob.clarke)
-        delta0 = min(max(dmin, 0.5 * prob.tau * abs(v)), dmin * 2.0 ** 30)
+    # The cap keeps a bracket inside the probe to a ratio Brent resolves.
+    v = interval_project(0.0, *prob.clarke)
+    delta0 = min(max(dmin, 0.5 * prob.tau * abs(v)), dmin * 2.0 ** 30)
     last_err = None
     for d, y in _candidate_sides(prob, dmin):
         try:

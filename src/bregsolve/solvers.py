@@ -14,7 +14,6 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
@@ -156,9 +155,9 @@ def gauss_seidel_sweep(q: QuadraticObjective, x: np.ndarray) -> np.ndarray:
 def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
               state: PrimalDualState, taus: np.ndarray,
               mode: str = "keep_box", order="lexicographic") -> SweepResult:
-    """One Bregman coordinate sweep solving n scalar inclusions, in index
-    order, in the permutation ``order`` or, with ``order="red_black"``,
-    the red pixels of ``V.colours`` and then the black."""
+    """One Bregman coordinate sweep, one scalar inclusion per index of
+    ``order``: index order, an array of indices, or ``"red_black"``, the
+    red pixels of ``V.colours`` and then the black."""
     taus = np.ascontiguousarray(taus, dtype=float)
     ctx = V.sweep_context(state.x)
     p = state.p.tolist()
@@ -172,22 +171,20 @@ def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
 
 def _visits(V, spec, ctx, taus, p, order):
     """:func:`_problems` of the coordinates of a :func:`bia_sweep`, each
-    with the compiled inclusion sweep's root (x if it stays put), or None:
-    without the module, on a subclass, an order that is no permutation,
-    and from where the compiled sweep stopped."""
+    with the compiled inclusion kernel's root on the live image (x if it
+    stays put), or None where the kernel does not solve it.  Python builds
+    every problem without the module, on a subclass, and for an order
+    with an index outside ``range(n)``."""
     lib = compiled("inclusion_pass", V)
-    built = isinstance(order, str)      # a permutation by construction
-    if built:
+    if isinstance(order, str):
         order = V.red_black if order == "red_black" else np.arange(spec.n)
     idx = np.asarray(order, dtype=np.intp)
-    if {taus.shape, ctx.y.shape, (len(p),), (spec.n,)} != {(V.n,)} \
-            or not (built or np.array_equal(np.sort(idx), np.arange(V.n))):
-        lib = None
-    pieces, tau, stop, head = spec.pieces, taus.tolist(), 0, ()
-    if lib is not None:
-        head, stop = lib.problems(ctx.y, ctx._quotient, V.h, V.w, *V.phi,
-                                  V.x_delta, idx, pieces, p, tau)
-    return chain(head, _problems(ctx, pieces, p, tau, idx[stop:]))
+    pieces, tau = spec.pieces, taus.tolist()
+    if lib is None or {taus.shape, ctx.y.shape, (len(p),), (spec.n,)} \
+            != {(V.n,)} or not np.all((0 <= idx) & (idx < V.n)):
+        return _problems(ctx, pieces, p, tau, idx)
+    return lib.problems(ctx.y, ctx._quotient, V.h, V.w, *V.phi, V.x_delta,
+                        idx, pieces, p, tau)
 
 
 def _problems(ctx, pieces, p, tau, idx):

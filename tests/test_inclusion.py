@@ -285,18 +285,19 @@ class TestRootChoice:
     """Where the residual y -> p - tau*DQ(y) - y changes sign several times
     along the descent ray, pin which root the search returns.  Here x = p
     = 0, tau = 1 and DQ(y) = -h(y) - y, so the residual is h, with h(0) =
-    1 and the warm probe at tau*|DQ(0)|/2 = 0.5."""
+    1 and the warm probe at tau*|v|/2 = 0.5 for the Clarke pair v = -1,
+    DQ(0); at dmin for v = -1e-8."""
 
     @staticmethod
-    def solve(roots, **kwargs):
+    def solve(roots, clarke=(-1.0, -1.0)):
         r1, r2, r3 = roots
         c = 1.0 / (r1 * r2 * r3)
 
         def dq(y):
             return -c * (y - r1) * (y - r2) * (r3 - y) - y
         prob = InclusionProblem(sb=euclidean_piece(), x=0.0, p=0.0, tau=1.0,
-                                dq=dq, clarke=(-1.0, -1.0))
-        sol = solve_inclusion(prob, **kwargs)
+                                dq=dq, clarke=clarke)
+        sol = solve_inclusion(prob)
         check_solution(prob, sol)
         assert not sol.stationary
         return sol.y
@@ -304,9 +305,10 @@ class TestRootChoice:
     def test_pair_inside_the_warm_probe_is_skipped(self):
         # Sign changes at 0.1 and 0.2 cancel between dmin and the probe at
         # 0.5, so the search brackets [1, 2] and returns 1.3.  Doubling
-        # from dmin (delta0 = dmin) crosses 0.1 first and returns it.
+        # from dmin (the probe of v = -1e-8) crosses 0.1 first and returns
+        # it.
         assert self.solve((0.1, 0.2, 1.3)) == pytest.approx(1.3, abs=1e-12)
-        assert self.solve((0.1, 0.2, 1.3), delta0=1e-8) == pytest.approx(
+        assert self.solve((0.1, 0.2, 1.3), (-1e-8, -1e-8)) == pytest.approx(
             0.1, abs=1e-12)
 
     def test_root_inside_dmin_is_found_before_the_warm_probe(self):
@@ -314,8 +316,8 @@ class TestRootChoice:
         # at 5e-9) though the warm probe at 0.5 shows the near-x sign
         # again: the search halves inward from dmin, as without the warm
         # start, rather than going out to the root at 1.3.
-        for kwargs in ({}, {"delta0": 1e-8}):
-            y = self.solve((5e-9, 0.2, 1.3), **kwargs)
+        for clarke in ((-1.0, -1.0), (-1e-8, -1e-8)):
+            y = self.solve((5e-9, 0.2, 1.3), clarke)
             assert y == pytest.approx(5e-9, rel=1e-9)
 
 
@@ -518,7 +520,8 @@ class TestCompiledCheckedSolve:
                       np.float64(TestGuess.R0), np.float64(below)):
             assert outcome(solvers.solve_inclusion, prob, mode, guess) \
                 == outcome(solve_inclusion, prob, mode, guess)
-        for args in ((), (prob, mode, None, 1e-3, 0)):    # bad arities
+        for args in ((), (prob, mode, None, 1e-3),      # bad arities
+                     (prob, mode, None, 1e-3, 0)):
             assert outcome(solvers.solve_inclusion, *args) \
                 == outcome(solve_inclusion, *args)
 
@@ -621,9 +624,13 @@ class TestDeterminism:
             p = float(rng.uniform(lo, hi))
             g = float(rng.uniform(-3, 3))
             a = float(rng.uniform(0.1, 3))
-            prob = make_problem(sb, x, p, float(rng.uniform(0.1, 3)), g, a)
-            s1 = solve_inclusion(prob, delta0=1e-8)
-            s2 = solve_inclusion(prob, delta0=1e-5)
+            tau = float(rng.uniform(0.1, 3))
+            prob = make_problem(sb, x, p, tau, g, a)
+            # Clarke pairs whose warm probes, at tau*|v|/2, sit at dmin and
+            # at 1e-5; x is off the kink, so neither is stationary.
+            s1, s2 = (solve_inclusion(dataclasses.replace(prob, clarke=(v, v)))
+                      for v in (2e-8 / tau, 2e-5 / tau))
+            assert not (s1.stationary or s2.stationary)
             assert s1.y == pytest.approx(s2.y, abs=1e-8)
 
 

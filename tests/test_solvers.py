@@ -9,8 +9,7 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
-from contextlib import contextmanager
-from itertools import chain
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -377,9 +376,8 @@ def red_black_bits(V, spec, state, sweeps=3):
 
 
 def compiled_problems(ctx, spec, p, tau, idx):
-    """The problems of a student-t sweep context that the compiled module
-    builds after its inclusion sweep over ``idx`` from ``p`` and ``tau``,
-    and the number of coordinates that sweep solved."""
+    """The compiled module's ``(i, problem, root)`` of each coordinate of
+    ``idx`` in a student-t sweep context, from ``p`` and ``tau``."""
     V = ctx.objective
     return _quadpass.load().problems(ctx.y, ctx._quotient, V.h, V.w, *V.phi,
                                      V.x_delta, idx, spec.pieces, p, tau)
@@ -447,7 +445,8 @@ class TestRowResidualUpdate:
             assert np.array_equal(y, x) and not bad.any()
         with pytest.raises(ValueError, match="fit"):
             lib.quad_pass(1, q.A, r[:5], y, aux, 1.0, 0.5)
-        # The inclusion sweep's order is read as C longs.
+        # The inclusion sweep's order is read as C longs, and each index
+        # is checked when its turn comes.
         V = StudentTObjective(2, 3, np.zeros(6))
         ctx = V.sweep_context(np.zeros(6))
         spec = BregmanSpec.euclidean(6)
@@ -455,8 +454,8 @@ class TestRowResidualUpdate:
             with pytest.raises(TypeError, match="C-contiguous"):
                 compiled_problems(ctx, spec, [0.0] * 6, [1.0] * 6, idx)
         for idx in (np.array([0, 6]), np.array([-1])):
-            with pytest.raises(ValueError, match="fit"):
-                compiled_problems(ctx, spec, [0.0] * 6, [1.0] * 6, idx)
+            with pytest.raises(IndexError, match="no coordinate"):
+                list(compiled_problems(ctx, spec, [0.0] * 6, [1.0] * 6, idx))
         assert not ctx.y.any()
 
     @pytest.mark.parametrize("owner, name, error", [
@@ -545,11 +544,13 @@ class TestRowResidualUpdate:
     def test_build_prunes_stale_libraries(self, fresh_kernel_cache,
                                           monkeypatch):
         # A build keeps the newest KEEP libraries, its own among them, and
-        # removes older ones and nothing else; a later load neither
+        # removes every older *.so, also those that earlier versions named
+        # quadpass-* and checked-*, and nothing else; a later load neither
         # removes nor rebuilds its own.
         fresh_kernel_cache.mkdir(mode=0o700)
-        stale = [fresh_kernel_cache / f"compiled-{k:064d}.so"
-                 for k in range(_quadpass.KEEP)]
+        stems = ("compiled", "checked", "quadpass")
+        stale = [fresh_kernel_cache / f"{stems[k % 3]}-{k:064d}.so"
+                 for k in range(_quadpass.KEEP + 2)]
         for age, lib in enumerate(stale):
             lib.write_bytes(b"")
             os.utime(lib, (1e9 - age, 1e9 - age))
@@ -557,7 +558,7 @@ class TestRowResidualUpdate:
         other.write_bytes(b"")
         assert _quadpass.load() is not None
         lib, = set(fresh_kernel_cache.glob("compiled-*.so")) - set(stale)
-        kept = [lib, other] + stale[:-1]
+        kept = [lib, other] + stale[:_quadpass.KEEP - 1]
         assert sorted(fresh_kernel_cache.iterdir()) == sorted(kept)
         inode = lib.stat().st_ino
         compiled = []
@@ -1136,7 +1137,8 @@ class TestRedBlackSweep:
            gamma=st.sampled_from([0.0, 0.05, 0.5, 2.0]),
            tau=st.floats(0.1, 10.0), box=st.booleans(),
            mode=st.sampled_from(["keep_box", "forget_box"]),
-           order=st.sampled_from(["lexicographic", "red_black", "permuted"]))
+           order=st.sampled_from(["lexicographic", "red_black", "permuted",
+                                  "repeated"]))
     def test_matches_scalar_sweep_on_small_images(self, h, w, seed, gamma,
                                                   tau, box, mode, order):
         # Impulse noise puts pixels on 0 and 1, the box edges; the start
@@ -1149,6 +1151,8 @@ class TestRedBlackSweep:
         taus = np.full(V.n, tau)
         if order == "permuted":
             order = rng.permutation(V.n)
+        elif order == "repeated":       # repeats and gaps
+            order = rng.integers(0, V.n, V.n)
         compiled = scalar = PrimalDualState.initial(spec, x_delta)
         for _ in range(3):
             compiled, calls = spied_sweep(V, spec, compiled, taus, mode,
@@ -1175,8 +1179,9 @@ class TestRedBlackSweep:
     def test_error_stops_the_kernel_and_the_scalar_search_raises(self):
         # Pixel 1, 1e9 above its neighbour and its data, jumps to the box
         # edge 0, the neighbour's value, where the log1p argument of its
-        # quotient rounds to -1.  The kernel stops there; pixel 0, which
-        # stays put, still gets its root.
+        # quotient rounds to -1.  The kernel gives it no root, so the
+        # scalar search raises there; pixel 0, which stays put, gets its
+        # root, also where its turn comes after pixel 1's.
         V = StudentTObjective(1, 2, np.zeros(2))
         spec = BregmanSpec(np.zeros(2), 0.0, 0.0)
         state = PrimalDualState.initial(spec, np.array([0.0, 1e9]))
@@ -1194,10 +1199,16 @@ class TestRedBlackSweep:
         assert str(got.value) == str(want.value)
         if _quadpass.load() is not None:
             assert [guess for guess, _ in calls] == [0.0, None]
+            visits = solvers._visits(V, spec, V.sweep_context(state.x),
+                                     taus, state.p.tolist(), [1, 0, 1, 0])
+            assert [(i, root) for i, _, root in visits] \
+                == [(1, None), (0, 0.0), (1, None), (0, 0.0)]
 
-    def test_kernel_skips_subclasses_and_orders_that_are_no_permutation(
-            self):
-        # Only there does the kernel see what the scalar sweep sees.
+    def test_kernel_skips_subclasses_and_indices_out_of_range(self):
+        # Only there does the kernel not see what the scalar sweep sees:
+        # Python wraps a negative index and raises its own IndexError past
+        # the end.  Every order in range, repeats and gaps included, gets
+        # the kernel.
         class Sub(StudentTObjective):
             pass
         x_delta = impulse_noise(np.full((3, 3), 0.5), 0.3, seed=1).ravel()
@@ -1205,12 +1216,22 @@ class TestRedBlackSweep:
         state = PrimalDualState.initial(spec, x_delta)
         V = StudentTObjective(3, 3, x_delta)
         for obj, order in ((Sub(3, 3, x_delta), "lexicographic"),
-                           (V, [0, 1, 2, 2, 4]), (V, range(8))):
+                           (V, [0, -1, 4])):
             _, calls = spied_sweep(obj, spec, state, np.ones(9), order=order)
             assert [guess for guess, *_ in calls] == [None] * len(calls)
-        _, calls = spied_sweep(V, spec, state, np.ones(9))
+        assert len(calls) == 3
+        errors = []
+        for kernel in (True, False):
+            with (nullcontext() if kernel else numpy_pass()), \
+                    pytest.raises(IndexError) as err:
+                spied_sweep(V, spec, state, np.ones(9), order=[4, 9])
+            errors.append(str(err.value))
+        assert errors == ["tuple index out of range"] * 2
         kernel = _quadpass.load() is not None
-        assert all((guess is not None) == kernel for guess, *_ in calls)
+        for order in ("lexicographic", "red_black", [0, 1, 2, 2, 4],
+                      range(8), np.random.default_rng(1).integers(0, 9, 20)):
+            _, calls = spied_sweep(V, spec, state, np.ones(9), order=order)
+            assert all((guess is not None) == kernel for guess, *_ in calls)
 
     def test_red_black_needs_a_student_t_inclusion_sweep(self):
         with pytest.raises(SolverError):
@@ -1229,9 +1250,9 @@ class TestRedBlackSweep:
 
 @needs_kernel
 class TestCompiledProblems:
-    """The compiled module builds the problems of the coordinates its
-    inclusion sweep solved: the fields of those :func:`solvers._problems`
-    builds, each problem built when its turn comes, and ``prob.dq`` as
+    """The compiled module builds each coordinate's problem when its turn
+    comes, with the kernel's root: the fields of those
+    :func:`solvers._problems` builds, and ``prob.dq`` as
     ``bench/tracer.py`` uses it."""
 
     @pytest.mark.parametrize("order", ["lexicographic", "red_black"])
@@ -1278,21 +1299,21 @@ class TestCompiledProblems:
         ctx = V.sweep_context(x_delta)
         p, tau = rng.standard_normal(V.n).tolist(), [0.5] * V.n
         idx = rng.permutation(V.n)
-        built, stop = compiled_problems(ctx, spec, p, tau, idx)
-        assert ctx.y.tobytes() == x_delta.tobytes()     # swept on a copy
-        python = solvers._problems(ctx, spec.pieces, p, tau, idx[:stop])
+        built = compiled_problems(ctx, spec, p, tau, idx)
+        python = solvers._problems(ctx, spec.pieces, p, tau, idx)
         for (i, prob, root), (j, want, guess) in zip(built, python,
                                                      strict=True):
             assert (i, type(prob), guess) == (j, type(want), None)
             assert prob.sb is want.sb and prob.p is want.p
             assert prob.tau is want.tau
-            # The sweep's Clarke interval, at the roots before i, is
-            # ctx.clarke(i) once the sweep commits them.
+            # The kernel's Clarke interval, at the roots committed before
+            # i, is ctx.clarke(i).
             assert bits(prob.x, *prob.clarke) == bits(want.x, *want.clarke)
             assert type(prob.clarke) is tuple
             assert dataclasses.replace(prob).clarke == prob.clarke
             # Built when its turn comes: a commit shows in the next.
-            ctx.commit(i, root)
+            if root is not None:
+                ctx.commit(i, root)
             p[i] = 2.0
 
     @staticmethod
@@ -1301,11 +1322,8 @@ class TestCompiledProblems:
         with the compiled ``dq`` of its problem."""
         ctx = V.sweep_context(y)
         idx = np.random.default_rng(seed).permutation(V.n)
-        # The piece of each pixel spans +-1e300 at its x, so that the sweep
-        # keeps every pixel put and builds the problems of all.
-        problems, stop = compiled_problems(ctx, BregmanSpec(y, 1e300),
-                                           y.tolist(), [1.0] * V.n, idx)
-        assert stop == V.n
+        problems = compiled_problems(ctx, BregmanSpec.euclidean(V.n),
+                                     y.tolist(), [1.0] * V.n, idx)
         return ctx, ((i, prob.dq) for i, prob, _ in problems)
 
     @settings(max_examples=80, deadline=None)
@@ -1382,11 +1400,9 @@ class TestCompiledProblems:
         idx = np.arange(3)
 
         def build(ctx, pieces, p, tau, idx):
-            problems, stop = _quadpass.load().problems(
-                ctx.y, ctx._quotient, V.h, V.w, *V.phi, V.x_delta, idx,
-                pieces, p, tau)
-            return chain(problems, solvers._problems(ctx, pieces, p, tau,
-                                                     idx[stop:]))
+            return _quadpass.load().problems(ctx.y, ctx._quotient, V.h, V.w,
+                                             *V.phi, V.x_delta, idx, pieces,
+                                             p, tau)
         for tau, k in (([1.0, 1.0, 1.0], 1), ([1.0, 1.0, 0.0], 0),
                        ([1.0, 1.0, math.nan], 0)):
             if k == 0:
@@ -1408,3 +1424,33 @@ class TestCompiledProblems:
             build(ctx, spec.pieces[:2], [0.0] * 3, [1.0] * 3, idx)
         with pytest.raises(TypeError):
             build(ctx, spec.pieces, [0.0] * 3, [1.0] * 3, idx.astype(float))
+
+    def test_indices_written_after_the_call_are_checked(self):
+        # The order is a writable array, V.red_black itself for a red-black
+        # sweep: an index written there after the call raises IndexError
+        # when its turn comes.  In a new process, so that a crash fails
+        # this test alone.
+        bad = (-100000, -1, 6, 2**40)
+        code = f"""if True:
+            import numpy as np
+            from bregsolve import solvers
+            from bregsolve.bregman import BregmanSpec
+            from bregsolve.objectives import StudentTObjective
+            spec = BregmanSpec.euclidean(6)
+            for i in {bad}:
+                V = StudentTObjective(2, 3, np.zeros(6))
+                visits = solvers._visits(V, spec, V.sweep_context(np.zeros(6)),
+                                         np.ones(6), [0.0] * 6, "red_black")
+                next(visits)
+                V.red_black[1] = i
+                try:
+                    next(visits)
+                except IndexError as err:
+                    print(err)
+        """
+        src = os.path.dirname(os.path.dirname(solvers.__file__))
+        run = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == [f"no coordinate {i}" for i in bad]
