@@ -1,8 +1,9 @@
 /* The compiled code of bregsolve, one CPython extension module whose every
  * operation is Python's or NumPy's, in its order, so that its results are
  * bitwise theirs: quad_pass, the closed-form coordinate pass; problems,
- * the problem of each coordinate of a student-t sweep with the inclusion
- * kernel's root; solve_inclusion, the checked solve of each coordinate. */
+ * the problem of each coordinate of a student-t sweep; solve_inclusion,
+ * the checked solve of each coordinate, which runs the inclusion kernel's
+ * search on such a problem. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -137,7 +138,7 @@ static void quad_pass(int rule, Py_ssize_t n, const double *A, double *r,
 }
 
 static PyObject *inclusion, *keep_box, *forget_box;
-static PyObject *reference, *search, *squeezed, *guess_update;
+static PyObject *reference, *search;
 static PyTypeObject *Problem, *ScalarBregman, *Solution;
 
 /* the slots of InclusionProblem, ScalarBregman and InclusionSolution */
@@ -175,8 +176,8 @@ static int piece(PyObject *sb, Piece *b)
     return 1;
 }
 
-/* The inclusion kernel's solve of one coordinate: inclusion.solve_inclusion
- * without a guess, each branch of the Python search in its order. */
+/* The inclusion kernel's search of one coordinate, each branch of
+ * inclusion._search in its order. */
 
 #define RTOL (4.0 * 2.220446049250313e-16)
 enum { FOUND, NONE, FAIL };     /* FAIL: DivergenceError, ConvergenceError */
@@ -341,16 +342,13 @@ static int on_side(Coord *c, double d, double y_prev, double dmin,
     return FAIL;
 }
 
-/* inclusion.solve_inclusion: the stationary test, then each side in the
- * order of _candidate_sides; x if no side has a root */
+/* inclusion._search up to its fallbacks: each side in the order of
+ * _candidate_sides; NONE if no side has a root */
 static int solve(Coord *c, double *root)
 {
-    double x = c->s.x, j[2], s[2], a[2], d[2], y[2], q[2], side;
+    double x = c->s.x, d[2], y[2], q[2], side;
     int sides = 0, failed = 0;
     c->err |= !(c->tau > 0);
-    *root = x;
-    if (stationary(&c->b, x, c->p, c->tau, c->s.lo, c->s.hi, j, s, a))
-        return FOUND;
     double dmin = pmax(1e-8, 1e-8 * fabs(x));
     double v = project(0.0, c->s.lo, c->s.hi);
     double delta0 = pmin(pmax(dmin, 0.5 * c->tau * fabs(v)), dmin * 0x1p30);
@@ -369,131 +367,12 @@ static int solve(Coord *c, double *root)
             return FOUND;
         failed |= got == FAIL;
     }
-    return *root = x, failed ? FAIL : FOUND;
+    return failed ? FAIL : NONE;
 }
 
-/* InclusionSolution(y, p_new, stationary), its fields set as its __init__
- * sets them */
-static PyObject *solution(PyObject *y, double p_new, PyObject *stationary)
-{
-    PyObject *value = PyFloat_FromDouble(p_new), *sol;
-    if (value == NULL || (sol = Solution->tp_alloc(Solution, 0)) == NULL) {
-        Py_XDECREF(value);
-        return NULL;
-    }
-    SLOT(sol, sol_at[Y]) = Py_NewRef(y);
-    SLOT(sol, sol_at[P_NEW]) = value;
-    SLOT(sol, sol_at[STATIONARY]) = Py_NewRef(stationary);
-    return sol;
-}
-
-/* inclusion.<name>(*args, **kwargs), looked up at each call */
-static PyObject *call(PyObject *name, PyObject *const *args, Py_ssize_t n,
-                      PyObject *kwnames)
-{
-    PyObject *f = PyObject_GetAttr(inclusion, name), *out;
-    if (f == NULL)
-        return NULL;
-    out = PyObject_Vectorcall(f, args, n, kwnames);
-    Py_DECREF(f);
-    return out;
-}
-
-/* solve_inclusion(prob, mode, guess): the stationary test
- * (inclusion._try_stationary) and the guess check (inclusion._take_guess)
- * run here, and the rest is Python's own: prob.dq for the guess residual,
- * inclusion._squeezed when that misses the tolerance, inclusion._search
- * when neither update applies.  Any other input (a keyword, a field that
- * is not a float, a Clarke pair that is not a tuple of floats, a guess
- * that is not None or a float, another mode, a problem or piece of a
- * subclass, tau == 0) goes to inclusion.solve_inclusion whole, so that
- * results and errors stay Python's. */
-static PyObject *checked_solve(PyObject *self, PyObject *const *args,
-                               Py_ssize_t nargs, PyObject *kwnames)
-{
-    PyObject *prob = nargs ? args[0] : NULL, *o[6], *clarke;
-    PyObject *mode = nargs > 1 ? args[1] : keep_box;
-    PyObject *guess = nargs > 2 ? args[2] : Py_None;
-    Piece b;
-    if (kwnames != NULL || nargs < 1 || nargs > 3
-            || !Py_IS_TYPE(prob, Problem) || !PyUnicode_CheckExact(mode))
-        goto in_python;
-    int forget = PyUnicode_Compare(mode, forget_box) == 0;
-    if (!forget && PyUnicode_Compare(mode, keep_box) != 0)
-        goto in_python;
-    for (int k = 0; k < 6; k++)
-        o[k] = SLOT(prob, prob_at[k]);
-    clarke = o[CLARKE];
-    if (!piece(o[SB], &b) || o[DQ] == NULL || !floats(o + X, 3)
-            || clarke == NULL || !PyTuple_CheckExact(clarke)
-            || PyTuple_GET_SIZE(clarke) != 2
-            || !floats(((PyTupleObject *)clarke)->ob_item, 2)
-            || !(guess == Py_None || PyFloat_CheckExact(guess)))
-        goto in_python;
-    double x = PyFloat_AS_DOUBLE(o[X]), p = PyFloat_AS_DOUBLE(o[P]);
-    double tau = PyFloat_AS_DOUBLE(o[TAU]), j[2], s[2], a[2];
-    if (tau == 0.0)                     /* Python raises ZeroDivisionError */
-        goto in_python;
-    if (stationary(&b, x, p, tau, PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(
-            clarke, 0)), PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(clarke, 1)),
-                   j, s, a)) {
-        double t = p - tau * pmin(pmax(0.0, a[0]), a[1]);
-        return solution(o[X], forget ? project(t, j[0], j[1])
-                        : project(t, s[0], s[1]), Py_True);
-    }
-
-    /* _take_guess */
-    if (guess == Py_None)
-        goto searching;
-    double y = PyFloat_AS_DOUBLE(guess);
-    if (y == x || !(b.lower <= y && y <= b.upper))
-        goto searching;
-    PyObject *dq = Py_NewRef(o[DQ]);    /* dq may reassign prob.dq */
-    PyObject *q = PyObject_CallOneArg(dq, guess), *got;
-    Py_DECREF(dq);
-    if (q == NULL)
-        return NULL;
-    if (!PyFloat_CheckExact(q)) {
-        PyObject *rest[] = {prob, mode, guess, q};
-        got = call(guess_update, rest, 4, NULL);
-        Py_DECREF(q);
-        if (got != Py_None)
-            return got;
-        Py_DECREF(got);
-        goto searching;
-    }
-    double t = p - tau * PyFloat_AS_DOUBLE(q);
-    Py_DECREF(q);
-    intervals(&b, y, j, s);
-    double p_new = project(t, s[0], s[1]), g = t - p_new;
-    if (!(-TOL <= g && g <= TOL)) {
-        PyObject *residual = PyFloat_FromDouble(g);
-        if (residual == NULL)
-            return NULL;
-        PyObject *check[] = {prob, guess, residual};
-        got = call(squeezed, check, 3, NULL);
-        Py_DECREF(residual);
-        int take = got == NULL ? -1 : PyObject_IsTrue(got);
-        Py_XDECREF(got);
-        if (take < 0)
-            return NULL;
-        if (!take)
-            goto searching;
-    }
-    return solution(guess, forget ? project(t, j[0], j[1]) : p_new,
-                    Py_False);
-
-searching: {
-        PyObject *rest[] = {prob, mode};
-        return call(search, rest, 2, NULL);
-    }
-in_python:
-    return call(reference, args, nargs, kwnames);
-}
-
-/* solvers._problems with the inclusion kernel's roots: yields each (i,
- * problem, root) when its turn comes, read from the live y; the problem's
- * dq is a Quotient, StudentTObjective._quotient at the live y. */
+/* solvers._problems: yields each (i, problem) when its turn comes, read
+ * from the live y; the problem's dq is a Quotient,
+ * StudentTObjective._quotient at the live y. */
 typedef struct {
     PyObject_HEAD
     Py_buffer y, xd, idx;               /* y: the sweep context's, live */
@@ -559,6 +438,105 @@ static PyTypeObject quotient_type = {
     .tp_members = quotient_members,
 };
 
+/* InclusionSolution(y, p_new, stationary), its fields set as its __init__
+ * sets them */
+static PyObject *solution(PyObject *y, double p_new, PyObject *stationary)
+{
+    PyObject *value = PyFloat_FromDouble(p_new), *sol;
+    if (value == NULL || (sol = Solution->tp_alloc(Solution, 0)) == NULL) {
+        Py_XDECREF(value);
+        return NULL;
+    }
+    SLOT(sol, sol_at[Y]) = Py_NewRef(y);
+    SLOT(sol, sol_at[P_NEW]) = value;
+    SLOT(sol, sol_at[STATIONARY]) = Py_NewRef(stationary);
+    return sol;
+}
+
+/* inclusion.<name>(*args, **kwargs), looked up at each call */
+static PyObject *call(PyObject *name, PyObject *const *args, Py_ssize_t n,
+                      PyObject *kwnames)
+{
+    PyObject *f = PyObject_GetAttr(inclusion, name), *out;
+    if (f == NULL)
+        return NULL;
+    out = PyObject_Vectorcall(f, args, n, kwnames);
+    Py_DECREF(f);
+    return out;
+}
+
+/* whether the stencil that dq reads now, set in c->s, is the problem's:
+ * x, dq's old value and the Clarke pair [vlo, vhi] bitwise its own */
+static int live(Coord *c, const Quotient *dq, double x, double vlo,
+                double vhi)
+{
+    Visits *v = dq->of;
+    stencil(&c->s, v->y.buf, v->h, v->w, v->phi, v->xd.buf, dq->i);
+    double want[4] = {x, PyFloat_AS_DOUBLE(dq->old), vlo, vhi};
+    double got[4] = {c->s.x, c->s.x, c->s.lo, c->s.hi};
+    return memcmp(want, got, sizeof want) == 0;
+}
+
+/* solve_inclusion(prob, mode): the stationary test
+ * (inclusion._try_stationary), then, where prob.dq is a Quotient on the
+ * problem's own stencil, the kernel's search and inclusion._finish.  A
+ * search that fails, meets an error or returns x, and any other dq, go to
+ * inclusion._search.  Any other input (a keyword, a field that is not a
+ * float, a Clarke pair that is not a tuple of floats, another mode, a
+ * problem or piece of a subclass, tau == 0) goes to
+ * inclusion.solve_inclusion whole, so that results and errors stay
+ * Python's. */
+static PyObject *checked_solve(PyObject *self, PyObject *const *args,
+                               Py_ssize_t nargs, PyObject *kwnames)
+{
+    PyObject *prob = nargs ? args[0] : NULL, *o[6], *clarke;
+    PyObject *mode = nargs > 1 ? args[1] : keep_box;
+    Coord c = {.err = 0};
+    if (kwnames != NULL || nargs < 1 || nargs > 2
+            || !Py_IS_TYPE(prob, Problem) || !PyUnicode_CheckExact(mode))
+        goto in_python;
+    int forget = PyUnicode_Compare(mode, forget_box) == 0;
+    if (!forget && PyUnicode_Compare(mode, keep_box) != 0)
+        goto in_python;
+    for (int k = 0; k < 6; k++)
+        o[k] = SLOT(prob, prob_at[k]);
+    clarke = o[CLARKE];
+    if (!piece(o[SB], &c.b) || o[DQ] == NULL || !floats(o + X, 3)
+            || clarke == NULL || !PyTuple_CheckExact(clarke)
+            || PyTuple_GET_SIZE(clarke) != 2
+            || !floats(((PyTupleObject *)clarke)->ob_item, 2))
+        goto in_python;
+    double x = PyFloat_AS_DOUBLE(o[X]), y, j[2], s[2], a[2];
+    double vlo = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(clarke, 0));
+    double vhi = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(clarke, 1));
+    c.p = PyFloat_AS_DOUBLE(o[P]), c.tau = PyFloat_AS_DOUBLE(o[TAU]);
+    if (c.tau == 0.0)                   /* Python raises ZeroDivisionError */
+        goto in_python;
+    if (stationary(&c.b, x, c.p, c.tau, vlo, vhi, j, s, a)) {
+        double t = c.p - c.tau * pmin(pmax(0.0, a[0]), a[1]);
+        return solution(o[X], forget ? project(t, j[0], j[1])
+                        : project(t, s[0], s[1]), Py_True);
+    }
+    if (Py_IS_TYPE(o[DQ], &quotient_type)
+            && live(&c, (Quotient *)o[DQ], x, vlo, vhi)
+            && solve(&c, &y) == FOUND && y != x) {
+        double t = c.p - c.tau * quotient(&c.s, x, y, &c.err);
+        intervals(&c.b, y, j, s);
+        if (!c.err) {
+            PyObject *root = PyFloat_FromDouble(y), *sol = NULL;
+            if (root != NULL)
+                sol = solution(root, forget ? project(t, j[0], j[1])
+                               : project(t, s[0], s[1]), Py_False);
+            Py_XDECREF(root);
+            return sol;
+        }
+    }
+    PyObject *rest[] = {prob, mode};
+    return call(search, rest, 2, NULL);
+in_python:
+    return call(reference, args, nargs, kwnames);
+}
+
 /* InclusionProblem(*f), its slots set as its __init__ sets them where its
  * checks pass; else the class's own, which raises as Python does */
 static PyObject *problem(PyObject **f)
@@ -577,14 +555,14 @@ static PyObject *problem(PyObject **f)
     return PyObject_Vectorcall((PyObject *)Problem, f, 6, NULL);
 }
 
-/* The k-th coordinate i of idx, solved by the kernel on the live y: its
- * root (x if it stays put), or None, for the checked solve's search, where
- * a field is not a float or Python raises.  IndexError for an i outside
- * the image, checked here since idx and p may change between visits. */
+/* The k-th coordinate i of idx and its problem, built from the live y.
+ * IndexError for an i outside the image, checked here since idx and p may
+ * change between visits. */
 static PyObject *visit(PyObject *self)
 {
     Visits *v = (Visits *)self;
     Py_ssize_t i, n = v->y.len / sizeof(double);
+    Stencil s;
     if (v->k >= v->idx.len / (Py_ssize_t)sizeof(long))
         return NULL;
     i = ((const long *)v->idx.buf)[v->k++];
@@ -593,31 +571,21 @@ static PyObject *visit(PyObject *self)
         return PyErr_Format(PyExc_IndexError, "no coordinate %zd", i);
     PyObject *pt[2] = {Py_NewRef(PyList_GET_ITEM(v->p, i)),
                        Py_NewRef(PyList_GET_ITEM(v->tau, i))};
-    Coord c = {.err = 0};
-    double y;
-    stencil(&c.s, v->y.buf, v->h, v->w, v->phi, v->xd.buf, i);
-    int solved = piece(PyTuple_GET_ITEM(v->pieces, i), &c.b)
-        && floats(pt, 2);
-    if (solved) {
-        c.p = PyFloat_AS_DOUBLE(pt[0]), c.tau = PyFloat_AS_DOUBLE(pt[1]);
-        solved = solve(&c, &y) != FAIL && !c.err;
-    }
+    stencil(&s, v->y.buf, v->h, v->w, v->phi, v->xd.buf, i);
     Quotient *dq = PyObject_New(Quotient, &quotient_type);
-    PyObject *old = PyFloat_FromDouble(c.s.x), *got = NULL, *prob;
-    PyObject *lo = PyFloat_FromDouble(c.s.lo);
-    PyObject *hi = PyFloat_FromDouble(c.s.hi);
+    PyObject *old = PyFloat_FromDouble(s.x), *got = NULL, *prob;
+    PyObject *lo = PyFloat_FromDouble(s.lo), *hi = PyFloat_FromDouble(s.hi);
     PyObject *at = PyLong_FromSsize_t(i);
-    PyObject *root = solved ? PyFloat_FromDouble(y) : Py_NewRef(Py_None);
     PyObject *f[6] = {PyTuple_GET_ITEM(v->pieces, i), old, pt[0], pt[1],
                       (PyObject *)dq,
                       lo && hi ? PyTuple_Pack(2, lo, hi) : NULL};
     if (dq != NULL)
         dq->call = quotient_call, dq->of = (Visits *)Py_NewRef(self),
         dq->old = Py_XNewRef(old), dq->i = i, dq->calls = 0;
-    if (dq && old && f[CLARKE] && at && root && (prob = problem(f)) != NULL)
-        got = PyTuple_Pack(3, at, prob, root), Py_DECREF(prob);
+    if (dq && old && f[CLARKE] && at && (prob = problem(f)) != NULL)
+        got = PyTuple_Pack(2, at, prob), Py_DECREF(prob);
     Py_XDECREF(dq), Py_XDECREF(old), Py_XDECREF(lo), Py_XDECREF(hi);
-    Py_XDECREF(f[CLARKE]), Py_XDECREF(at), Py_XDECREF(root);
+    Py_XDECREF(f[CLARKE]), Py_XDECREF(at);
     Py_DECREF(pt[0]), Py_DECREF(pt[1]);
     return got;
 }
@@ -748,13 +716,12 @@ static PyMethodDef methods[] = {
      "solvers._quadratic_pass with the rule bsor (0) or blcd (1)."},
     {"problems", problems, METH_VARARGS,
      "problems(y, quotient, h, w, phi_x, phi_y, x_delta, idx, pieces, p, "
-     "tau)\n--\n\nsolvers._problems, each with the inclusion kernel's "
-     "root."},
+     "tau)\n--\n\nsolvers._problems."},
     {"solve_inclusion", (PyCFunction)(void (*)(void))checked_solve,
      METH_FASTCALL | METH_KEYWORDS,
-     "solve_inclusion(prob, mode='keep_box', guess=None)\n--\n\n"
-     "inclusion.solve_inclusion with its stationary test and guess check "
-     "compiled."},
+     "solve_inclusion(prob, mode='keep_box')\n--\n\n"
+     "inclusion.solve_inclusion, whose search runs compiled on the "
+     "problems of problems()."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -764,13 +731,12 @@ static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_compiled", NULL,
 PyMODINIT_FUNC PyInit__compiled(void)
 {
     if (inclusion == NULL) {
-        PyObject **names[] = {&keep_box, &forget_box, &reference, &search,
-                              &squeezed, &guess_update};
+        PyObject **names[] = {&keep_box, &forget_box, &reference, &search};
         const char *text[] = {"keep_box", "forget_box", "solve_inclusion",
-                              "_search", "_squeezed", "_guess_update"};
+                              "_search"};
         int ok = (inclusion = PyImport_ImportModule("bregsolve.inclusion"))
             != NULL;
-        for (int k = 0; ok && k < 6; k++)
+        for (int k = 0; ok && k < 4; k++)
             ok = (*names[k] = PyUnicode_InternFromString(text[k])) != NULL;
         if (!ok || !(Problem = type_of("InclusionProblem"))
                 || !(ScalarBregman = type_of("ScalarBregman"))

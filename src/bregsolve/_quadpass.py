@@ -82,8 +82,10 @@ def built() -> Path:
 
 @lru_cache(maxsize=None)
 def load():
-    """The extension module ``bregsolve._compiled``, built if need be, with
-    ``quad_pass``, ``problems`` and ``solve_inclusion``; None, for the
+    """The extension module ``bregsolve._compiled``, built if need be:
+    ``quad_pass``, the closed-form pass; ``problems``, the problem of each
+    student-t coordinate; ``solve_inclusion``, the checked solve, which
+    runs the inclusion kernel's search on those problems.  None, for the
     Python and NumPy passes, if no build or load works."""
     try:
         loader = ExtensionFileLoader("bregsolve._compiled", str(built()))

@@ -297,35 +297,6 @@ def _ulp_root(prob: InclusionProblem, lo: float, hi: float, root: float,
     return lo if abs(glo) <= abs(ghi) else hi
 
 
-def _take_guess(prob: InclusionProblem, mode: str, guess: float | None):
-    """The update to ``guess``, if it moves x within the box and meets
-    ``RESIDUAL_TOL`` or is an ulp squeeze's root, else None."""
-    if guess is None or guess == prob.x or not prob.sb.in_box(guess):
-        return None
-    return _guess_update(prob, mode, guess, prob.dq(guess))
-
-
-def _guess_update(prob: InclusionProblem, mode: str, guess: float,
-                  q: float):
-    """:func:`_take_guess` for a ``guess`` in the box with quotient ``q``."""
-    t = prob.p - prob.tau * q
-    p_new = interval_project(t, *prob.sb.subdiff_interval(guess))
-    g = t - p_new
-    if -RESIDUAL_TOL <= g <= RESIDUAL_TOL or _squeezed(prob, guess, g):
-        if mode == "forget_box":
-            p_new = _strip_box(prob.sb, guess, t, mode)
-        return InclusionSolution(guess, p_new, False)
-    return None
-
-
-def _squeezed(prob: InclusionProblem, y: float, g: float) -> bool:
-    """Whether ``y``, whose residual ``g`` misses the tolerance, is the root
-    :func:`_ulp_root` takes between its adjacent floats in the box but x."""
-    lo, hi = (e if e != prob.x and prob.sb.in_box(e) else y for e in (
-        math.nextafter(y, -math.inf), math.nextafter(y, math.inf)))
-    return _ulp_root(prob, lo, hi, y, g) == y
-
-
 def _snap_to_kink(prob: InclusionProblem, root: float, g: float):
     """The subdifferential interval jumps at kinks of j and at the box
     edges; Brent may stop a rounding error away from such a point."""
@@ -344,25 +315,23 @@ def _snap_to_kink(prob: InclusionProblem, root: float, g: float):
     return best_y, best_g
 
 
-def solve_inclusion(prob: InclusionProblem, mode: str = "keep_box",
-                    guess: float | None = None) -> InclusionSolution:
+def solve_inclusion(prob: InclusionProblem,
+                    mode: str = "keep_box") -> InclusionSolution:
     """Solve the scalar inclusion; see the module docstring.
 
     ``mode`` is "keep_box" (subgradient may include the box normal cone)
     or "forget_box" (the normal-cone part is discarded from p_new).
-    ``guess``, a root found elsewhere, is taken when no stationary update
-    applies, it moves x within the box, and it meets ``RESIDUAL_TOL`` or
-    is an ulp squeeze's root (:func:`_squeezed`); else the search runs.
     """
     if mode not in ("keep_box", "forget_box"):
         raise InclusionError(f"unknown mode {mode!r}")
-    return _try_stationary(prob, mode) or _take_guess(prob, mode, guess) \
-        or _search(prob, mode)
+    return _try_stationary(prob, mode) or _search(prob, mode)
 
 
 def _search(prob: InclusionProblem, mode: str) -> InclusionSolution:
-    """The root search of :func:`solve_inclusion`, run when neither the
-    stationary update nor the guess applies."""
+    """The root search of :func:`solve_inclusion`, run when no stationary
+    update applies.  The compiled checked solve runs it for any ``dq`` but
+    the compiled module's quotient, and where its port of the search
+    fails, meets an error or returns x."""
     # The search revisits points: side probes, bracket ends, Brent's last
     # iterate and the accepted root.
     prob = replace(prob, dq=lru_cache(maxsize=None)(prob.dq))

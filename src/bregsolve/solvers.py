@@ -161,8 +161,8 @@ def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
     taus = np.ascontiguousarray(taus, dtype=float)
     ctx = V.sweep_context(state.x)
     p = state.p.tolist()
-    for i, prob, root in _visits(V, spec, ctx, taus, p, order):
-        sol = solve_inclusion(prob, mode, root)
+    for i, prob in _visits(V, spec, ctx, taus, p, order):
+        sol = solve_inclusion(prob, mode)
         p[i] = sol.p_new
         if not sol.stationary:
             ctx.commit(i, sol.y)
@@ -170,18 +170,21 @@ def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
 
 
 def _visits(V, spec, ctx, taus, p, order):
-    """:func:`_problems` of the coordinates of a :func:`bia_sweep`, each
-    with the compiled inclusion kernel's root on the live image (x if it
-    stays put), or None where the kernel does not solve it.  Python builds
-    every problem without the module, on a subclass, and for an order
-    with an index outside ``range(n)``."""
+    """:func:`_problems` of the coordinates of a :func:`bia_sweep`: the
+    compiled module's on a plain student-t objective, whose ``dq`` lets
+    the compiled :data:`solve_inclusion` run the kernel's search; Python's
+    without the module, on a subclass or on arrays of other sizes.
+    IndexError, before any is built, for an index outside ``range(n)``."""
     lib = compiled("inclusion_pass", V)
     if isinstance(order, str):
         order = V.red_black if order == "red_black" else np.arange(spec.n)
     idx = np.asarray(order, dtype=np.intp)
+    outside = idx[(idx < 0) | (idx >= V.n)]
+    if outside.size:
+        raise IndexError(f"no coordinate {outside[0]}")
     pieces, tau = spec.pieces, taus.tolist()
     if lib is None or {taus.shape, ctx.y.shape, (len(p),), (spec.n,)} \
-            != {(V.n,)} or not np.all((0 <= idx) & (idx < V.n)):
+            != {(V.n,)}:
         return _problems(ctx, pieces, p, tau, idx)
     return lib.problems(ctx.y, ctx._quotient, V.h, V.w, *V.phi, V.x_delta,
                         idx, pieces, p, tau)
@@ -189,10 +192,10 @@ def _visits(V, spec, ctx, taus, p, order):
 
 def _problems(ctx, pieces, p, tau, idx):
     """Each coordinate ``i`` of ``idx`` with its problem, built when its
-    turn comes from the live ``ctx.y`` and ``p``, and no guess."""
+    turn comes from the live ``ctx.y`` and ``p``."""
     for i in idx.tolist():
         yield i, InclusionProblem(pieces[i], ctx.y.item(i), p[i], tau[i],
-                                  ctx.dq(i), ctx.clarke(i)), None
+                                  ctx.dq(i), ctx.clarke(i))
 
 
 def ia_sweep(V: CoordinateObjective, state: PrimalDualState,

@@ -13,11 +13,10 @@ from bregsolve import inclusion, solvers
 from bregsolve.bregman import (BregmanError, ScalarBregman,
                                elastic_net_piece, euclidean_piece)
 from bregsolve.cli import build_experiment, build_parser, effective_params
-from bregsolve.inclusion import (RESIDUAL_TOL, ConvergenceError,
-                                 DivergenceError, InclusionError,
-                                 InclusionProblem, brenth, solve_inclusion)
-from bregsolve.objectives import (STATIONARY_REL_TOL, StudentTObjective,
-                                  impulse_noise, is_stationary_move)
+from bregsolve.inclusion import (ConvergenceError, DivergenceError,
+                                 InclusionError, InclusionProblem, brenth,
+                                 solve_inclusion)
+from bregsolve.objectives import STATIONARY_REL_TOL, is_stationary_move
 
 
 def quadratic_dq(g, a, x):
@@ -146,23 +145,6 @@ def stationary_oracle(prob, mode):
     return x, min(max(t, slo), shi)
 
 
-def guess_oracle(prob, mode, guess):
-    """The guess check as written with ``in_box`` and the builtins."""
-    sb = prob.sb
-    if guess == prob.x or not sb.in_box(guess):
-        return None
-    t = prob.p - prob.tau * prob.dq(guess)
-    lo, hi = sb.subdiff_interval(guess)
-    p_new = min(max(t, lo), hi)
-    if abs(t - p_new) <= RESIDUAL_TOL \
-            or inclusion._squeezed(prob, guess, t - p_new):
-        if mode == "forget_box":
-            lo, hi = sb.j_interval(guess)
-            p_new = min(max(t, lo), hi)
-        return guess, p_new
-    return None
-
-
 @st.composite
 def edge_problems(draw):
     """A piece on a box around x, each end possibly infinite, with p, tau,
@@ -189,8 +171,8 @@ def float_bits(values):
 
 
 class TestBuiltinOracles:
-    """The stationary test, the guess check and the stationary-move test
-    write min, max, isinf and abs out as comparisons; each must give the
+    """The stationary test and the stationary-move test write min, max,
+    isinf and abs out as comparisons; each must give the
     builtins' bits, on signed zeros, infinities and NaN as well."""
 
     @settings(max_examples=500, deadline=None)
@@ -201,15 +183,6 @@ class TestBuiltinOracles:
         assert float_bits(None if sol is None else (sol.y, sol.p_new)) \
             == float_bits(stationary_oracle(prob, mode))
         assert sol is None or sol.stationary
-
-    @settings(max_examples=300, deadline=None)
-    @given(prob=edge_problems(), guess=any_float,
-           mode=st.sampled_from(["keep_box", "forget_box"]))
-    def test_guess_check(self, prob, guess, mode):
-        sol = inclusion._take_guess(prob, mode, guess)
-        assert float_bits(None if sol is None else (sol.y, sol.p_new)) \
-            == float_bits(guess_oracle(prob, mode, guess))
-        assert sol is None or not sol.stationary
 
     @settings(max_examples=300)
     @given(any_float, any_float)
@@ -320,105 +293,26 @@ class TestRootChoice:
             y = self.solve((5e-9, 0.2, 1.3), clarke)
             assert y == pytest.approx(5e-9, rel=1e-9)
 
-
-def bits_of(sol):
-    return (float(sol.y).hex(), float(sol.p_new).hex(), sol.stationary)
-
-
-class TestGuess:
-    """A guess is taken when its residual is within the tolerance, and
-    also when it is the root an ulp squeeze returns.  Here x = p = 0, tau
-    = 1 and DQ(y) = -y - h(y), so the residual is h, a step from +a below
-    1.3 to -b from 1.3 on: no float meets the tolerance, and the search
-    squeezes the sign change between 1.3 and the float below it."""
-
-    R0 = 1.3
-
-    def problem(self, a, b, sb):
-        def dq(y):
-            return -y - (a if y < self.R0 else -b)
-        return InclusionProblem(sb=sb, x=0.0, p=0.0, tau=1.0, dq=dq,
-                                clarke=(-1.0, -1.0))
-
-    @staticmethod
-    def solve(prob, mode, guess, monkeypatch):
-        """The solution, and how often the search ran."""
-        searches = []
-        sides = inclusion._candidate_sides
-        monkeypatch.setattr(inclusion, "_candidate_sides",
-                            lambda prob, dmin: searches.append(prob.x)
-                            or sides(prob, dmin))
-        return solve_inclusion(prob, mode, guess), len(searches)
-
     @pytest.mark.parametrize("mode", ["keep_box", "forget_box"])
     @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0)])
-    @pytest.mark.parametrize("upper", [math.inf, R0])
-    def test_squeezed_root_is_taken(self, mode, a, b, upper, monkeypatch):
-        below = math.nextafter(self.R0, -math.inf)
+    @pytest.mark.parametrize("upper", [math.inf, 1.3])
+    def test_ulp_squeezed_root(self, mode, a, b, upper):
+        # DQ(y) = -y - h(y), h a step from +a below 1.3 to -b from 1.3 on:
+        # no float meets the tolerance, and the search squeezes the sign
+        # change between 1.3 and the float below it.  The smaller
+        # residual of the pair wins, the lower float a tie; p_new lies in
+        # the subdifferential there, or in the piece's interval.
+        below = math.nextafter(1.3, -math.inf)
         sb = euclidean_piece(upper=upper)
-        ref, searched = self.solve(self.problem(a, b, sb), mode, None,
-                                   monkeypatch)
-        # The smaller residual of the pair wins, the lower float a tie.
-        assert searched == 1 and ref.y == (self.R0 if b < a else below)
-        assert abs(inclusion._residual(self.problem(a, b, sb), ref.y)) \
-            > RESIDUAL_TOL
-        sol, searched = self.solve(self.problem(a, b, sb), mode, ref.y,
-                                   monkeypatch)
-        assert searched == 0 and bits_of(sol) == bits_of(ref)
-        # The other float of the pair, and floats two ulps from the root,
-        # are searched from scratch and give the same root.
-        other = self.R0 if ref.y == below else below
-        for guess in (other, math.nextafter(below, -math.inf),
-                      math.nextafter(self.R0, math.inf)):
-            if not sb.in_box(guess):
-                continue
-            sol, searched = self.solve(self.problem(a, b, sb), mode, guess,
-                                       monkeypatch)
-            assert searched == 1 and bits_of(sol) == bits_of(ref)
-
-    @pytest.mark.parametrize("mode", ["keep_box", "forget_box"])
-    def test_guess_outside_the_box_is_refused(self, mode, monkeypatch):
-        sb = euclidean_piece(lower=-2.0, upper=2.0)
-        ref, _ = self.solve(self.problem(1.0, 2.0, sb), mode, None,
-                            monkeypatch)
-        for guess in (2.5, -3.0, math.nextafter(2.0, math.inf)):
-            sol, searched = self.solve(self.problem(1.0, 2.0, sb), mode,
-                                       guess, monkeypatch)
-            assert searched == 1 and bits_of(sol) == bits_of(ref)
-
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           gamma=st.sampled_from([0.0, 0.05, 0.5, 2.0]),
-           tau=st.floats(0.1, 10.0), box=st.booleans(),
-           mode=st.sampled_from(["keep_box", "forget_box"]),
-           student_t=st.booleans(), data=st.data())
-    def test_own_root_as_guess_is_bitwise_the_search(
-            self, seed, gamma, tau, box, mode, student_t, data):
-        # A coordinate of a 3 x 3 student-t image, from a random state on
-        # and off the kinks, or a quadratic quotient; shifted elastic-net
-        # pieces, on [0, 1] or unbounded.
-        rng = np.random.default_rng(seed)
-        x_delta = impulse_noise(rng.uniform(0.2, 0.8, (3, 3)), 0.3,
-                                seed=seed).ravel()
-        i = data.draw(st.integers(0, 8))
-        sb = ScalarBregman(gamma, float(x_delta[i]),
-                           *((0.0, 1.0) if box else ()))
-        y = np.where(rng.random(9) < 0.5, x_delta, rng.uniform(0, 1, 9))
-        lo, hi = sb.subdiff_interval(float(y[i]))
-        p = float(np.clip(rng.normal(y[i], 1.0), max(lo, -5), min(hi, 5)))
-
-        def problem():
-            if not student_t:
-                return make_problem(sb, float(y[i]), p, tau,
-                                    float(rng.uniform(-3, 3)), 1.0)
-            ctx = StudentTObjective(3, 3, x_delta).sweep_context(y)
-            return InclusionProblem(sb, float(y[i]), p, tau, ctx.dq(i),
-                                    ctx.clarke(i))
-        state = rng.bit_generator.state
-        ref = solve_inclusion(problem(), mode)
-        rng.bit_generator.state = state
-        sol = solve_inclusion(problem(), mode, ref.y)
-        assert bits_of(sol) == bits_of(ref)
+        prob = InclusionProblem(sb, 0.0, 0.0, 1.0,
+                                lambda y: -y - (a if y < 1.3 else -b),
+                                (-1.0, -1.0))
+        sol = solve_inclusion(prob, mode)
+        assert sol.y == (1.3 if b < a else below) and not sol.stationary
+        assert abs(inclusion._residual(prob, sol.y)) > 1e-10
+        lo, hi = sb.j_interval(sol.y) if mode == "forget_box" \
+            else sb.subdiff_interval(sol.y)
+        assert lo <= sol.p_new <= hi
 
 
 def outcome(solve, *args, **kwargs):
@@ -457,29 +351,9 @@ SWAPS = {
 
 @st.composite
 def solve_calls(draw):
-    """A problem of :func:`edge_problems`, a guess (None, x, its neighbouring
-    floats, the box's ends, a point of the box, any float, or a float64),
-    and a mode; half the time p puts the guess's target at or beside an end
-    of its subdifferential or of the piece's interval, so that the guess is
-    often taken, and some of the time one field is swapped (see
-    ``SWAPS``)."""
+    """A problem of :func:`edge_problems` and a mode; some of the time one
+    field is swapped (see ``SWAPS``)."""
     prob = draw(edge_problems())
-    sb = prob.sb
-    inside = st.nothing()
-    if sb.lower < sb.upper:
-        inside = st.floats(None if math.isinf(sb.lower) else sb.lower,
-                           None if math.isinf(sb.upper) else sb.upper,
-                           allow_nan=False)
-    guess = draw(st.one_of(
-        st.sampled_from([None, prob.x, sb.lower, sb.upper,
-                         math.nextafter(prob.x, math.inf),
-                         math.nextafter(prob.x, -math.inf)]),
-        inside, any_float, any_float.map(np.float64)))
-    if type(guess) is float and sb.in_box(guess) and draw(st.booleans()):
-        ends = sb.subdiff_interval(guess) + sb.j_interval(guess)
-        target = draw(st.sampled_from(ends)) + draw(st.sampled_from([
-            0.0, -1.0, 1.0]))   # off the piece's ends, at a box end too
-        prob.p = target + prob.tau * prob.dq(guess)
     swap = draw(st.sampled_from([None] * 7 + sorted(SWAPS)))
     if swap == "class":
         prob = SWAPS[swap](prob)
@@ -487,7 +361,7 @@ def solve_calls(draw):
         setattr(prob, swap, SWAPS[swap](prob))
     mode = draw(st.sampled_from(["keep_box", "forget_box"] * 3
                                 + ["no_box"]))
-    return prob, mode, guess
+    return prob, mode
 
 
 class TestCompiledCheckedSolve:
@@ -498,53 +372,29 @@ class TestCompiledCheckedSolve:
     @settings(max_examples=1000, deadline=None)
     @given(call=solve_calls(), keywords=st.booleans())
     @example(call=(make_problem(ScalarBregman(math.inf, 1.0), 0.0, 0.0, 1.0,
-                                0.5, 1.0), "keep_box", None), keywords=False)
+                                0.5, 1.0), "keep_box"), keywords=False)
     @example(call=(make_problem(ScalarBregman(math.inf, -1.0), 0.0, 0.0, 1.0,
-                                0.5, 1.0), "forget_box", None), keywords=False)
+                                0.5, 1.0), "forget_box"), keywords=False)
     def test_matches_the_python_solve(self, call, keywords):
         # The examples' piece intervals are -inf or +inf at x on both ends.
-        prob, mode, guess = call
-        args, kwargs = ((prob,), dict(mode=mode, guess=guess)) if keywords \
-            else ((prob, mode, guess), {})
+        prob, mode = call
+        args, kwargs = ((prob,), dict(mode=mode)) if keywords \
+            else ((prob, mode), {})
         assert outcome(solvers.solve_inclusion, *args, **kwargs) \
             == outcome(solve_inclusion, *args, **kwargs)
 
     @needs_checked
-    @pytest.mark.parametrize("mode", ["keep_box", "forget_box"])
-    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0)])
-    def test_matches_on_ulp_squeezed_guesses(self, mode, a, b):
-        prob = TestGuess().problem(a, b, euclidean_piece(upper=TestGuess.R0))
-        below = math.nextafter(TestGuess.R0, -math.inf)
-        for guess in (None, TestGuess.R0, below,
-                      math.nextafter(below, -math.inf), 0.0, 2.0, math.nan,
-                      np.float64(TestGuess.R0), np.float64(below)):
-            assert outcome(solvers.solve_inclusion, prob, mode, guess) \
-                == outcome(solve_inclusion, prob, mode, guess)
-        for args in ((), (prob, mode, None, 1e-3),      # bad arities
-                     (prob, mode, None, 1e-3, 0)):
+    def test_other_arities_raise_pythons_error(self):
+        prob = make_problem(euclidean_piece(), 0.0, 0.0, 1.0, 0.5, 1.0)
+        for args in ((), (prob, "keep_box", None),
+                     (prob, "keep_box", None, 0)):
             assert outcome(solvers.solve_inclusion, *args) \
                 == outcome(solve_inclusion, *args)
 
-    @needs_checked
-    @pytest.mark.parametrize("mode", ["keep_box", "forget_box"])
-    @pytest.mark.parametrize("end, t", [(1.0, 2.0), (-1.0, -2.0),
-                                        (1.0, 1.0), (-1.0, -1.0)])
-    def test_matches_on_guesses_at_the_box_ends(self, mode, end, t):
-        # A guess at a box end is taken for any target beyond its side;
-        # forget_box then projects onto the piece's interval, +-1.5 here.
-        # A target of +-1 is short of it, and the search finds +-0.5.
-        c = 0.25
-        prob = InclusionProblem(ScalarBregman(0.5, 0.0, -1.0, 1.0), 0.0,
-                                t + c, 1.0, lambda y: c, (c, c))
-        want = outcome(solve_inclusion, prob, mode, end)
-        assert want == outcome(solvers.solve_inclusion, prob, mode, end)
-        assert want[1] is False
-
     def test_the_reassigned_dq_is_called(self):
-        # bench/tracer.py swaps each problem's dq before its solve.
+        # bench/tracer.py swaps each problem's dq before its solve; the
+        # search then runs in Python, on the swapped dq.
         dq = quadratic_dq(1.0, 1.0, 1.0)
-        root = solve_inclusion(make_problem(euclidean_piece(), 1.0, 1.0, 1.0,
-                                            1.0, 1.0)).y
 
         def replaced(y):
             raise AssertionError("the replaced dq was called")
@@ -552,8 +402,11 @@ class TestCompiledCheckedSolve:
                                 (1.0, 1.0))
         calls = []
         prob.dq = lambda y: calls.append(y) or dq(y)
-        sol = solvers.solve_inclusion(prob, "keep_box", root)
-        assert calls == [root] and sol.y is root and not sol.stationary
+        sol = solvers.solve_inclusion(prob, "keep_box")
+        want = solve_inclusion(make_problem(euclidean_piece(), 1.0, 1.0, 1.0,
+                                            1.0, 1.0))
+        assert calls and not sol.stationary
+        assert float(sol.y).hex() == float(want.y).hex()
 
 
 class TestBrenth:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from bregsolve import _quadpass, cli, inclusion, solvers
 from bregsolve.bregman import BregmanError, BregmanSpec, PrimalDualState
-from bregsolve.inclusion import RESIDUAL_TOL, solve_inclusion
+from bregsolve.inclusion import solve_inclusion
 from bregsolve.objectives import (L1QuadraticObjective, ObjectiveError,
                                   QuadraticObjective, StudentTObjective,
                                   _QuadraticSweepContext,
@@ -376,11 +376,22 @@ def red_black_bits(V, spec, state, sweeps=3):
 
 
 def compiled_problems(ctx, spec, p, tau, idx):
-    """The compiled module's ``(i, problem, root)`` of each coordinate of
-    ``idx`` in a student-t sweep context, from ``p`` and ``tau``."""
+    """The compiled module's ``(i, problem)`` of each coordinate of ``idx``
+    in a student-t sweep context, from ``p`` and ``tau``."""
     V = ctx.objective
     return _quadpass.load().problems(ctx.y, ctx._quotient, V.h, V.w, *V.phi,
                                      V.x_delta, idx, spec.pieces, p, tau)
+
+
+def outcome(solve, *args):
+    """What ``solve`` gives: y and p_new by type and bits and the flag, or
+    the error's type and message; and the solution, or None."""
+    try:
+        sol = solve(*args)
+    except Exception as err:
+        return (type(err), str(err)), None
+    return ([(type(v), float(v).hex()) for v in (sol.y, sol.p_new)],
+            sol.stationary), sol
 
 
 needs_kernel = pytest.mark.skipif(
@@ -524,6 +535,18 @@ class TestRowResidualUpdate:
         for name, (x, p) in want.items():
             assert got[name][0].tobytes() == x.tobytes(), name
             assert got[name][1].tobytes() == p.tobytes(), name
+
+    def test_package_data_ships_the_c_source(self):
+        # A non-editable install without the source would load no module
+        # and silently run every pass in Python.
+        tomllib = pytest.importorskip("tomllib")
+        package = os.path.dirname(solvers.__file__)
+        with open(os.path.join(os.path.dirname(os.path.dirname(package)),
+                               "pyproject.toml"), "rb") as f:
+            data = tomllib.load(f)["tool"]["setuptools"]["package-data"]
+        files = data["bregsolve"]
+        assert all(os.path.isfile(os.path.join(package, f)) for f in files)
+        assert _quadpass.SOURCE.name in files
 
     @needs_kernel
     def test_second_load_reuses_cached_library(self, fresh_kernel_cache,
@@ -1075,16 +1098,14 @@ def bits(*values):
 
 def spied_sweep(V, spec, state, taus, mode="keep_box",
                 order="lexicographic"):
-    """The state after one :func:`bia_sweep`, and the guess, the problem,
-    the solution of each scalar inclusion in it and whether the residual
-    at the guess, taken before the solve, misses ``RESIDUAL_TOL``."""
-    calls = []
+    """The state after one :func:`bia_sweep`, and the problem and the
+    solution of each scalar inclusion in it, solved by the checked solve
+    that the sweep calls."""
+    calls, solve = [], solvers.solve_inclusion
 
-    def spy(prob, mode, guess):
-        miss = guess is not None \
-            and abs(inclusion._residual(prob, guess)) > RESIDUAL_TOL
-        sol = solve_inclusion(prob, mode, guess)
-        calls.append((guess, prob, sol, miss))
+    def spy(prob, mode):
+        sol = solve(prob, mode)
+        calls.append((prob, sol))
         return sol
     with mock.patch.object(solvers, "solve_inclusion", spy):
         new = bia_sweep(V, spec, state, taus, mode, order).state
@@ -1092,9 +1113,10 @@ def spied_sweep(V, spec, state, taus, mode="keep_box",
 
 
 class TestRedBlackSweep:
-    """The compiled inclusion sweep hands each scalar inclusion its root
-    and Clarke interval; the sweep stays bitwise the scalar one, which the
-    loader patched to None runs, in every order."""
+    """The compiled problems carry the kernel's Clarke intervals, and the
+    compiled checked solve runs the kernel's search on them; the sweep
+    stays bitwise the scalar one, which the loader patched to None runs,
+    in every order."""
 
     @needs_kernel
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -1105,7 +1127,7 @@ class TestRedBlackSweep:
         exp = cli.build_experiment(cli.effective_params(args))
         V, spec, taus = exp.V, exp.spec, np.ones(exp.V.n)
         compiled = scalar = PrimalDualState.initial(spec, exp.x0)
-        searches, searched, missed = [], 0, 0
+        searches, searched = [], 0
         sides = inclusion._candidate_sides
         monkeypatch.setattr(inclusion, "_candidate_sides",
                             lambda prob, dmin: searches.append(prob.x)
@@ -1121,14 +1143,9 @@ class TestRedBlackSweep:
             assert compiled.x.tobytes() == scalar.x.tobytes()
             assert compiled.p.tobytes() == scalar.p.tobytes()
             assert len(calls) == V.n
-            for guess, _, sol, miss in calls:
-                assert sol.stationary or sol.y == guess
-                missed += miss and not sol.stationary
-        # Every pixel goes through the scalar solver, which takes the
-        # kernel's root and searches nothing anew, also where the root
-        # misses the tolerance: an ulp squeeze at a kink (219 of 81,920
-        # pixels for seed 1).
-        assert searched == 0 and 0 < missed <= 20 * 32
+        # Every pixel goes through the checked solve, and the kernel's
+        # search solves every one that moves: Python searches none.
+        assert searched == 0
 
     @needs_kernel
     @settings(max_examples=50, deadline=None)
@@ -1162,13 +1179,13 @@ class TestRedBlackSweep:
                                                order)
             assert compiled.x.tobytes() == scalar.x.tobytes()
             assert compiled.p.tobytes() == scalar.p.tobytes()
-            # The kernel's roots and Clarke intervals are the scalar
+            # The kernel's solutions and Clarke intervals are the scalar
             # search's and ctx.clarke(i)'s, bit for bit.
             assert len(calls) == len(searches) == V.n
-            for (root, prob, *_), (guess, want, sol, _) in zip(calls,
-                                                               searches):
-                assert guess is None
-                assert bits(root, *prob.clarke) == bits(sol.y, *want.clarke)
+            for (prob, sol), (want, ref) in zip(calls, searches):
+                assert sol.stationary == ref.stationary
+                assert bits(sol.y, sol.p_new, *prob.clarke) \
+                    == bits(ref.y, ref.p_new, *want.clarke)
         variant = "ia" if gamma == 0 else \
             "bia_modified" if mode == "forget_box" else "bia"
         # run raises on a dissipation or membership failure.
@@ -1179,59 +1196,59 @@ class TestRedBlackSweep:
     def test_error_stops_the_kernel_and_the_scalar_search_raises(self):
         # Pixel 1, 1e9 above its neighbour and its data, jumps to the box
         # edge 0, the neighbour's value, where the log1p argument of its
-        # quotient rounds to -1.  The kernel gives it no root, so the
-        # scalar search raises there; pixel 0, which stays put, gets its
-        # root, also where its turn comes after pixel 1's.
+        # quotient rounds to -1.  The kernel's search stops there, so the
+        # Python search runs and raises; pixel 0 stays put, also where its
+        # turn comes after pixel 1's.
         V = StudentTObjective(1, 2, np.zeros(2))
         spec = BregmanSpec(np.zeros(2), 0.0, 0.0)
         state = PrimalDualState.initial(spec, np.array([0.0, 1e9]))
         taus = np.full(2, 1e10)
         with numpy_pass(), pytest.raises(ValueError) as want:
             spied_sweep(V, spec, state, taus)
-        calls = []
-
-        def spy(prob, mode, guess):
-            calls.append((guess, prob.clarke))
-            return solve_inclusion(prob, mode, guess)
-        with mock.patch.object(solvers, "solve_inclusion", spy), \
+        searches = []
+        search = inclusion._search
+        with mock.patch.object(inclusion, "_search",
+                               lambda prob, mode: searches.append(prob.x)
+                               or search(prob, mode)), \
                 pytest.raises(ValueError) as got:
-            bia_sweep(V, spec, state, taus)
+            spied_sweep(V, spec, state, taus, order=[0, 1])
         assert str(got.value) == str(want.value)
-        if _quadpass.load() is not None:
-            assert [guess for guess, _ in calls] == [0.0, None]
-            visits = solvers._visits(V, spec, V.sweep_context(state.x),
-                                     taus, state.p.tolist(), [1, 0, 1, 0])
-            assert [(i, root) for i, _, root in visits] \
-                == [(1, None), (0, 0.0), (1, None), (0, 0.0)]
+        assert searches == [1e9]
+        ctx = V.sweep_context(state.x)
+        for i, prob in solvers._visits(V, spec, ctx, taus, state.p.tolist(),
+                                       [1, 0]):
+            if i == 0:
+                assert solvers.solve_inclusion(prob, "keep_box").stationary
 
     def test_kernel_skips_subclasses_and_indices_out_of_range(self):
-        # Only there does the kernel not see what the scalar sweep sees:
-        # Python wraps a negative index and raises its own IndexError past
-        # the end.  Every order in range, repeats and gaps included, gets
-        # the kernel.
+        # A subclass gets Python's problems, whose dq the kernel does not
+        # read; every order in range, repeats and gaps included, gets the
+        # compiled problems.  An index outside range(n) raises the same
+        # IndexError with and without the module, before any solve.
         class Sub(StudentTObjective):
             pass
         x_delta = impulse_noise(np.full((3, 3), 0.5), 0.3, seed=1).ravel()
         spec = BregmanSpec(x_delta, 0.5)
         state = PrimalDualState.initial(spec, x_delta)
         V = StudentTObjective(3, 3, x_delta)
-        for obj, order in ((Sub(3, 3, x_delta), "lexicographic"),
-                           (V, [0, -1, 4])):
-            _, calls = spied_sweep(obj, spec, state, np.ones(9), order=order)
-            assert [guess for guess, *_ in calls] == [None] * len(calls)
-        assert len(calls) == 3
-        errors = []
-        for kernel in (True, False):
-            with (nullcontext() if kernel else numpy_pass()), \
-                    pytest.raises(IndexError) as err:
-                spied_sweep(V, spec, state, np.ones(9), order=[4, 9])
-            errors.append(str(err.value))
-        assert errors == ["tuple index out of range"] * 2
         kernel = _quadpass.load() is not None
+        quotient = kernel and _quadpass.load().Quotient
+        _, calls = spied_sweep(Sub(3, 3, x_delta), spec, state, np.ones(9))
+        assert len(calls) == 9
+        assert not any(type(prob.dq) is quotient for prob, _ in calls)
         for order in ("lexicographic", "red_black", [0, 1, 2, 2, 4],
                       range(8), np.random.default_rng(1).integers(0, 9, 20)):
             _, calls = spied_sweep(V, spec, state, np.ones(9), order=order)
-            assert all((guess is not None) == kernel for guess, *_ in calls)
+            assert all((type(prob.dq) is quotient) == kernel
+                       for prob, _ in calls)
+        for order, i in (([0, -1, 4], -1), ([4, 9], 9), ([-10, 20], -10)):
+            errors = []
+            for loaded in (True, False):
+                with (nullcontext() if loaded else numpy_pass()), \
+                        pytest.raises(IndexError) as err:
+                    spied_sweep(V, spec, state, np.ones(9), order=order)
+                errors.append(str(err.value))
+            assert errors == [f"no coordinate {i}"] * 2
 
     def test_red_black_needs_a_student_t_inclusion_sweep(self):
         with pytest.raises(SolverError):
@@ -1251,9 +1268,9 @@ class TestRedBlackSweep:
 @needs_kernel
 class TestCompiledProblems:
     """The compiled module builds each coordinate's problem when its turn
-    comes, with the kernel's root: the fields of those
-    :func:`solvers._problems` builds, and ``prob.dq`` as
-    ``bench/tracer.py`` uses it."""
+    comes: the fields of those :func:`solvers._problems` builds, and
+    ``prob.dq`` as ``bench/tracer.py`` uses it.  The compiled checked
+    solve runs the kernel's search on them, bitwise Python's."""
 
     @pytest.mark.parametrize("order", ["lexicographic", "red_black"])
     def test_tracer_contract_on_the_preset(self, order):
@@ -1301,9 +1318,8 @@ class TestCompiledProblems:
         idx = rng.permutation(V.n)
         built = compiled_problems(ctx, spec, p, tau, idx)
         python = solvers._problems(ctx, spec.pieces, p, tau, idx)
-        for (i, prob, root), (j, want, guess) in zip(built, python,
-                                                     strict=True):
-            assert (i, type(prob), guess) == (j, type(want), None)
+        for (i, prob), (j, want) in zip(built, python, strict=True):
+            assert (i, type(prob)) == (j, type(want))
             assert prob.sb is want.sb and prob.p is want.p
             assert prob.tau is want.tau
             # The kernel's Clarke interval, at the roots committed before
@@ -1312,9 +1328,69 @@ class TestCompiledProblems:
             assert type(prob.clarke) is tuple
             assert dataclasses.replace(prob).clarke == prob.clarke
             # Built when its turn comes: a commit shows in the next.
-            if root is not None:
-                ctx.commit(i, root)
+            sol = solvers.solve_inclusion(prob, "keep_box")
+            if not sol.stationary:
+                ctx.commit(i, sol.y)
             p[i] = 2.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(h=st.integers(1, 5), w=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1),
+           box=st.sampled_from([(), (0.0, 1.0), (0.0, math.inf)]),
+           gamma=st.sampled_from([0.0, 0.5]),
+           tau=st.sampled_from([0.5, 1.0, 7.0, 1e10]),
+           mode=st.sampled_from(["keep_box", "forget_box"]),
+           outlier=st.booleans())
+    def test_solve_is_the_python_solve(self, h, w, seed, box, gamma, tau,
+                                       mode, outlier):
+        # Each problem of a sweep, solved by the compiled checked solve and
+        # by inclusion.solve_inclusion with ctx.dq(i) as dq.  Pixels on
+        # their data kink and the box edges; without an upper bound one
+        # pixel may sit 1e9 off, whose move to an edge at its neighbour's
+        # value rounds a log1p argument to -1, and Python raises.
+        rng = np.random.default_rng(seed)
+        x_delta = impulse_noise(rng.uniform(0.2, 0.8, (h, w)), 0.3,
+                                seed=seed).ravel()
+        V = StudentTObjective(h, w, x_delta)
+        spec = BregmanSpec(x_delta, gamma, *box)
+        y = np.where(rng.random(V.n) < 0.5, x_delta, rng.uniform(0, 1, V.n))
+        if outlier and spec.upper == math.inf:
+            y[int(rng.integers(V.n))] = 1e9
+        ctx = V.sweep_context(y)
+        p = PrimalDualState.initial(spec, y).p.tolist()
+        for i, prob in compiled_problems(ctx, spec, p, [tau] * V.n,
+                                         rng.permutation(V.n)):
+            want = dataclasses.replace(prob, dq=ctx.dq(i))
+            got, sol = outcome(solvers.solve_inclusion, prob, mode)
+            assert got == outcome(solve_inclusion, want, mode)[0]
+            if sol is not None and not sol.stationary:
+                ctx.commit(i, sol.y)
+                p[i] = sol.p_new
+
+    @pytest.mark.parametrize("mode", ["keep_box", "forget_box"])
+    @pytest.mark.parametrize("field", ["x", "clarke"])
+    def test_replaced_problems_get_the_python_search(self, field, mode,
+                                                     monkeypatch):
+        # A problem whose x or Clarke pair is not its quotient's stencil's
+        # is searched in Python, and its solve is still Python's bitwise.
+        V, spec, state = red_black_setup()
+        ctx = V.sweep_context(state.x)
+        searches, search = [], inclusion._search
+        monkeypatch.setattr(inclusion, "_search", lambda prob, mode:
+                            searches.append(prob) or search(prob, mode))
+        moved = 0
+        for i, prob in compiled_problems(ctx, spec, state.p.tolist(),
+                                         [5.0] * V.n, np.arange(V.n)):
+            x, (lo, hi) = prob.x, prob.clarke
+            other = dataclasses.replace(prob, **(
+                {"x": x + 0.25 if x < 0.5 else x - 0.25} if field == "x"
+                else {"clarke": (lo, math.nextafter(hi, math.inf))}))
+            searches.clear()
+            got, sol = outcome(solvers.solve_inclusion, other, mode)
+            assert searches == ([] if sol.stationary else [other])
+            assert got == outcome(solve_inclusion, other, mode)[0]
+            moved += not sol.stationary
+        assert moved > 0
 
     @staticmethod
     def quotients(V, y, seed):
@@ -1324,7 +1400,7 @@ class TestCompiledProblems:
         idx = np.random.default_rng(seed).permutation(V.n)
         problems = compiled_problems(ctx, BregmanSpec.euclidean(V.n),
                                      y.tolist(), [1.0] * V.n, idx)
-        return ctx, ((i, prob.dq) for i, prob, _ in problems)
+        return ctx, ((i, prob.dq) for i, prob in problems)
 
     @settings(max_examples=80, deadline=None)
     @given(h=st.integers(1, 5), w=st.integers(1, 5),
