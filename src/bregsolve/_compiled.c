@@ -1,9 +1,8 @@
 /* The compiled code of bregsolve, one CPython extension module whose every
  * operation is Python's or NumPy's, in its order, so that its results are
- * bitwise theirs: quad_pass, the closed-form coordinate pass; problems,
- * the problem of each coordinate of a student-t sweep; solve_inclusion,
- * the checked solve of each coordinate, which runs the inclusion kernel's
- * search on such a problem. */
+ * bitwise theirs: quad_pass, the closed-form coordinate pass; sweep, the
+ * student-t Bregman sweep, which solves each coordinate with the inclusion
+ * kernel's search and hands those it cannot solve to Python. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -137,42 +136,28 @@ static void quad_pass(int rule, Py_ssize_t n, const double *A, double *r,
     }
 }
 
-static PyObject *inclusion, *keep_box, *forget_box;
-static PyObject *reference, *search;
-static PyTypeObject *Problem, *ScalarBregman, *Solution;
+static PyTypeObject *ScalarBregman;
 
-/* the slots of InclusionProblem, ScalarBregman and InclusionSolution */
-static const char *const prob_names[] = {"sb", "x", "p", "tau", "dq",
-                                         "clarke"};
+/* the slots of ScalarBregman */
 static const char *const piece_names[] = {"gamma", "shift", "lower",
                                           "upper"};
-static const char *const sol_names[] = {"y", "p_new", "stationary"};
-enum { SB, X, P, TAU, DQ, CLARKE };
-enum { Y, P_NEW, STATIONARY };
-static Py_ssize_t prob_at[6], piece_at[4], sol_at[3];
+static Py_ssize_t piece_at[4];
 #define SLOT(o, at) (*(PyObject **)((char *)(o) + (at)))
 
-/* every item a float, not of a subclass */
-static int floats(PyObject **v, int n)
-{
-    for (int k = 0; k < n; k++)
-        if (v[k] == NULL || !PyFloat_CheckExact(v[k]))
-            return 0;
-    return 1;
-}
-
 /* the fields of sb in b; 0 unless sb is a ScalarBregman, not of a
- * subclass, whose fields are floats */
+ * subclass, whose fields are floats, not of a subclass */
 static int piece(PyObject *sb, Piece *b)
 {
-    PyObject *f[4] = {NULL};
-    if (sb != NULL && Py_IS_TYPE(sb, ScalarBregman))
-        for (int k = 0; k < 4; k++)
-            f[k] = SLOT(sb, piece_at[k]);
-    if (!floats(f, 4))
+    double f[4];
+    if (!Py_IS_TYPE(sb, ScalarBregman))
         return 0;
-    *b = (Piece){PyFloat_AS_DOUBLE(f[0]), PyFloat_AS_DOUBLE(f[1]),
-                 PyFloat_AS_DOUBLE(f[2]), PyFloat_AS_DOUBLE(f[3])};
+    for (int k = 0; k < 4; k++) {
+        PyObject *v = SLOT(sb, piece_at[k]);
+        if (v == NULL || !PyFloat_CheckExact(v))
+            return 0;
+        f[k] = PyFloat_AS_DOUBLE(v);
+    }
+    *b = (Piece){f[0], f[1], f[2], f[3]};
     return 1;
 }
 
@@ -370,251 +355,12 @@ static int solve(Coord *c, double *root)
     return failed ? FAIL : NONE;
 }
 
-/* solvers._problems: yields each (i, problem) when its turn comes, read
- * from the live y; the problem's dq is a Quotient,
- * StudentTObjective._quotient at the live y. */
-typedef struct {
-    PyObject_HEAD
-    Py_buffer y, xd, idx;               /* y: the sweep context's, live */
-    PyObject *python, *pieces, *p, *tau;    /* python: ctx._quotient */
-    Py_ssize_t h, w, k;
-    double phi[2];
-} Visits;
-
-/* ctx.dq(i): new -> StudentTObjective._quotient(y, i, old, new) */
-typedef struct {
-    PyObject_HEAD
-    vectorcallfunc call;
-    Visits *of;
-    PyObject *old;
-    Py_ssize_t i, calls;
-} Quotient;
-
-/* dq(new), counted; Python's ctx._quotient(i, old, new) where the
- * compiled quotient does not apply or Python raises */
-static PyObject *quotient_call(PyObject *self, PyObject *const *args,
-                               size_t nargsf, PyObject *kwnames)
+/* PyArg_Parse converters to C-contiguous views of doubles, of writable
+ * doubles and of longs; the caller releases the buffer, also when the
+ * check fails */
+static int view(PyObject *o, Py_buffer *b, const char *fmt, int flags)
 {
-    Quotient *dq = (Quotient *)self;
-    Visits *v = dq->of;
-    PyObject *at, *got;
-    Stencil s;
-    int err = 0;
-    dq->calls++;
-    if (PyVectorcall_NARGS(nargsf) != 1 || kwnames != NULL)
-        return PyErr_Format(PyExc_TypeError, "dq takes one argument");
-    if (PyFloat_CheckExact(args[0])) {
-        stencil(&s, v->y.buf, v->h, v->w, v->phi, v->xd.buf, dq->i);
-        double q = quotient(&s, PyFloat_AS_DOUBLE(dq->old),
-                            PyFloat_AS_DOUBLE(args[0]), &err);
-        if (!err)
-            return PyFloat_FromDouble(q);
-    }
-    if ((at = PyLong_FromSsize_t(dq->i)) == NULL)
-        return NULL;
-    got = PyObject_Vectorcall(v->python,
-                              (PyObject *[]){at, dq->old, args[0]}, 3, NULL);
-    Py_DECREF(at);
-    return got;
-}
-
-static void quotient_free(PyObject *self)
-{
-    Py_XDECREF(((Quotient *)self)->of), Py_XDECREF(((Quotient *)self)->old);
-    PyObject_Free(self);
-}
-
-static PyMemberDef quotient_members[] = {
-    {"calls", T_PYSSIZET, offsetof(Quotient, calls), READONLY}, {NULL}};
-
-static PyTypeObject quotient_type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "bregsolve._compiled.Quotient",
-    .tp_basicsize = sizeof(Quotient),
-    .tp_dealloc = quotient_free,
-    .tp_vectorcall_offset = offsetof(Quotient, call),
-    .tp_call = PyVectorcall_Call,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_VECTORCALL,
-    .tp_members = quotient_members,
-};
-
-/* InclusionSolution(y, p_new, stationary), its fields set as its __init__
- * sets them */
-static PyObject *solution(PyObject *y, double p_new, PyObject *stationary)
-{
-    PyObject *value = PyFloat_FromDouble(p_new), *sol;
-    if (value == NULL || (sol = Solution->tp_alloc(Solution, 0)) == NULL) {
-        Py_XDECREF(value);
-        return NULL;
-    }
-    SLOT(sol, sol_at[Y]) = Py_NewRef(y);
-    SLOT(sol, sol_at[P_NEW]) = value;
-    SLOT(sol, sol_at[STATIONARY]) = Py_NewRef(stationary);
-    return sol;
-}
-
-/* inclusion.<name>(*args, **kwargs), looked up at each call */
-static PyObject *call(PyObject *name, PyObject *const *args, Py_ssize_t n,
-                      PyObject *kwnames)
-{
-    PyObject *f = PyObject_GetAttr(inclusion, name), *out;
-    if (f == NULL)
-        return NULL;
-    out = PyObject_Vectorcall(f, args, n, kwnames);
-    Py_DECREF(f);
-    return out;
-}
-
-/* whether the stencil that dq reads now, set in c->s, is the problem's:
- * x, dq's old value and the Clarke pair [vlo, vhi] bitwise its own */
-static int live(Coord *c, const Quotient *dq, double x, double vlo,
-                double vhi)
-{
-    Visits *v = dq->of;
-    stencil(&c->s, v->y.buf, v->h, v->w, v->phi, v->xd.buf, dq->i);
-    double want[4] = {x, PyFloat_AS_DOUBLE(dq->old), vlo, vhi};
-    double got[4] = {c->s.x, c->s.x, c->s.lo, c->s.hi};
-    return memcmp(want, got, sizeof want) == 0;
-}
-
-/* solve_inclusion(prob, mode): the stationary test
- * (inclusion._try_stationary), then, where prob.dq is a Quotient on the
- * problem's own stencil, the kernel's search and inclusion._finish.  A
- * search that fails, meets an error or returns x, and any other dq, go to
- * inclusion._search.  Any other input (a keyword, a field that is not a
- * float, a Clarke pair that is not a tuple of floats, another mode, a
- * problem or piece of a subclass, tau == 0) goes to
- * inclusion.solve_inclusion whole, so that results and errors stay
- * Python's. */
-static PyObject *checked_solve(PyObject *self, PyObject *const *args,
-                               Py_ssize_t nargs, PyObject *kwnames)
-{
-    PyObject *prob = nargs ? args[0] : NULL, *o[6], *clarke;
-    PyObject *mode = nargs > 1 ? args[1] : keep_box;
-    Coord c = {.err = 0};
-    if (kwnames != NULL || nargs < 1 || nargs > 2
-            || !Py_IS_TYPE(prob, Problem) || !PyUnicode_CheckExact(mode))
-        goto in_python;
-    int forget = PyUnicode_Compare(mode, forget_box) == 0;
-    if (!forget && PyUnicode_Compare(mode, keep_box) != 0)
-        goto in_python;
-    for (int k = 0; k < 6; k++)
-        o[k] = SLOT(prob, prob_at[k]);
-    clarke = o[CLARKE];
-    if (!piece(o[SB], &c.b) || o[DQ] == NULL || !floats(o + X, 3)
-            || clarke == NULL || !PyTuple_CheckExact(clarke)
-            || PyTuple_GET_SIZE(clarke) != 2
-            || !floats(((PyTupleObject *)clarke)->ob_item, 2))
-        goto in_python;
-    double x = PyFloat_AS_DOUBLE(o[X]), y, j[2], s[2], a[2];
-    double vlo = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(clarke, 0));
-    double vhi = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(clarke, 1));
-    c.p = PyFloat_AS_DOUBLE(o[P]), c.tau = PyFloat_AS_DOUBLE(o[TAU]);
-    if (c.tau == 0.0)                   /* Python raises ZeroDivisionError */
-        goto in_python;
-    if (stationary(&c.b, x, c.p, c.tau, vlo, vhi, j, s, a)) {
-        double t = c.p - c.tau * pmin(pmax(0.0, a[0]), a[1]);
-        return solution(o[X], forget ? project(t, j[0], j[1])
-                        : project(t, s[0], s[1]), Py_True);
-    }
-    if (Py_IS_TYPE(o[DQ], &quotient_type)
-            && live(&c, (Quotient *)o[DQ], x, vlo, vhi)
-            && solve(&c, &y) == FOUND && y != x) {
-        double t = c.p - c.tau * quotient(&c.s, x, y, &c.err);
-        intervals(&c.b, y, j, s);
-        if (!c.err) {
-            PyObject *root = PyFloat_FromDouble(y), *sol = NULL;
-            if (root != NULL)
-                sol = solution(root, forget ? project(t, j[0], j[1])
-                               : project(t, s[0], s[1]), Py_False);
-            Py_XDECREF(root);
-            return sol;
-        }
-    }
-    PyObject *rest[] = {prob, mode};
-    return call(search, rest, 2, NULL);
-in_python:
-    return call(reference, args, nargs, kwnames);
-}
-
-/* InclusionProblem(*f), its slots set as its __init__ sets them where its
- * checks pass; else the class's own, which raises as Python does */
-static PyObject *problem(PyObject **f)
-{
-    PyObject *prob;
-    double x = PyFloat_AS_DOUBLE(f[X]);
-    Piece b;
-    if (piece(f[SB], &b) && floats(f + TAU, 1)
-            && PyFloat_AS_DOUBLE(f[TAU]) > 0 && b.lower <= x
-            && x <= b.upper) {
-        if ((prob = Problem->tp_alloc(Problem, 0)) != NULL)
-            for (int k = 0; k < 6; k++)
-                SLOT(prob, prob_at[k]) = Py_NewRef(f[k]);
-        return prob;
-    }
-    return PyObject_Vectorcall((PyObject *)Problem, f, 6, NULL);
-}
-
-/* The k-th coordinate i of idx and its problem, built from the live y.
- * IndexError for an i outside the image, checked here since idx and p may
- * change between visits. */
-static PyObject *visit(PyObject *self)
-{
-    Visits *v = (Visits *)self;
-    Py_ssize_t i, n = v->y.len / sizeof(double);
-    Stencil s;
-    if (v->k >= v->idx.len / (Py_ssize_t)sizeof(long))
-        return NULL;
-    i = ((const long *)v->idx.buf)[v->k++];
-    if (i < 0 || i >= n || i >= PyList_GET_SIZE(v->p)
-            || i >= PyList_GET_SIZE(v->tau))
-        return PyErr_Format(PyExc_IndexError, "no coordinate %zd", i);
-    PyObject *pt[2] = {Py_NewRef(PyList_GET_ITEM(v->p, i)),
-                       Py_NewRef(PyList_GET_ITEM(v->tau, i))};
-    stencil(&s, v->y.buf, v->h, v->w, v->phi, v->xd.buf, i);
-    Quotient *dq = PyObject_New(Quotient, &quotient_type);
-    PyObject *old = PyFloat_FromDouble(s.x), *got = NULL, *prob;
-    PyObject *lo = PyFloat_FromDouble(s.lo), *hi = PyFloat_FromDouble(s.hi);
-    PyObject *at = PyLong_FromSsize_t(i);
-    PyObject *f[6] = {PyTuple_GET_ITEM(v->pieces, i), old, pt[0], pt[1],
-                      (PyObject *)dq,
-                      lo && hi ? PyTuple_Pack(2, lo, hi) : NULL};
-    if (dq != NULL)
-        dq->call = quotient_call, dq->of = (Visits *)Py_NewRef(self),
-        dq->old = Py_XNewRef(old), dq->i = i, dq->calls = 0;
-    if (dq && old && f[CLARKE] && at && (prob = problem(f)) != NULL)
-        got = PyTuple_Pack(2, at, prob), Py_DECREF(prob);
-    Py_XDECREF(dq), Py_XDECREF(old), Py_XDECREF(lo), Py_XDECREF(hi);
-    Py_XDECREF(f[CLARKE]), Py_XDECREF(at);
-    Py_DECREF(pt[0]), Py_DECREF(pt[1]);
-    return got;
-}
-
-static void visits_free(PyObject *self)
-{
-    Visits *v = (Visits *)self;
-    PyBuffer_Release(&v->y), PyBuffer_Release(&v->xd);
-    PyBuffer_Release(&v->idx);
-    Py_XDECREF(v->python), Py_XDECREF(v->pieces);
-    Py_XDECREF(v->p), Py_XDECREF(v->tau);
-    PyObject_Free(self);
-}
-
-static PyTypeObject visits_type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "bregsolve._compiled.Visits",
-    .tp_basicsize = sizeof(Visits),
-    .tp_dealloc = visits_free,
-    .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_iter = PyObject_SelfIter,
-    .tp_iternext = visit,
-};
-
-/* PyArg_Parse converters to C-contiguous views of doubles and of longs;
- * the caller releases the buffer, also when the check fails */
-static int view(PyObject *o, Py_buffer *b, const char *fmt)
-{
-    if (PyObject_GetBuffer(o, b, PyBUF_STRIDES | PyBUF_FORMAT) < 0)
+    if (PyObject_GetBuffer(o, b, PyBUF_STRIDES | PyBUF_FORMAT | flags) < 0)
         return 0;
     if (strcmp(b->format, fmt) == 0 && PyBuffer_IsContiguous(b, 'C'))
         return 1;
@@ -622,36 +368,88 @@ static int view(PyObject *o, Py_buffer *b, const char *fmt)
                  fmt);
     return 0;
 }
-static int doubles(PyObject *o, void *b) { return view(o, b, "d"); }
-static int longs(PyObject *o, void *b) { return view(o, b, "l"); }
-
-/* problems(y, quotient, h, w, phi_x, phi_y, x_delta, idx, pieces, p, tau):
- * the visits of idx */
-static PyObject *problems(PyObject *self, PyObject *args)
+static int doubles(PyObject *o, void *b) { return view(o, b, "d", 0); }
+static int writable(PyObject *o, void *b)
 {
-    Visits *v = PyObject_New(Visits, &visits_type);
-    if (v == NULL)
-        return NULL;
-    memset(&v->y, 0, sizeof *v - offsetof(Visits, y));
-    if (!PyArg_ParseTuple(args, "O&OnnddO&O&O!O!O!", doubles, &v->y,
-                          &v->python, &v->h, &v->w, v->phi, v->phi + 1,
-                          doubles, &v->xd, longs, &v->idx, &PyTuple_Type,
-                          &v->pieces, &PyList_Type, &v->p, &PyList_Type,
-                          &v->tau)) {
-        v->python = v->pieces = v->p = v->tau = NULL;
-        Py_DECREF(v);
-        return NULL;
+    return view(o, b, "d", PyBUF_WRITABLE);
+}
+static int longs(PyObject *o, void *b) { return view(o, b, "l", 0); }
+
+/* The solution of coordinate i of the h x w image y, written to y[i] and
+ * p[i]: the stationary test (inclusion._try_stationary) and, where it
+ * fails, the kernel's search and inclusion._finish.  0 where Python must
+ * solve it: a piece that is not a ScalarBregman of floats, tau not > 0
+ * (Python raises), x outside the box (Python raises), a search that
+ * fails, meets an error or returns x. */
+static int solved(double *y, double *p, double tau, PyObject *sb,
+                  Py_ssize_t h, Py_ssize_t w, const double phi[2],
+                  const double *xd, Py_ssize_t i, int forget)
+{
+    Coord c = {.p = p[i], .tau = tau, .err = 0};
+    double x = y[i], root, t, j[2], s[2], a[2];
+    if (!piece(sb, &c.b) || !(tau > 0) || !(c.b.lower <= x && x <= c.b.upper))
+        return 0;
+    stencil(&c.s, y, h, w, phi, xd, i);
+    if (stationary(&c.b, x, c.p, tau, c.s.lo, c.s.hi, j, s, a)) {
+        t = c.p - tau * pmin(pmax(0.0, a[0]), a[1]);
+        root = x;
+    } else {
+        if (solve(&c, &root) != FOUND || root == x)
+            return 0;
+        t = c.p - tau * quotient(&c.s, x, root, &c.err);
+        intervals(&c.b, root, j, s);
+        if (c.err)
+            return 0;
     }
-    Py_INCREF(v->python), Py_INCREF(v->pieces);
-    Py_INCREF(v->p), Py_INCREF(v->tau);
-    Py_ssize_t n = v->y.len / sizeof(double);
-    if (v->h > 0 && v->w > 0 && v->h * v->w == n && v->xd.len == v->y.len
-            && PyTuple_GET_SIZE(v->pieces) == n && PyList_GET_SIZE(v->p) == n
-            && PyList_GET_SIZE(v->tau) == n)
-        return (PyObject *)v;
-    PyErr_SetString(PyExc_ValueError, "the arrays do not fit the image");
-    Py_DECREF(v);
-    return NULL;
+    y[i] = root;
+    p[i] = forget ? project(t, j[0], j[1]) : project(t, s[0], s[1]);
+    return 1;
+}
+
+/* sweep(y, h, w, phi_x, phi_y, x_delta, idx, pieces, p, tau, forget,
+ * fallback): the loop of solvers.bia_sweep on the live y and p, each
+ * coordinate of idx solved and written in place in its turn, or by
+ * fallback(i) where Python must solve it.  IndexError for an i outside
+ * the image, checked in its turn, since fallback may write idx. */
+static PyObject *sweep(PyObject *self, PyObject *args)
+{
+    Py_buffer y = {0}, xd = {0}, idx = {0}, p = {0}, tau = {0};
+    PyObject *pieces, *fallback, *at, *got = NULL;
+    Py_ssize_t h, w, n, i;
+    double phi[2];
+    int forget;
+    if (!PyArg_ParseTuple(args, "O&nnddO&O&O!O&O&pO", writable, &y, &h, &w,
+                          phi, phi + 1, doubles, &xd, longs, &idx,
+                          &PyTuple_Type, &pieces, writable, &p, doubles,
+                          &tau, &forget, &fallback))
+        goto done;
+    n = y.len / sizeof(double);
+    if (!(h > 0 && w > 0 && h * w == n && xd.len == y.len && p.len == y.len
+            && tau.len == y.len && PyTuple_GET_SIZE(pieces) == n)) {
+        PyErr_SetString(PyExc_ValueError, "the arrays do not fit the image");
+        goto done;
+    }
+    for (Py_ssize_t k = 0; k < idx.len / (Py_ssize_t)sizeof(long); k++) {
+        if ((i = ((const long *)idx.buf)[k]) < 0 || i >= n) {
+            PyErr_Format(PyExc_IndexError, "no coordinate %zd", i);
+            goto done;
+        }
+        if (solved(y.buf, p.buf, ((const double *)tau.buf)[i],
+                   PyTuple_GET_ITEM(pieces, i), h, w, phi, xd.buf, i, forget))
+            continue;
+        if ((at = PyLong_FromSsize_t(i)) == NULL)
+            goto done;
+        PyObject *out = PyObject_CallOneArg(fallback, at);
+        Py_DECREF(at);
+        if (out == NULL)
+            goto done;
+        Py_DECREF(out);
+    }
+    got = Py_NewRef(Py_None);
+done:
+    PyBuffer_Release(&y), PyBuffer_Release(&xd), PyBuffer_Release(&idx);
+    PyBuffer_Release(&p), PyBuffer_Release(&tau);
+    return got;
 }
 
 /* quad_pass(rule, A, r, y, aux, *c): the closed-form pass; TypeError
@@ -700,28 +498,14 @@ static int offsets(PyTypeObject *type, const char *const *names, int n,
     return 0;
 }
 
-static PyTypeObject *type_of(const char *name)
-{
-    PyObject *t = PyObject_GetAttrString(inclusion, name);
-    if (t != NULL && !PyType_Check(t)) {
-        PyErr_Format(PyExc_ImportError, "inclusion.%s is not a class", name);
-        Py_CLEAR(t);
-    }
-    return (PyTypeObject *)t;
-}
-
 static PyMethodDef methods[] = {
     {"quad_pass", quad_pass_call, METH_VARARGS,
      "quad_pass(rule, A, r, y, aux, *c)\n--\n\n"
      "solvers._quadratic_pass with the rule bsor (0) or blcd (1)."},
-    {"problems", problems, METH_VARARGS,
-     "problems(y, quotient, h, w, phi_x, phi_y, x_delta, idx, pieces, p, "
-     "tau)\n--\n\nsolvers._problems."},
-    {"solve_inclusion", (PyCFunction)(void (*)(void))checked_solve,
-     METH_FASTCALL | METH_KEYWORDS,
-     "solve_inclusion(prob, mode='keep_box')\n--\n\n"
-     "inclusion.solve_inclusion, whose search runs compiled on the "
-     "problems of problems()."},
+    {"sweep", sweep, METH_VARARGS,
+     "sweep(y, h, w, phi_x, phi_y, x_delta, idx, pieces, p, tau, forget, "
+     "fallback)\n--\n\nThe loop of solvers.bia_sweep on a student-t "
+     "image."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -730,28 +514,18 @@ static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_compiled", NULL,
 
 PyMODINIT_FUNC PyInit__compiled(void)
 {
-    if (inclusion == NULL) {
-        PyObject **names[] = {&keep_box, &forget_box, &reference, &search};
-        const char *text[] = {"keep_box", "forget_box", "solve_inclusion",
-                              "_search"};
-        int ok = (inclusion = PyImport_ImportModule("bregsolve.inclusion"))
-            != NULL;
-        for (int k = 0; ok && k < 4; k++)
-            ok = (*names[k] = PyUnicode_InternFromString(text[k])) != NULL;
-        if (!ok || !(Problem = type_of("InclusionProblem"))
-                || !(ScalarBregman = type_of("ScalarBregman"))
-                || !(Solution = type_of("InclusionSolution"))
-                || offsets(Problem, prob_names, 6, prob_at)
-                || offsets(ScalarBregman, piece_names, 4, piece_at)
-                || offsets(Solution, sol_names, 3, sol_at)
-                || PyType_Ready(&quotient_type)
-                || PyType_Ready(&visits_type)) {
-            Py_CLEAR(inclusion);
+    if (ScalarBregman == NULL) {
+        PyObject *bregman = PyImport_ImportModule("bregsolve.bregman"), *t;
+        t = bregman ? PyObject_GetAttrString(bregman, "ScalarBregman") : NULL;
+        Py_XDECREF(bregman);
+        if (t != NULL && !PyType_Check(t))
+            PyErr_SetString(PyExc_ImportError, "no class ScalarBregman");
+        if (t == NULL || !PyType_Check(t)
+                || offsets((PyTypeObject *)t, piece_names, 4, piece_at)) {
+            Py_XDECREF(t);
             return NULL;
         }
+        ScalarBregman = (PyTypeObject *)t;
     }
-    PyObject *m = PyModule_Create(&module);
-    if (m != NULL && PyModule_AddType(m, &quotient_type) < 0)
-        Py_CLEAR(m);
-    return m;
+    return PyModule_Create(&module);
 }

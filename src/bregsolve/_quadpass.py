@@ -82,11 +82,10 @@ def built() -> Path:
 
 @lru_cache(maxsize=None)
 def load():
-    """The extension module ``bregsolve._compiled``, built if need be:
-    ``quad_pass``, the closed-form pass; ``problems``, the problem of each
-    student-t coordinate; ``solve_inclusion``, the checked solve, which
-    runs the inclusion kernel's search on those problems.  None, for the
-    Python and NumPy passes, if no build or load works."""
+    """The extension module ``bregsolve._compiled``, built at the first
+    sweep that asks for it: ``quad_pass``, the closed-form pass; ``sweep``,
+    the student-t Bregman sweep.  None, for the Python and NumPy passes,
+    if no build or load works."""
     try:
         loader = ExtensionFileLoader("bregsolve._compiled", str(built()))
         module = module_from_spec(spec_from_loader(loader.name, loader))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _quadpass
+from . import __version__
 from .bregman import BregmanError, BregmanSpec
 from .inclusion import InclusionError
 from .io_utils import IOError_, read_pgm, write_pgm, write_trace
@@ -274,10 +274,8 @@ def run_experiment(params: dict, out_dir: Path) -> dict:
                      for v in closed)
         manifest["quadratic_pass"] = "compiled" if kernel else "numpy"
     if ran - closed:
-        libs = {"inclusion_pass": compiled("inclusion_pass", exp.V),
-                "checked_solve": _quadpass.load()}
-        for layer, lib in libs.items():
-            manifest[layer] = "python" if lib is None else "compiled"
+        manifest["inclusion_pass"] = "python" \
+            if compiled("inclusion_pass", exp.V) is None else "compiled"
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True)
                              + "\n")

@@ -329,9 +329,7 @@ def solve_inclusion(prob: InclusionProblem,
 
 def _search(prob: InclusionProblem, mode: str) -> InclusionSolution:
     """The root search of :func:`solve_inclusion`, run when no stationary
-    update applies.  The compiled checked solve runs it for any ``dq`` but
-    the compiled module's quotient, and where its port of the search
-    fails, meets an error or returns x."""
+    update applies."""
     # The search revisits points: side probes, bracket ends, Brent's last
     # iterate and the accepted root.
     prob = replace(prob, dq=lru_cache(maxsize=None)(prob.dq))

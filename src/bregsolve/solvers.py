@@ -95,17 +95,18 @@ class SweepResult:
 def compiled(layer: str, V=None, variant: str | None = None):
     """The compiled module if it loaded and runs ``layer``: the
     "quadratic_pass" of a ``variant`` in ``KERNEL_VARIANTS``, the
-    "inclusion_pass" on a ``StudentTObjective`` ``V``, not a subclass;
-    else None, where Python (NumPy) runs it.  Callers add their checks."""
+    "inclusion_pass" on a ``StudentTObjective`` ``V``, not a subclass,
+    while :data:`solve_inclusion` is not wrapped; else None, where Python
+    (NumPy) runs it.  Callers add their checks."""
     plain = variant in KERNEL_VARIANTS if layer == "quadratic_pass" \
-        else type(V) is StudentTObjective
+        else type(V) is StudentTObjective \
+        and solve_inclusion is inclusion.solve_inclusion
     return _quadpass.load() if plain else None
 
 
-#: The checked solve of each coordinate of a Bregman sweep, compiled if the
-#: module loaded; a module global, so that it can be wrapped.
-solve_inclusion = getattr(_quadpass.load(), "solve_inclusion",
-                          inclusion.solve_inclusion)
+#: The solve of each coordinate of a Python Bregman sweep; a module global,
+#: so that it can be wrapped, which makes :func:`bia_sweep` run in Python.
+solve_inclusion = inclusion.solve_inclusion
 
 
 # ---------------------------------------------------------------------------
@@ -157,45 +158,42 @@ def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
               mode: str = "keep_box", order="lexicographic") -> SweepResult:
     """One Bregman coordinate sweep, one scalar inclusion per index of
     ``order``: index order, an array of indices, or ``"red_black"``, the
-    red pixels of ``V.colours`` and then the black."""
+    red pixels of ``V.colours`` and then the black.  IndexError, before
+    any is solved, for an index outside ``range(n)``.
+
+    On a plain student-t objective the compiled module, if it loaded,
+    runs the whole sweep, bitwise alike, and hands each coordinate it
+    cannot solve to Python's solve.  Python's loop runs the sweep
+    otherwise, and wherever :data:`solve_inclusion` is wrapped, so that
+    the wrapper sees every coordinate."""
     taus = np.ascontiguousarray(taus, dtype=float)
     ctx = V.sweep_context(state.x)
-    p = state.p.tolist()
-    for i, prob in _visits(V, spec, ctx, taus, p, order):
-        sol = solve_inclusion(prob, mode)
-        p[i] = sol.p_new
-        if not sol.stationary:
-            ctx.commit(i, sol.y)
-    return SweepResult(PrimalDualState(ctx.y, p, state.k + 1))
-
-
-def _visits(V, spec, ctx, taus, p, order):
-    """:func:`_problems` of the coordinates of a :func:`bia_sweep`: the
-    compiled module's on a plain student-t objective, whose ``dq`` lets
-    the compiled :data:`solve_inclusion` run the kernel's search; Python's
-    without the module, on a subclass or on arrays of other sizes.
-    IndexError, before any is built, for an index outside ``range(n)``."""
-    lib = compiled("inclusion_pass", V)
     if isinstance(order, str):
         order = V.red_black if order == "red_black" else np.arange(spec.n)
     idx = np.asarray(order, dtype=np.intp)
     outside = idx[(idx < 0) | (idx >= V.n)]
     if outside.size:
         raise IndexError(f"no coordinate {outside[0]}")
-    pieces, tau = spec.pieces, taus.tolist()
-    if lib is None or {taus.shape, ctx.y.shape, (len(p),), (spec.n,)} \
-            != {(V.n,)}:
-        return _problems(ctx, pieces, p, tau, idx)
-    return lib.problems(ctx.y, ctx._quotient, V.h, V.w, *V.phi, V.x_delta,
-                        idx, pieces, p, tau)
+    p = state.p.copy()
 
-
-def _problems(ctx, pieces, p, tau, idx):
-    """Each coordinate ``i`` of ``idx`` with its problem, built when its
-    turn comes from the live ``ctx.y`` and ``p``."""
-    for i in idx.tolist():
-        yield i, InclusionProblem(pieces[i], ctx.y.item(i), p[i], tau[i],
-                                  ctx.dq(i), ctx.clarke(i))
+    def solve(i):
+        """Coordinate ``i`` solved in Python, from the live image."""
+        sol = solve_inclusion(InclusionProblem(
+            spec.pieces[i], ctx.y.item(i), p.item(i), taus.item(i),
+            ctx.dq(i), ctx.clarke(i)), mode)
+        p[i] = sol.p_new
+        if not sol.stationary:
+            ctx.commit(i, sol.y)
+    fit = {taus.shape, ctx.y.shape, p.shape, (spec.n,)} == {(V.n,)}
+    lib = compiled("inclusion_pass", V) \
+        if fit and mode in ("keep_box", "forget_box") else None
+    if lib is not None:
+        lib.sweep(ctx.y, V.h, V.w, *V.phi, V.x_delta, idx, spec.pieces, p,
+                  taus, mode == "forget_box", solve)
+    else:
+        for i in idx.tolist():
+            solve(i)
+    return SweepResult(PrimalDualState(ctx.y, p, state.k + 1))
 
 
 def ia_sweep(V: CoordinateObjective, state: PrimalDualState,

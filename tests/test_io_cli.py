@@ -405,7 +405,6 @@ class TestManifestReport:
         src = tmp_path / "in.pgm"
         write_pgm(src, make_test_image(6, 6))
         kernel = _quadpass.load() is not None
-        checked = "compiled" if _quadpass.load() else "python"
         runs = [("student_t_denoise", ["--image", str(src)], None,
                  "compiled" if kernel else "python"),
                 ("gaussian_noisy_l1", ["--n", "12"], "numpy", "python"),
@@ -417,10 +416,9 @@ class TestManifestReport:
                          str(out)] + args) == 0
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest.get("quadratic_pass") == quadratic
-            # ia on the l1-quadratic runs the Python inclusion sweep, and
-            # the compiled checked solve, if it loaded, as every ia does.
+            # ia on the l1-quadratic runs the Python inclusion sweep.
             assert manifest.get("inclusion_pass") == inclusion
-            assert manifest.get("checked_solve") == (inclusion and checked)
+            assert "checked_solve" not in manifest
 
     @pytest.mark.parametrize("cache, want", [(None, "compiled"),
                                              ("/dev/null", "python")])
@@ -454,24 +452,23 @@ class TestManifestReport:
             "inclusion_pass"] == "python"
         assert got == python_run
 
-    def test_checked_solve_is_recorded(self, tmp_path, monkeypatch):
-        from bregsolve import _quadpass, inclusion, solvers
-        if _quadpass.load() is None:
-            pytest.skip("the compiled checked solve cannot be built here")
+    def test_wrapped_solve_is_recorded_as_python(self, tmp_path,
+                                                 monkeypatch):
+        # A wrapper on solvers.solve_inclusion, as bench/tracer.py installs,
+        # makes every student-t sweep run Python's loop, and the manifest
+        # says so; the outputs are those of the unwrapped run.
+        from bregsolve import inclusion, solvers
         src = tmp_path / "in.pgm"
         write_pgm(src, make_test_image(9, 9))
         argv = ["--preset", "student_t_denoise", "--image", str(src),
-                "--seed", "2", "--iters", "3"]
-        runs = {}
-        for want in ("compiled", "python"):
-            if want == "python":    # as when it did not load
-                monkeypatch.setattr(_quadpass, "load", lambda: None)
-                monkeypatch.setattr(solvers, "solve_inclusion",
-                                    inclusion.solve_inclusion)
-            assert main(argv + ["--out-dir", str(tmp_path / want)]) == 0
-            runs[want] = outputs_without_wall_ms(tmp_path / want)
-            manifest = json.loads(runs[want].pop("manifest.json"))
-            assert manifest["checked_solve"] == want
-            for name, data in runs[want].items():   # not in the CSV headers
-                assert b"# checked_solve" not in data, name
-        assert runs["compiled"] == runs["python"]
+                "--seed", "2", "--iters", "3", "--out-dir"]
+        assert main(argv + [str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(solvers, "solve_inclusion",
+                            lambda prob, mode:
+                            inclusion.solve_inclusion(prob, mode))
+        assert main(argv + [str(tmp_path / "b")]) == 0
+        runs = [outputs_without_wall_ms(tmp_path / d) for d in "ab"]
+        manifest = json.loads(runs[1].pop("manifest.json"))
+        assert manifest["inclusion_pass"] == "python"
+        del runs[0]["manifest.json"]
+        assert runs[0] == runs[1]

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from bregsolve import _quadpass, cli, inclusion, solvers
 from bregsolve.bregman import BregmanError, BregmanSpec, PrimalDualState
-from bregsolve.inclusion import solve_inclusion
 from bregsolve.objectives import (L1QuadraticObjective, ObjectiveError,
                                   QuadraticObjective, StudentTObjective,
                                   _QuadraticSweepContext,
@@ -375,23 +374,11 @@ def red_black_bits(V, spec, state, sweeps=3):
     return state.x.tobytes(), state.p.tobytes()
 
 
-def compiled_problems(ctx, spec, p, tau, idx):
-    """The compiled module's ``(i, problem)`` of each coordinate of ``idx``
-    in a student-t sweep context, from ``p`` and ``tau``."""
-    V = ctx.objective
-    return _quadpass.load().problems(ctx.y, ctx._quotient, V.h, V.w, *V.phi,
-                                     V.x_delta, idx, spec.pieces, p, tau)
-
-
-def outcome(solve, *args):
-    """What ``solve`` gives: y and p_new by type and bits and the flag, or
-    the error's type and message; and the solution, or None."""
-    try:
-        sol = solve(*args)
-    except Exception as err:
-        return (type(err), str(err)), None
-    return ([(type(v), float(v).hex()) for v in (sol.y, sol.p_new)],
-            sol.stationary), sol
+def kernel_sweep(V, pieces, y, idx, p, tau, forget=False, fallback=print):
+    """The compiled module's sweep of ``idx`` on the student-t image ``y``,
+    which it writes in place with ``p``."""
+    return _quadpass.load().sweep(y, V.h, V.w, *V.phi, V.x_delta, idx,
+                                  pieces, p, tau, forget, fallback)
 
 
 needs_kernel = pytest.mark.skipif(
@@ -456,18 +443,27 @@ class TestRowResidualUpdate:
             assert np.array_equal(y, x) and not bad.any()
         with pytest.raises(ValueError, match="fit"):
             lib.quad_pass(1, q.A, r[:5], y, aux, 1.0, 0.5)
-        # The inclusion sweep's order is read as C longs, and each index
-        # is checked when its turn comes.
+        # The inclusion sweep's order is read as C longs, y and p as
+        # writable doubles, and each index is checked when its turn comes.
         V = StudentTObjective(2, 3, np.zeros(6))
-        ctx = V.sweep_context(np.zeros(6))
-        spec = BregmanSpec.euclidean(6)
+        pieces = BregmanSpec.euclidean(6).pieces
+        y, p, tau = np.zeros(6), np.zeros(6), np.ones(6)
         for idx in (np.arange(6, dtype=np.int32), np.arange(12)[::2]):
             with pytest.raises(TypeError, match="C-contiguous"):
-                compiled_problems(ctx, spec, [0.0] * 6, [1.0] * 6, idx)
+                kernel_sweep(V, pieces, y, idx, p, tau)
+        for bad in (np.zeros(6, np.float32), np.zeros(12)[::2]):
+            for args in ((bad, p, tau), (y, bad, tau), (y, p, bad)):
+                with pytest.raises(TypeError, match="C-contiguous"):
+                    kernel_sweep(V, pieces, args[0], np.arange(6), *args[1:])
+        frozen = np.zeros(6)
+        frozen.flags.writeable = False
+        for args in ((frozen, p), (y, frozen)):
+            with pytest.raises(ValueError, match="read-only"):
+                kernel_sweep(V, pieces, args[0], np.arange(6), args[1], tau)
         for idx in (np.array([0, 6]), np.array([-1])):
             with pytest.raises(IndexError, match="no coordinate"):
-                list(compiled_problems(ctx, spec, [0.0] * 6, [1.0] * 6, idx))
-        assert not ctx.y.any()
+                kernel_sweep(V, pieces, y, idx, p, tau)
+        assert not y.any() and not p.any()
 
     @pytest.mark.parametrize("owner, name, error", [
         (_quadpass, "compile_to", FileNotFoundError("no gcc")),
@@ -680,13 +676,34 @@ class TestRowResidualUpdate:
         # Cached libraries are named by the extension suffix; the path of
         # the headers is read for a build only.
         code = ("import sys, bregsolve.solvers as s; "
-                "print(type(s.solve_inclusion).__name__, sorted("
+                "print(s._quadpass.load() is not None, sorted("
                 "m for m in sys.modules if m.startswith('_sysconfigdata')))")
         src = os.path.dirname(os.path.dirname(solvers.__file__))
         run = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src))
-        assert run.stdout.split() == ["builtin_function_or_method", "[]"]
+        assert run.stdout.split() == ["True", "[]"]
+
+    def test_import_compiles_nothing(self, tmp_path):
+        # The module is built at the first sweep that asks for it: an
+        # import in a new process with an empty cache calls no gcc, through
+        # a gcc that logs its calls, and leaves no module.
+        bin_dir, log = tmp_path / "bin", tmp_path / "gcc.log"
+        bin_dir.mkdir()
+        (bin_dir / "gcc").write_text(
+            f'#!/bin/sh\necho "$@" >> {log}\n'
+            f'exec {shutil.which("gcc") or "false"} "$@"\n')
+        (bin_dir / "gcc").chmod(0o755)
+        src = os.path.dirname(os.path.dirname(solvers.__file__))
+        subprocess.run([sys.executable, "-c",
+                        "import bregsolve, bregsolve.cli, bregsolve.solvers"],
+                       check=True,
+                       env=dict(os.environ, PYTHONPATH=src,
+                                XDG_CACHE_HOME=str(tmp_path / "cache"),
+                                PATH=f"{bin_dir}{os.pathsep}"
+                                     f"{os.environ['PATH']}"))
+        assert not log.exists()
+        assert list(tmp_path.glob("cache/**/*.so")) == []
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
@@ -1098,9 +1115,9 @@ def bits(*values):
 
 def spied_sweep(V, spec, state, taus, mode="keep_box",
                 order="lexicographic"):
-    """The state after one :func:`bia_sweep`, and the problem and the
-    solution of each scalar inclusion in it, solved by the checked solve
-    that the sweep calls."""
+    """The state after one :func:`bia_sweep` through a pass-through wrapper
+    on :data:`solvers.solve_inclusion`, which makes it run Python's loop,
+    and the problem and the solution of each scalar inclusion in it."""
     calls, solve = [], solvers.solve_inclusion
 
     def spy(prob, mode):
@@ -1112,39 +1129,41 @@ def spied_sweep(V, spec, state, taus, mode="keep_box",
     return new, calls
 
 
+@contextmanager
+def counted(owner, name):
+    """The first argument of each call of ``owner.name`` in the block."""
+    seen, real = [], getattr(owner, name)
+    with mock.patch.object(owner, name, lambda first, *rest:
+                           seen.append(first) or real(first, *rest)):
+        yield seen
+
+
 class TestRedBlackSweep:
-    """The compiled problems carry the kernel's Clarke intervals, and the
-    compiled checked solve runs the kernel's search on them; the sweep
-    stays bitwise the scalar one, which the loader patched to None runs,
-    in every order."""
+    """The compiled sweep solves each coordinate with the kernel's search
+    on its own stencil, and stays bitwise the scalar sweep, which the
+    loader patched to None runs, in every order."""
 
     @needs_kernel
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_matches_scalar_sweep_on_denoising_preset(self, seed,
-                                                      monkeypatch):
+    def test_matches_scalar_sweep_on_denoising_preset(self, seed):
         args = cli.build_parser().parse_args(
             ["--preset", "student_t_denoise", "--seed", str(seed)])
         exp = cli.build_experiment(cli.effective_params(args))
         V, spec, taus = exp.V, exp.spec, np.ones(exp.V.n)
-        compiled = scalar = PrimalDualState.initial(spec, exp.x0)
-        searches, searched = [], 0
-        sides = inclusion._candidate_sides
-        monkeypatch.setattr(inclusion, "_candidate_sides",
-                            lambda prob, dmin: searches.append(prob.x)
-                            or sides(prob, dmin))
+        kernel = scalar = PrimalDualState.initial(spec, exp.x0)
+        searched = 0
         for _ in range(20):
-            searches.clear()
-            compiled, calls = spied_sweep(V, spec, compiled, taus,
-                                          order="red_black")
+            with counted(inclusion, "_search") as searches:
+                kernel = bia_sweep(V, spec, kernel, taus,
+                                   order="red_black").state
             searched += len(searches)
             with numpy_pass():
                 scalar = bia_sweep(V, spec, scalar, taus,
                                    order=red_black_order(V)).state
-            assert compiled.x.tobytes() == scalar.x.tobytes()
-            assert compiled.p.tobytes() == scalar.p.tobytes()
-            assert len(calls) == V.n
-        # Every pixel goes through the checked solve, and the kernel's
-        # search solves every one that moves: Python searches none.
+            assert kernel.x.tobytes() == scalar.x.tobytes()
+            assert kernel.p.tobytes() == scalar.p.tobytes()
+        # The kernel's search solves every pixel that moves: Python
+        # searches none.
         assert searched == 0
 
     @needs_kernel
@@ -1170,22 +1189,13 @@ class TestRedBlackSweep:
             order = rng.permutation(V.n)
         elif order == "repeated":       # repeats and gaps
             order = rng.integers(0, V.n, V.n)
-        compiled = scalar = PrimalDualState.initial(spec, x_delta)
+        kernel = scalar = PrimalDualState.initial(spec, x_delta)
         for _ in range(3):
-            compiled, calls = spied_sweep(V, spec, compiled, taus, mode,
-                                          order)
+            kernel = bia_sweep(V, spec, kernel, taus, mode, order).state
             with numpy_pass():
-                scalar, searches = spied_sweep(V, spec, scalar, taus, mode,
-                                               order)
-            assert compiled.x.tobytes() == scalar.x.tobytes()
-            assert compiled.p.tobytes() == scalar.p.tobytes()
-            # The kernel's solutions and Clarke intervals are the scalar
-            # search's and ctx.clarke(i)'s, bit for bit.
-            assert len(calls) == len(searches) == V.n
-            for (prob, sol), (want, ref) in zip(calls, searches):
-                assert sol.stationary == ref.stationary
-                assert bits(sol.y, sol.p_new, *prob.clarke) \
-                    == bits(ref.y, ref.p_new, *want.clarke)
+                scalar = bia_sweep(V, spec, scalar, taus, mode, order).state
+            assert kernel.x.tobytes() == scalar.x.tobytes()
+            assert kernel.p.tobytes() == scalar.p.tobytes()
         variant = "ia" if gamma == 0 else \
             "bia_modified" if mode == "forget_box" else "bia"
         # run raises on a dissipation or membership failure.
@@ -1197,34 +1207,29 @@ class TestRedBlackSweep:
         # Pixel 1, 1e9 above its neighbour and its data, jumps to the box
         # edge 0, the neighbour's value, where the log1p argument of its
         # quotient rounds to -1.  The kernel's search stops there, so the
-        # Python search runs and raises; pixel 0 stays put, also where its
-        # turn comes after pixel 1's.
+        # Python search runs and raises; pixel 0 stays put, also in a
+        # second turn.
         V = StudentTObjective(1, 2, np.zeros(2))
         spec = BregmanSpec(np.zeros(2), 0.0, 0.0)
         state = PrimalDualState.initial(spec, np.array([0.0, 1e9]))
         taus = np.full(2, 1e10)
         with numpy_pass(), pytest.raises(ValueError) as want:
-            spied_sweep(V, spec, state, taus)
-        searches = []
-        search = inclusion._search
-        with mock.patch.object(inclusion, "_search",
-                               lambda prob, mode: searches.append(prob.x)
-                               or search(prob, mode)), \
+            bia_sweep(V, spec, state, taus)
+        with counted(inclusion, "_search") as searches, \
                 pytest.raises(ValueError) as got:
-            spied_sweep(V, spec, state, taus, order=[0, 1])
+            bia_sweep(V, spec, state, taus, order=[0, 1])
         assert str(got.value) == str(want.value)
-        assert searches == [1e9]
-        ctx = V.sweep_context(state.x)
-        for i, prob in solvers._visits(V, spec, ctx, taus, state.p.tolist(),
-                                       [1, 0]):
-            if i == 0:
-                assert solvers.solve_inclusion(prob, "keep_box").stationary
+        assert [prob.x for prob in searches] == [1e9]
+        new = bia_sweep(V, spec, state, taus, order=[0, 0]).state
+        assert new.x.tobytes() == state.x.tobytes()
 
     def test_kernel_skips_subclasses_and_indices_out_of_range(self):
-        # A subclass gets Python's problems, whose dq the kernel does not
-        # read; every order in range, repeats and gaps included, gets the
-        # compiled problems.  An index outside range(n) raises the same
-        # IndexError with and without the module, before any solve.
+        # A subclass, and time steps that do not fit the image, get
+        # Python's loop, a solve per coordinate; every order in range,
+        # repeats and gaps included, gets the compiled sweep, which solves
+        # these coordinates without Python.  An index outside range(n)
+        # raises the same IndexError with and without the module, before
+        # any solve.
         class Sub(StudentTObjective):
             pass
         x_delta = impulse_noise(np.full((3, 3), 0.5), 0.3, seed=1).ravel()
@@ -1232,22 +1237,25 @@ class TestRedBlackSweep:
         state = PrimalDualState.initial(spec, x_delta)
         V = StudentTObjective(3, 3, x_delta)
         kernel = _quadpass.load() is not None
-        quotient = kernel and _quadpass.load().Quotient
-        _, calls = spied_sweep(Sub(3, 3, x_delta), spec, state, np.ones(9))
-        assert len(calls) == 9
-        assert not any(type(prob.dq) is quotient for prob, _ in calls)
+        with counted(inclusion, "_try_stationary") as solves:
+            bia_sweep(Sub(3, 3, x_delta), spec, state, np.ones(9))
+            bia_sweep(V, spec, state, np.ones(10))
+        assert len(solves) == 18
         for order in ("lexicographic", "red_black", [0, 1, 2, 2, 4],
                       range(8), np.random.default_rng(1).integers(0, 9, 20)):
-            _, calls = spied_sweep(V, spec, state, np.ones(9), order=order)
-            assert all((type(prob.dq) is quotient) == kernel
-                       for prob, _ in calls)
+            with counted(inclusion, "_try_stationary") as solves:
+                bia_sweep(V, spec, state, np.ones(9), order=order)
+            visits = 9 if isinstance(order, str) else len(order)
+            assert len(solves) == (0 if kernel else visits)
         for order, i in (([0, -1, 4], -1), ([4, 9], 9), ([-10, 20], -10)):
             errors = []
             for loaded in (True, False):
                 with (nullcontext() if loaded else numpy_pass()), \
+                        counted(inclusion, "_try_stationary") as solves, \
                         pytest.raises(IndexError) as err:
-                    spied_sweep(V, spec, state, np.ones(9), order=order)
+                    bia_sweep(V, spec, state, np.ones(9), order=order)
                 errors.append(str(err.value))
+                assert solves == []
             assert errors == [f"no coordinate {i}"] * 2
 
     def test_red_black_needs_a_student_t_inclusion_sweep(self):
@@ -1265,42 +1273,60 @@ class TestRedBlackSweep:
                          SolverConfig("sor", order="red_black"))
 
 
+def sweeps_outcome(V, spec, state, taus, mode, order, sweeps):
+    """The bytes of x and p after ``sweeps`` sweeps, or the error's type
+    and message."""
+    try:
+        for _ in range(sweeps):
+            state = bia_sweep(V, spec, state, taus, mode, order).state
+    except Exception as err:
+        return type(err), str(err)
+    return state.x.tobytes(), state.p.tobytes()
+
+
+def pass_through(prob, mode):
+    """A wrapper on :data:`solvers.solve_inclusion` that changes nothing."""
+    return inclusion.solve_inclusion(prob, mode)
+
+
 @needs_kernel
 class TestCompiledProblems:
-    """The compiled module builds each coordinate's problem when its turn
-    comes: the fields of those :func:`solvers._problems` builds, and
-    ``prob.dq`` as ``bench/tracer.py`` uses it.  The compiled checked
-    solve runs the kernel's search on them, bitwise Python's."""
+    """The compiled sweep solves each coordinate's problem in C, bitwise as
+    Python's loop builds and solves it, and hands the coordinates it cannot
+    solve to Python.  A wrapper on ``solvers.solve_inclusion``, as
+    ``bench/tracer.py`` installs, makes the sweep run Python's loop, so
+    that the wrapper sees every coordinate."""
 
     @pytest.mark.parametrize("order", ["lexicographic", "red_black"])
     def test_tracer_contract_on_the_preset(self, order):
+        # Unwrapped, one sweep searches nothing in Python; wrapped as the
+        # tracer wraps it, it calls the wrapper once per pixel, whose
+        # replaced dq the search calls, and gives the same bits.
         args = cli.build_parser().parse_args(
             ["--preset", "student_t_denoise", "--seed", "1"])
         exp = cli.build_experiment(cli.effective_params(args))
         V, spec, taus = exp.V, exp.spec, np.ones(exp.V.n)
         state = PrimalDualState.initial(spec, exp.x0)
-        want = bia_sweep(V, spec, state, taus, order=order).state
+        with counted(inclusion, "_search") as searches:
+            want = bia_sweep(V, spec, state, taus, order=order).state
+        assert searches == []
         real, seen, wrapped = solvers.solve_inclusion, [], [0]
 
         def traced(prob, *args, **kwargs):     # as the tracer wraps it
             dq = prob.dq
-            seen.append((prob, dq))
+            seen.append(prob)
 
-            def counted(y):
+            def counted_dq(y):
                 wrapped[0] += 1
                 return dq(y)
-            prob.dq = counted
+            prob.dq = counted_dq
             try:
                 return real(prob, *args, **kwargs)
             finally:
                 prob.dq = dq
         with mock.patch.object(solvers, "solve_inclusion", traced):
             got = bia_sweep(V, spec, state, taus, order=order).state
-        quotient = _quadpass.load().Quotient
-        assert len(seen) == V.n
-        assert all(prob.dq is dq and type(dq) is quotient
-                   for prob, dq in seen)
-        assert sum(dq.calls for _, dq in seen) == wrapped[0] > 0
+        assert len(seen) == V.n and wrapped[0] > 0
         assert got.x.tobytes() == want.x.tobytes()
         assert got.p.tobytes() == want.p.tobytes()
 
@@ -1308,46 +1334,56 @@ class TestCompiledProblems:
     @given(h=st.integers(1, 6), w=st.integers(1, 6),
            seed=st.integers(0, 2**32 - 1), box=st.booleans())
     def test_fields_are_the_python_problems(self, h, w, seed, box):
+        # Each problem that a wrapper sees is built when its turn comes,
+        # from the image and p that the coordinates before it left: the
+        # piece, x, p, tau and Clarke pair that the kernel reads, bitwise.
         rng = np.random.default_rng(seed)
         x_delta = impulse_noise(rng.uniform(0.2, 0.8, (h, w)), 0.3,
                                 seed=seed).ravel()
         V = StudentTObjective(h, w, x_delta)
         spec = BregmanSpec(x_delta, 0.5, *((0.0, 1.0) if box else ()))
-        ctx = V.sweep_context(x_delta)
-        p, tau = rng.standard_normal(V.n).tolist(), [0.5] * V.n
-        idx = rng.permutation(V.n)
-        built = compiled_problems(ctx, spec, p, tau, idx)
-        python = solvers._problems(ctx, spec.pieces, p, tau, idx)
-        for (i, prob), (j, want) in zip(built, python, strict=True):
-            assert (i, type(prob)) == (j, type(want))
-            assert prob.sb is want.sb and prob.p is want.p
-            assert prob.tau is want.tau
-            # The kernel's Clarke interval, at the roots committed before
-            # i, is ctx.clarke(i).
-            assert bits(prob.x, *prob.clarke) == bits(want.x, *want.clarke)
-            assert type(prob.clarke) is tuple
-            assert dataclasses.replace(prob).clarke == prob.clarke
-            # Built when its turn comes: a commit shows in the next.
-            sol = solvers.solve_inclusion(prob, "keep_box")
-            if not sol.stationary:
-                ctx.commit(i, sol.y)
-            p[i] = 2.0
+        state = PrimalDualState(x_delta, rng.standard_normal(V.n))
+        taus, idx = np.full(V.n, 0.5), rng.permutation(V.n)
+        y, p, turns = x_delta.copy(), state.p.copy(), iter(idx.tolist())
+        real = solvers.solve_inclusion
 
-    @settings(max_examples=80, deadline=None)
+        def check(prob, mode):
+            i = next(turns)
+            assert prob.sb is spec.pieces[i] and type(prob.clarke) is tuple
+            assert bits(prob.x, prob.p, prob.tau, *prob.clarke) \
+                == bits(y[i], p[i], 0.5, *V._clarke(y, i))
+            sol = real(prob, mode)
+            p[i] = sol.p_new
+            if not sol.stationary:
+                y[i] = sol.y
+            return sol
+        with mock.patch.object(solvers, "solve_inclusion", check):
+            got = bia_sweep(V, spec, state, taus, order=idx).state
+        assert next(turns, None) is None
+        want = bia_sweep(V, spec, state, taus, order=idx).state
+        assert got.x.tobytes() == want.x.tobytes() == y.tobytes()
+        assert got.p.tobytes() == want.p.tobytes() == p.tobytes()
+
+    @settings(max_examples=150, deadline=None)
     @given(h=st.integers(1, 5), w=st.integers(1, 5),
            seed=st.integers(0, 2**32 - 1),
            box=st.sampled_from([(), (0.0, 1.0), (0.0, math.inf)]),
            gamma=st.sampled_from([0.0, 0.5]),
            tau=st.sampled_from([0.5, 1.0, 7.0, 1e10]),
            mode=st.sampled_from(["keep_box", "forget_box"]),
-           outlier=st.booleans())
+           order=st.sampled_from(["lexicographic", "red_black", "repeated"]),
+           outlier=st.booleans(),
+           odd=st.sampled_from([None, "float64_piece", "tau_0", "tau_nan"]))
     def test_solve_is_the_python_solve(self, h, w, seed, box, gamma, tau,
-                                       mode, outlier):
-        # Each problem of a sweep, solved by the compiled checked solve and
-        # by inclusion.solve_inclusion with ctx.dq(i) as dq.  Pixels on
-        # their data kink and the box edges; without an upper bound one
-        # pixel may sit 1e9 off, whose move to an edge at its neighbour's
-        # value rounds a log1p argument to -1, and Python raises.
+                                       mode, order, outlier, odd):
+        # Two sweeps by the kernel and by Python's loop, reached through a
+        # pass-through wrapper: the same x and p bitwise, or the same error
+        # and message.  Half of the pixels on their data kink, impulse
+        # noise on the box edges; without an upper bound one pixel may sit
+        # 1e9 off, whose move to an edge at its neighbour's value rounds a
+        # log1p argument to -1, and Python raises.  One coordinate may have
+        # a piece with an np.float64 field, or tau 0 or NaN, which the
+        # kernel hands to Python.
         rng = np.random.default_rng(seed)
         x_delta = impulse_noise(rng.uniform(0.2, 0.8, (h, w)), 0.3,
                                 seed=seed).ravel()
@@ -1356,171 +1392,127 @@ class TestCompiledProblems:
         y = np.where(rng.random(V.n) < 0.5, x_delta, rng.uniform(0, 1, V.n))
         if outlier and spec.upper == math.inf:
             y[int(rng.integers(V.n))] = 1e9
-        ctx = V.sweep_context(y)
-        p = PrimalDualState.initial(spec, y).p.tolist()
-        for i, prob in compiled_problems(ctx, spec, p, [tau] * V.n,
-                                         rng.permutation(V.n)):
-            want = dataclasses.replace(prob, dq=ctx.dq(i))
-            got, sol = outcome(solvers.solve_inclusion, prob, mode)
-            assert got == outcome(solve_inclusion, want, mode)[0]
-            if sol is not None and not sol.stationary:
-                ctx.commit(i, sol.y)
-                p[i] = sol.p_new
-
-    @pytest.mark.parametrize("mode", ["keep_box", "forget_box"])
-    @pytest.mark.parametrize("field", ["x", "clarke"])
-    def test_replaced_problems_get_the_python_search(self, field, mode,
-                                                     monkeypatch):
-        # A problem whose x or Clarke pair is not its quotient's stencil's
-        # is searched in Python, and its solve is still Python's bitwise.
-        V, spec, state = red_black_setup()
-        ctx = V.sweep_context(state.x)
-        searches, search = [], inclusion._search
-        monkeypatch.setattr(inclusion, "_search", lambda prob, mode:
-                            searches.append(prob) or search(prob, mode))
-        moved = 0
-        for i, prob in compiled_problems(ctx, spec, state.p.tolist(),
-                                         [5.0] * V.n, np.arange(V.n)):
-            x, (lo, hi) = prob.x, prob.clarke
-            other = dataclasses.replace(prob, **(
-                {"x": x + 0.25 if x < 0.5 else x - 0.25} if field == "x"
-                else {"clarke": (lo, math.nextafter(hi, math.inf))}))
-            searches.clear()
-            got, sol = outcome(solvers.solve_inclusion, other, mode)
-            assert searches == ([] if sol.stationary else [other])
-            assert got == outcome(solve_inclusion, other, mode)[0]
-            moved += not sol.stationary
-        assert moved > 0
-
-    @staticmethod
-    def quotients(V, y, seed):
-        """The sweep context at ``y`` and, in a random order, each pixel
-        with the compiled ``dq`` of its problem."""
-        ctx = V.sweep_context(y)
-        idx = np.random.default_rng(seed).permutation(V.n)
-        problems = compiled_problems(ctx, BregmanSpec.euclidean(V.n),
-                                     y.tolist(), [1.0] * V.n, idx)
-        return ctx, ((i, prob.dq) for i, prob in problems)
+        if order == "repeated":         # repeats and gaps
+            order = rng.integers(0, V.n, 2 * V.n)
+        taus, j = np.full(V.n, tau), int(rng.integers(V.n))
+        pieces = list(spec.pieces)
+        if odd == "float64_piece":
+            pieces[j] = dataclasses.replace(pieces[j], gamma=np.float64(gamma))
+            vars(spec)["pieces"] = tuple(pieces)
+        elif odd is not None:
+            taus[j] = 0.0 if odd == "tau_0" else math.nan
+        state = PrimalDualState.initial(spec, y)
+        args = (V, spec, state, taus, mode, order, 2)
+        with counted(inclusion, "_try_stationary") as handed:
+            got = sweeps_outcome(*args)
+        with mock.patch.object(solvers, "solve_inclusion", pass_through):
+            assert got == sweeps_outcome(*args)
+        visited = range(V.n) if isinstance(order, str) else order.tolist()
+        if odd == "float64_piece" and isinstance(got[0], bytes) \
+                and j in visited:
+            assert any(prob.sb is pieces[j] for prob in handed)
 
     @settings(max_examples=80, deadline=None)
     @given(h=st.integers(1, 5), w=st.integers(1, 5),
            seed=st.integers(0, 2**32 - 1),
            phi=st.tuples(st.sampled_from([0.0, 2.0]) | st.floats(0.0, 4.0),
-                         st.sampled_from([0.0, 3.0]) | st.floats(0.0, 4.0)))
+                         st.sampled_from([0.0, 3.0]) | st.floats(0.0, 4.0)),
+           tau=st.sampled_from([0.01, 1.0, 20.0]),
+           order=st.sampled_from(["lexicographic", "red_black"]))
     def test_quotient_is_the_objective_quotient_bitwise(self, h, w, seed,
-                                                        phi):
-        # Every stencil kind (corners, edges, interior, 1 x w, h x 1), a
-        # third of the pixels on their data kink and one at 0, whose move
-        # to 1e-14 is exactly at the stationary threshold.  Moves: none,
-        # within and just past the threshold, onto and across the data
-        # kink, and a random one; after each pixel's commit the earlier
-        # quotients read the moved image.
+                                                        phi, tau, order):
+        # The kernel's quotient and Clarke interval, through the roots and
+        # stationary tests they decide: every stencil kind (corners, edges,
+        # interior, 1 x w, h x 1), filter weights of 0, a third of the
+        # pixels on their data kink and one at 0.  Three sweeps by the
+        # kernel and by Python's loop give the same bits.
         rng = np.random.default_rng(seed)
         x_delta, y = rng.uniform(-1.0, 2.0, (2, h * w))
         kink = rng.random(h * w) < 1 / 3
         y[kink] = x_delta[kink]
         y[int(rng.integers(h * w))] = 0.0
         V = StudentTObjective(h, w, x_delta, phi=phi)
-        ctx, quotients = self.quotients(V, y, seed)
-        seen = []
-        for i, dq in quotients:
-            old, s = ctx.y.item(i), V.x_delta.item(i)
-            tol = 1e-14 * max(1.0, abs(old))
-            news = [old, old + tol, old - tol, old + 2.0 * tol,
-                    math.nextafter(old, math.inf),
-                    math.nextafter(old, -math.inf), s, 2.0 * s - old,
-                    s + 0.1, s - 0.1, float(rng.uniform(-1.0, 2.0))]
-            for new in news:
-                assert bits(dq(new)) == bits(V._quotient(ctx.y, i, old, new))
-            assert dq.calls == len(news)
-            seen.append((i, old, dq))
-            ctx.commit(i, news[int(rng.integers(len(news)))])
-            for j, old_j, dq_j in seen:
-                for new in (old_j, old_j + 0.5):
-                    assert bits(dq_j(new)) \
-                        == bits(V._quotient(ctx.y, j, old_j, new))
+        spec = BregmanSpec.euclidean(V.n)
+        state = PrimalDualState.initial(spec, y)
+        args = (V, spec, state, np.full(V.n, tau), "keep_box", order, 3)
+        got = sweeps_outcome(*args)
+        with mock.patch.object(solvers, "solve_inclusion", pass_through):
+            assert got == sweeps_outcome(*args)
 
     def test_quotient_hands_other_calls_and_errors_to_python(self):
-        # Pixel 1 moving onto its neighbour's 0: the log1p argument rounds
-        # to -1.  Pixel 1 of a 1 x 3 image with filter weights of 1e308:
-        # the stationary Clarke midpoint is unbounded.
+        # Where the kernel's quotient meets what makes Python raise, the
+        # coordinate goes to Python, which raises its own error: pixel 1
+        # moving onto its neighbour's 0, where the log1p argument rounds
+        # to -1; pixel 1 of a 1 x 3 image with filter weights of 1e308,
+        # whose stationary Clarke midpoint is unbounded.
         cases = [(StudentTObjective(1, 2, np.zeros(2)),
-                  np.array([0.0, 1e9]), 0.0, ValueError),
+                  np.array([0.0, 1e9]), ValueError),
                  (StudentTObjective(1, 3, np.zeros(3), (1e308, 1e308)),
-                  np.array([0.0, 1.0, 0.0]), 1.0, ObjectiveError)]
-        for V, y, new, error in cases:
-            ctx, quotients = self.quotients(V, y, 0)
-            dq = dict(quotients)[1]
-            with pytest.raises(error) as got:
-                dq(new)
+                  np.array([0.0, 1.0, 0.0]), ObjectiveError)]
+        for V, y, error in cases:
+            spec = BregmanSpec(np.zeros(V.n), 0.0, 0.0)
+            state = PrimalDualState.initial(spec, y)
+            taus = np.full(V.n, 1e10)
+            with counted(inclusion, "_search") as searches, \
+                    pytest.raises(error) as got:
+                bia_sweep(V, spec, state, taus, order=[1])
             with pytest.raises(error) as want:
-                ctx.dq(1)(new)
+                spied_sweep(V, spec, state, taus, order=[1])
             assert str(got.value) == str(want.value)
-        V = StudentTObjective(3, 3, np.linspace(0.0, 1.0, 9))
-        y = np.linspace(1.0, -1.0, 9)
-        ctx, quotients = self.quotients(V, y, 5)
-        for i, dq in quotients:
-            want = ctx.dq(i)
-            for new in (np.float64(0.25), 1, y.item(i)):
-                assert type(dq(new)) is type(want(new))
-                assert bits(dq(new)) == bits(want(new))
-            for call in (dq, lambda: dq(new=0.5), lambda: dq(1.0, 2.0)):
-                with pytest.raises(TypeError, match="one argument"):
-                    call()
-            assert dq.calls == 9
+            assert [prob.x for prob in searches] == [y[1]]
 
     def test_failed_checks_raise_pythons_error(self):
+        # An x outside the box, a tau of 0 or NaN: the kernel hands the
+        # coordinate to Python, which raises as its loop does; an unknown
+        # mode runs Python's loop.
         V = StudentTObjective(1, 3, np.full(3, 0.5))
         spec = BregmanSpec(V.x_delta, 0.5, 0.0, 1.0)
-        ctx = V.sweep_context(np.array([0.5, -0.5, 0.5]))
-        idx = np.arange(3)
-
-        def build(ctx, pieces, p, tau, idx):
-            return _quadpass.load().problems(ctx.y, ctx._quotient, V.h, V.w,
-                                             *V.phi, V.x_delta, idx, pieces,
-                                             p, tau)
-        for tau, k in (([1.0, 1.0, 1.0], 1), ([1.0, 1.0, 0.0], 0),
-                       ([1.0, 1.0, math.nan], 0)):
-            if k == 0:
-                ctx.y[1] = 0.5
+        for y, tau, mode in (([0.5, -0.5, 0.5], 1.0, "keep_box"),
+                             ([0.5] * 3, 0.0, "forget_box"),
+                             ([0.5] * 3, math.nan, "keep_box"),
+                             ([0.5] * 3, 1.0, "sideways")):
+            state = PrimalDualState(np.array(y), np.zeros(3))
+            taus = np.array([1.0, 1.0, tau])
             errors = []
-            for problems in (build, solvers._problems):
-                got = problems(ctx, spec.pieces, [0.0] * 3, tau, idx)
-                next(got)
-                if k:
-                    with pytest.raises(inclusion.InclusionError) as err:
-                        next(got)
-                else:
-                    next(got)
-                    with pytest.raises(inclusion.InclusionError) as err:
-                        next(got)
+            for sweep in (bia_sweep, spied_sweep):
+                with pytest.raises(inclusion.InclusionError) as err:
+                    sweep(V, spec, state, taus, mode)
                 errors.append(str(err.value))
             assert errors[0] == errors[1]
-        with pytest.raises(ValueError, match="fit"):
-            build(ctx, spec.pieces[:2], [0.0] * 3, [1.0] * 3, idx)
+        y, p, tau, idx = np.full(3, 0.5), np.zeros(3), np.ones(3), np.arange(3)
+        for bad in ((spec.pieces[:2], y, idx, p, tau),
+                    (spec.pieces, y, idx, p[:2], tau),
+                    (spec.pieces, y, idx, p, tau[:2])):
+            with pytest.raises(ValueError, match="fit"):
+                kernel_sweep(V, *bad)
         with pytest.raises(TypeError):
-            build(ctx, spec.pieces, [0.0] * 3, [1.0] * 3, idx.astype(float))
+            kernel_sweep(V, spec.pieces, y, idx.astype(float), p, tau)
 
     def test_indices_written_after_the_call_are_checked(self):
         # The order is a writable array, V.red_black itself for a red-black
-        # sweep: an index written there after the call raises IndexError
-        # when its turn comes.  In a new process, so that a crash fails
-        # this test alone.
+        # sweep, which a coordinate handed to Python may write: an index
+        # written there raises IndexError when its turn comes.  In a new
+        # process, so that a crash fails this test alone.
         bad = (-100000, -1, 6, 2**40)
         code = f"""if True:
+            import dataclasses
             import numpy as np
-            from bregsolve import solvers
+            from bregsolve import _quadpass
             from bregsolve.bregman import BregmanSpec
             from bregsolve.objectives import StudentTObjective
-            spec = BregmanSpec.euclidean(6)
+            V = StudentTObjective(2, 3, np.zeros(6))
+            pieces = list(BregmanSpec.euclidean(6).pieces)
+            pieces[0] = dataclasses.replace(pieces[0], gamma=np.float64(0))
             for i in {bad}:
-                V = StudentTObjective(2, 3, np.zeros(6))
-                visits = solvers._visits(V, spec, V.sweep_context(np.zeros(6)),
-                                         np.ones(6), [0.0] * 6, "red_black")
-                next(visits)
-                V.red_black[1] = i
+                idx = np.arange(6)
+
+                def fallback(k, i=i):
+                    idx[1] = i
                 try:
-                    next(visits)
+                    _quadpass.load().sweep(
+                        np.zeros(6), V.h, V.w, *V.phi, V.x_delta, idx,
+                        tuple(pieces), np.zeros(6), np.ones(6), False,
+                        fallback)
                 except IndexError as err:
                     print(err)
         """
@@ -1530,3 +1522,27 @@ class TestCompiledProblems:
                              env=dict(os.environ, PYTHONPATH=src))
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines() == [f"no coordinate {i}" for i in bad]
+
+    @pytest.mark.parametrize("mode", ["keep_box", "forget_box"])
+    @pytest.mark.parametrize("field", ["x", "clarke"])
+    def test_replaced_problems_get_the_python_search(self, field, mode):
+        # A wrapper that solves another problem in the place of each, here
+        # with another x or Clarke pair: the sweep commits that problem's
+        # solution, which Python searched.
+        V, spec, state = red_black_setup()
+        real, solved = solvers.solve_inclusion, []
+
+        def replaced(prob, mode):
+            x, (lo, hi) = prob.x, prob.clarke
+            other = dataclasses.replace(prob, **(
+                {"x": x + 0.25 if x < 0.5 else x - 0.25} if field == "x"
+                else {"clarke": (lo, math.nextafter(hi, math.inf))}))
+            solved.append(real(other, mode))
+            return solved[-1]
+        with mock.patch.object(solvers, "solve_inclusion", replaced), \
+                counted(inclusion, "_search") as searches:
+            got = bia_sweep(V, spec, state, np.full(V.n, 5.0), mode).state
+        moved = [i for i, sol in enumerate(solved) if not sol.stationary]
+        assert len(solved) == V.n and len(searches) >= len(moved) > 0
+        assert bits(*got.p) == bits(*(sol.p_new for sol in solved))
+        assert bits(*got.x[moved]) == bits(*(solved[i].y for i in moved))
