@@ -2,14 +2,14 @@
  * operation is Python's or NumPy's, in its order, so that its results are
  * bitwise theirs: quad_pass, the closed-form coordinate pass; sweep, the
  * student-t Bregman sweep, which solves each coordinate with the inclusion
- * kernel's search and hands those it cannot solve to Python. */
+ * kernel's search and hands those it cannot solve to Python.  The sweep
+ * reads the spec's arrays, shift, gamma and the box, and evaluates each
+ * coordinate's quotient once per point, as Python's lru_cache does.
+ * The search's constants are Python's, -D flags of _quadpass.flags(). */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <structmember.h>
 #include <math.h>
-
-#define TOL 1e-10                       /* inclusion.RESIDUAL_TOL */
 
 /* Python's max(a, b) and min(a, b): the first argument wins ties and NaN */
 static double pmax(double a, double b) { return b > a ? b : a; }
@@ -47,11 +47,11 @@ static int stationary(const Piece *b, double x, double p, double tau,
     return !(a[0] > a[1]);
 }
 
-/* Pixel i of the h x w image y: its value and data, the neighbours of
- * StudentTObjective.stencil (right, left, below, above) with their
- * weights, and StudentTObjective._clarke(y, i) */
+/* Pixel i of the h x w image y: its value x and data, the neighbours nb of
+ * StudentTObjective.stencil (right, left, below, above) with their weights,
+ * d_old = x - nb and 1 + d_old^2, and StudentTObjective._clarke(y, i) */
 typedef struct {
-    double x, xd, lo, hi, wt[4], nb[4];
+    double x, xd, lo, hi, wt[4], d_old[4], den[4];
     int nt;
 } Stencil;
 
@@ -65,32 +65,33 @@ static void stencil(Stencil *s, const double *y, Py_ssize_t h, Py_ssize_t w,
     s->x = y[i], s->xd = xd[i], s->nt = 0;
     for (int t = 0; t < 4; t++) {
         if (nbs[t] >= 0) {
-            double u = s->x - y[nbs[t]];
-            s->wt[s->nt] = phi[t / 2], s->nb[s->nt++] = y[nbs[t]];
-            g += phi[t / 2] * (2.0 * u / (1.0 + u * u));
+            double u = s->x - y[nbs[t]], den = 1.0 + u * u;
+            s->wt[s->nt] = phi[t / 2], s->d_old[s->nt] = u;
+            s->den[s->nt++] = den;
+            g += phi[t / 2] * (2.0 * u / den);
         }
     }
     s->lo = s->x - s->xd > 0 ? g + 1.0 : g - 1.0;
     s->hi = s->x - s->xd < 0 ? g - 1.0 : g + 1.0;
 }
 
-/* StudentTObjective._quotient(y, i, old, new) on the stencil of i in y;
+/* StudentTObjective._quotient(y, i, x, new) on the stencil of i in y;
  * err set where Python raises: a log1p argument at or below -1, an
  * unbounded Clarke interval */
-static double quotient(const Stencil *s, double old, double new, int *err)
+static double quotient(const Stencil *s, double new, int *err)
 {
-    double step = new - old, a = fabs(old), delta = 0.0;
-    if (fabs(step) <= 1e-14 * (a > 1.0 ? a : 1.0)) {    /* stationary */
+    double step = new - s->x, a = fabs(s->x), delta = 0.0;
+    if (fabs(step) <= STATIONARY_REL_TOL * (a > 1.0 ? a : 1.0)) {
         *err |= isinf(s->lo) || isinf(s->hi);
         return 0.5 * (s->lo + s->hi);
     }
     for (int k = 0; k < s->nt; k++) {
-        double d_old = old - s->nb[k], d_new = d_old + step;
-        double z = step * (d_new + d_old) / (1.0 + d_old * d_old);
+        double d_new = s->d_old[k] + step;
+        double z = step * (d_new + s->d_old[k]) / s->den[k];
         *err |= z <= -1.0;
         delta += s->wt[k] * log1p(z);
     }
-    double d_old = old - s->xd, d_new = new - s->xd;
+    double d_old = s->x - s->xd, d_new = new - s->xd;
     if (d_old >= 0 && d_new >= 0)
         delta += step;
     else if (d_old <= 0 && d_new <= 0)
@@ -136,52 +137,40 @@ static void quad_pass(int rule, Py_ssize_t n, const double *A, double *r,
     }
 }
 
-static PyTypeObject *ScalarBregman;
-
-/* the slots of ScalarBregman */
-static const char *const piece_names[] = {"gamma", "shift", "lower",
-                                          "upper"};
-static Py_ssize_t piece_at[4];
-#define SLOT(o, at) (*(PyObject **)((char *)(o) + (at)))
-
-/* the fields of sb in b; 0 unless sb is a ScalarBregman, not of a
- * subclass, whose fields are floats, not of a subclass */
-static int piece(PyObject *sb, Piece *b)
-{
-    double f[4];
-    if (!Py_IS_TYPE(sb, ScalarBregman))
-        return 0;
-    for (int k = 0; k < 4; k++) {
-        PyObject *v = SLOT(sb, piece_at[k]);
-        if (v == NULL || !PyFloat_CheckExact(v))
-            return 0;
-        f[k] = PyFloat_AS_DOUBLE(v);
-    }
-    *b = (Piece){f[0], f[1], f[2], f[3]};
-    return 1;
-}
-
 /* The inclusion kernel's search of one coordinate, each branch of
  * inclusion._search in its order. */
 
-#define RTOL (4.0 * 2.220446049250313e-16)
 enum { FOUND, NONE, FAIL };     /* FAIL: DivergenceError, ConvergenceError */
+enum { MEMO = 8 };
 
 typedef struct {
     Piece b;
     Stencil s;                          /* s.x: the coordinate's x */
-    double p, tau;
-    int err;                            /* err: Python raises another error */
+    double p, tau, memo[MEMO][2];       /* memo: (y, quotient) pairs, a ring */
+    int err, seen;                      /* err: Python raises another error */
 } Coord;
 
 /* a divisor: 0 raises ZeroDivisionError */
 static double nonzero(Coord *c, double d) { return c->err |= d == 0.0, d; }
 
+/* the quotient at y, evaluated once per point as the search's lru_cache
+ * does: a kept point == y gives its value, so that +-0 share one and NaN
+ * none; its err is already in c->err */
+static double dq(Coord *c, double y)
+{
+    int k, kept = c->seen < MEMO ? c->seen : MEMO;
+    for (k = 0; k < kept; k++)
+        if (c->memo[k][0] == y)
+            return c->memo[k][1];
+    k = c->seen++ % MEMO;
+    c->memo[k][0] = y;
+    return c->memo[k][1] = quotient(&c->s, y, &c->err);
+}
+
 /* inclusion._residual */
 static double residual(Coord *c, double y)
 {
-    double t = c->p - c->tau * quotient(&c->s, c->s.x, y, &c->err), j[2];
-    double s[2];
+    double t = c->p - c->tau * dq(c, y), j[2], s[2];
     c->err |= !(c->b.lower <= y && y <= c->b.upper);
     intervals(&c->b, y, j, s);
     return t - project(t, s[0], s[1]);
@@ -195,13 +184,13 @@ static int brenth(Coord *c, double a, double b, double *root)
         return *root = fpre == 0 ? a : b, FOUND;
     c->err |= (fpre < 0) == (fcur < 0);
     double xblk = 0.0, fblk = 0.0, spre = 0.0, scur = 0.0;
-    for (int it = 0; it < 100 && !c->err; it++) {
+    for (int it = 0; it < BRENT_MAXITER && !c->err; it++) {
         if ((fpre < 0) != (fcur < 0))
             xblk = xpre, fblk = fpre, spre = scur = xcur - xpre;
         if (fabs(fblk) < fabs(fcur))    /* swap as Python's tuples do */
             xpre = xcur, xcur = xblk, xblk = xpre,
             fpre = fcur, fcur = fblk, fblk = fpre;
-        double delta = (1e-14 + RTOL * fabs(xcur)) / 2;
+        double delta = (BRENT_XTOL + BRENT_RTOL * fabs(xcur)) / 2;
         double sbis = (xblk - xcur) / 2, stry = INFINITY;
         if (fcur == 0 || fabs(sbis) < delta)
             return *root = xcur, FOUND;
@@ -230,7 +219,7 @@ static int brenth(Coord *c, double a, double b, double *root)
 static void snap(Coord *c, double *root, double *g)
 {
     double kinks[3] = {c->b.shift, c->b.lower, c->b.upper}, r = *root, gk;
-    double tol = pmax(1e-9, 1e-9 * fabs(r));
+    double tol = pmax(KINK_TOL, KINK_TOL * fabs(r));
     for (int k = c->b.gamma > 0 ? 0 : 1; k < 3; k++) {
         if (isfinite(kinks[k]) && fabs(kinks[k] - r) <= tol
                 && kinks[k] != c->s.x && fabs(gk = residual(c, kinks[k]))
@@ -249,12 +238,12 @@ static int ulp_root(Coord *c, double lo, double hi, double *root, double g)
         lo = *root, glo = g;
     else if (g * ghi > 0)
         hi = *root, ghi = g;
-    for (int it = 0; it < 200; it++) {
+    for (int it = 0; it < MAX_HALVINGS; it++) {
         double mid = 0.5 * (lo + hi);
         if (mid <= lo || mid >= hi)
             break;
         double gm = residual(c, mid);
-        if (fabs(gm) <= TOL)
+        if (fabs(gm) <= RESIDUAL_TOL)
             return *root = mid, FOUND;
         if ((gm < 0) == (glo < 0))
             lo = mid, glo = gm;
@@ -270,7 +259,7 @@ static int bracketed(Coord *c, double a, double b, double *root)
     double lo = a < b ? a : b, hi = a < b ? b : a, g, shift = c->b.shift;
     if (c->b.gamma > 0 && lo < shift && shift < hi) {
         g = residual(c, shift);
-        if (fabs(g) <= TOL)
+        if (fabs(g) <= RESIDUAL_TOL)
             return *root = shift, FOUND;
         if ((g < 0) == (residual(c, lo) < 0))
             lo = shift;
@@ -280,20 +269,20 @@ static int bracketed(Coord *c, double a, double b, double *root)
     if (brenth(c, lo, hi, root) == FAIL)
         return FAIL;
     g = residual(c, *root);
-    if (fabs(g) > TOL)
+    if (fabs(g) > RESIDUAL_TOL)
         snap(c, root, &g);
-    return fabs(g) > TOL ? ulp_root(c, lo, hi, root, g) : FOUND;
+    return fabs(g) > RESIDUAL_TOL ? ulp_root(c, lo, hi, root, g) : FOUND;
 }
 
 /* inclusion._shrink_inward */
 static int shrink_inward(Coord *c, double y_out, double g_out, double *root)
 {
-    for (int it = 0; it < 200; it++) {
+    for (int it = 0; it < MAX_HALVINGS; it++) {
         double y = c->s.x + (y_out - c->s.x) * 0.5;
         if (y == c->s.x)
             break;
         double g = residual(c, y);
-        if (fabs(g) <= TOL)
+        if (fabs(g) <= RESIDUAL_TOL)
             return *root = y, FOUND;
         if (g * g_out < 0)
             return bracketed(c, y, y_out, root);
@@ -308,15 +297,15 @@ static int on_side(Coord *c, double d, double y_prev, double dmin,
 {
     double bound = d > 0 ? c->b.upper : c->b.lower;
     double g_prev = residual(c, y_prev);
-    if (fabs(g_prev) <= TOL)
+    if (fabs(g_prev) <= RESIDUAL_TOL)
         return *root = y_prev, FOUND;
     if (g_prev * d < 0)
         return shrink_inward(c, y_prev, g_prev, root);
-    for (double step = pmax(delta0, 2.0 * dmin); step <= dmin * 0x1p60;
-         step *= 2.0) {
+    for (double step = pmax(delta0, 2.0 * dmin);
+         step <= ldexp(dmin, MAX_DOUBLINGS); step *= 2.0) {
         double y = project(c->s.x + d * step, c->b.lower, c->b.upper);
         double g = residual(c, y);
-        if (fabs(g) <= TOL)
+        if (fabs(g) <= RESIDUAL_TOL)
             return *root = y, FOUND;
         if (g * g_prev < 0)
             return bracketed(c, y_prev, y, root);
@@ -333,15 +322,14 @@ static int solve(Coord *c, double *root)
 {
     double x = c->s.x, d[2], y[2], q[2], side;
     int sides = 0, failed = 0;
-    c->err |= !(c->tau > 0);
-    double dmin = pmax(1e-8, 1e-8 * fabs(x));
+    double dmin = pmax(DMIN, DMIN * fabs(x));
     double v = project(0.0, c->s.lo, c->s.hi);
-    double delta0 = pmin(pmax(dmin, 0.5 * c->tau * fabs(v)), dmin * 0x1p30);
+    double delta0 = pmin(pmax(dmin, 0.5 * c->tau * fabs(v)),
+                         ldexp(dmin, WARM_DOUBLINGS));
     for (side = 1.0; side >= -1.0; side -= 2.0) {
         y[sides] = project(x + side * dmin, c->b.lower, c->b.upper);
         if (y[sides] != x)
-            d[sides] = side, q[sides] = side * quotient(&c->s, x, y[sides],
-                                                        &c->err), sides++;
+            d[sides] = side, q[sides] = side * dq(c, y[sides]), sides++;
     }
     if (sides == 2 && q[1] < q[0])
         side = d[0], d[0] = d[1], d[1] = side,
@@ -375,29 +363,28 @@ static int writable(PyObject *o, void *b)
 }
 static int longs(PyObject *o, void *b) { return view(o, b, "l", 0); }
 
-/* The solution of coordinate i of the h x w image y, written to y[i] and
- * p[i]: the stationary test (inclusion._try_stationary) and, where it
- * fails, the kernel's search and inclusion._finish.  0 where Python must
- * solve it: a piece that is not a ScalarBregman of floats, tau not > 0
- * (Python raises), x outside the box (Python raises), a search that
- * fails, meets an error or returns x. */
-static int solved(double *y, double *p, double tau, PyObject *sb,
+/* The solution of coordinate i of the h x w image y, whose piece is b,
+ * written to y[i] and p[i]: the stationary test (inclusion._try_stationary)
+ * and, where it fails, the kernel's search and inclusion._finish.  0 where
+ * Python must solve it: tau not > 0 (Python raises), x outside the box
+ * (Python raises), a search that fails, meets an error or returns x. */
+static int solved(double *y, double *p, double tau, const Piece *b,
                   Py_ssize_t h, Py_ssize_t w, const double phi[2],
                   const double *xd, Py_ssize_t i, int forget)
 {
-    Coord c = {.p = p[i], .tau = tau, .err = 0};
+    Coord c = {.b = *b, .p = p[i], .tau = tau};
     double x = y[i], root, t, j[2], s[2], a[2];
-    if (!piece(sb, &c.b) || !(tau > 0) || !(c.b.lower <= x && x <= c.b.upper))
+    if (!(tau > 0) || !(b->lower <= x && x <= b->upper))
         return 0;
     stencil(&c.s, y, h, w, phi, xd, i);
-    if (stationary(&c.b, x, c.p, tau, c.s.lo, c.s.hi, j, s, a)) {
+    if (stationary(b, x, c.p, tau, c.s.lo, c.s.hi, j, s, a)) {
         t = c.p - tau * pmin(pmax(0.0, a[0]), a[1]);
         root = x;
     } else {
         if (solve(&c, &root) != FOUND || root == x)
             return 0;
-        t = c.p - tau * quotient(&c.s, x, root, &c.err);
-        intervals(&c.b, root, j, s);
+        t = c.p - tau * dq(&c, root);
+        intervals(b, root, j, s);
         if (c.err)
             return 0;
     }
@@ -406,26 +393,28 @@ static int solved(double *y, double *p, double tau, PyObject *sb,
     return 1;
 }
 
-/* sweep(y, h, w, phi_x, phi_y, x_delta, idx, pieces, p, tau, forget,
- * fallback): the loop of solvers.bia_sweep on the live y and p, each
- * coordinate of idx solved and written in place in its turn, or by
- * fallback(i) where Python must solve it.  IndexError for an i outside
- * the image, checked in its turn, since fallback may write idx. */
+/* sweep(y, h, w, phi_x, phi_y, x_delta, idx, shift, gamma, lower, upper, p,
+ * tau, forget, fallback): the loop of solvers.bia_sweep on the live y and
+ * p, with the pieces of the spec's shift, gamma and box, each coordinate
+ * of idx solved and written in place in its turn, or by fallback(i) where
+ * Python must solve it.  IndexError for an i outside the image, checked in
+ * its turn, since fallback may write idx. */
 static PyObject *sweep(PyObject *self, PyObject *args)
 {
-    Py_buffer y = {0}, xd = {0}, idx = {0}, p = {0}, tau = {0};
-    PyObject *pieces, *fallback, *at, *got = NULL;
+    Py_buffer y = {0}, xd = {0}, idx = {0}, shift = {0}, p = {0}, tau = {0};
+    PyObject *fallback, *at, *got = NULL;
     Py_ssize_t h, w, n, i;
     double phi[2];
+    Piece b;
     int forget;
-    if (!PyArg_ParseTuple(args, "O&nnddO&O&O!O&O&pO", writable, &y, &h, &w,
-                          phi, phi + 1, doubles, &xd, longs, &idx,
-                          &PyTuple_Type, &pieces, writable, &p, doubles,
-                          &tau, &forget, &fallback))
+    if (!PyArg_ParseTuple(args, "O&nnddO&O&O&dddO&O&pO", writable, &y, &h,
+                          &w, phi, phi + 1, doubles, &xd, longs, &idx,
+                          doubles, &shift, &b.gamma, &b.lower, &b.upper,
+                          writable, &p, doubles, &tau, &forget, &fallback))
         goto done;
     n = y.len / sizeof(double);
     if (!(h > 0 && w > 0 && h * w == n && xd.len == y.len && p.len == y.len
-            && tau.len == y.len && PyTuple_GET_SIZE(pieces) == n)) {
+            && tau.len == y.len && shift.len == y.len)) {
         PyErr_SetString(PyExc_ValueError, "the arrays do not fit the image");
         goto done;
     }
@@ -434,8 +423,9 @@ static PyObject *sweep(PyObject *self, PyObject *args)
             PyErr_Format(PyExc_IndexError, "no coordinate %zd", i);
             goto done;
         }
-        if (solved(y.buf, p.buf, ((const double *)tau.buf)[i],
-                   PyTuple_GET_ITEM(pieces, i), h, w, phi, xd.buf, i, forget))
+        b.shift = ((const double *)shift.buf)[i];
+        if (solved(y.buf, p.buf, ((const double *)tau.buf)[i], &b, h, w,
+                   phi, xd.buf, i, forget))
             continue;
         if ((at = PyLong_FromSsize_t(i)) == NULL)
             goto done;
@@ -448,7 +438,7 @@ static PyObject *sweep(PyObject *self, PyObject *args)
     got = Py_NewRef(Py_None);
 done:
     PyBuffer_Release(&y), PyBuffer_Release(&xd), PyBuffer_Release(&idx);
-    PyBuffer_Release(&p), PyBuffer_Release(&tau);
+    PyBuffer_Release(&shift), PyBuffer_Release(&p), PyBuffer_Release(&tau);
     return got;
 }
 
@@ -477,35 +467,15 @@ static PyObject *quad_pass_call(PyObject *self, PyObject *args)
     return got;
 }
 
-/* the offset of each slot in names of type; ImportError if one is not a
- * slot holding an object */
-static int offsets(PyTypeObject *type, const char *const *names, int n,
-                   Py_ssize_t *at)
-{
-    for (int k = 0; k < n; k++) {
-        PyObject *d = PyObject_GetAttrString((PyObject *)type, names[k]);
-        int ok = d != NULL && Py_IS_TYPE(d, &PyMemberDescr_Type)
-            && ((PyMemberDescrObject *)d)->d_member->type == T_OBJECT_EX;
-        if (ok)
-            at[k] = ((PyMemberDescrObject *)d)->d_member->offset;
-        Py_XDECREF(d);
-        if (!ok) {
-            PyErr_Format(PyExc_ImportError, "%s.%s is not a slot",
-                         type->tp_name, names[k]);
-            return -1;
-        }
-    }
-    return 0;
-}
-
 static PyMethodDef methods[] = {
     {"quad_pass", quad_pass_call, METH_VARARGS,
      "quad_pass(rule, A, r, y, aux, *c)\n--\n\n"
      "solvers._quadratic_pass with the rule bsor (0) or blcd (1)."},
     {"sweep", sweep, METH_VARARGS,
-     "sweep(y, h, w, phi_x, phi_y, x_delta, idx, pieces, p, tau, forget, "
-     "fallback)\n--\n\nThe loop of solvers.bia_sweep on a student-t "
-     "image."},
+     "sweep(y, h, w, phi_x, phi_y, x_delta, idx, shift, gamma, lower, "
+     "upper, p, tau, forget, fallback)\n--\n\nThe loop of solvers.bia_sweep "
+     "on a student-t image, with the pieces of the spec's shift, gamma and "
+     "box; it evaluates each coordinate's quotient once per point."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -514,18 +484,5 @@ static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_compiled", NULL,
 
 PyMODINIT_FUNC PyInit__compiled(void)
 {
-    if (ScalarBregman == NULL) {
-        PyObject *bregman = PyImport_ImportModule("bregsolve.bregman"), *t;
-        t = bregman ? PyObject_GetAttrString(bregman, "ScalarBregman") : NULL;
-        Py_XDECREF(bregman);
-        if (t != NULL && !PyType_Check(t))
-            PyErr_SetString(PyExc_ImportError, "no class ScalarBregman");
-        if (t == NULL || !PyType_Check(t)
-                || offsets((PyTypeObject *)t, piece_names, 4, piece_at)) {
-            Py_XDECREF(t);
-            return NULL;
-        }
-        ScalarBregman = (PyTypeObject *)t;
-    }
     return PyModule_Create(&module);
 }

@@ -2,7 +2,8 @@
 compiled code, against the interpreter's ``Python.h``.
 
 It is built on first use and kept, named by the SHA-256 of its source, its
-flags and the interpreter's extension suffix, in ``$XDG_CACHE_HOME/bregsolve``
+flags (:func:`flags`, with the constants of the inclusion search) and the
+interpreter's extension suffix, in ``$XDG_CACHE_HOME/bregsolve``
 or ``~/.cache/bregsolve`` (mode 0700); a build there keeps the ``KEEP``
 newest modules, one per checkout and interpreter sharing the cache, and
 removes every older ``*.so``, also those that earlier versions named
@@ -23,6 +24,8 @@ from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
 from pathlib import Path
+
+from . import inclusion, objectives
 
 SOURCE = Path(__file__).with_name("_compiled.c")
 #: No fused multiply-add, no fast math: each operation rounds as Python's
@@ -56,10 +59,24 @@ def compile_to(out: str, source: Path, flags: tuple[str, ...]):
                    capture_output=True, timeout=300)
 
 
+def flags() -> tuple[str, ...]:
+    """:data:`FLAGS` and the constants of the inclusion search, read when
+    called, as ``-D`` flags of exact literals, so that the compiled search
+    and Python's cannot drift apart."""
+    names = ("RESIDUAL_TOL", "_BRENT_XTOL", "_BRENT_RTOL", "_BRENT_MAXITER",
+             "_DMIN", "_WARM_DOUBLINGS", "_MAX_DOUBLINGS", "_MAX_HALVINGS",
+             "_KINK_TOL")
+    consts = [(name, getattr(inclusion, name)) for name in names]
+    consts.append(("STATIONARY_REL_TOL", objectives.STATIONARY_REL_TOL))
+    return (*FLAGS, *("-D" + name.lstrip("_") + "="
+                      + (v.hex() if isinstance(v, float) else str(v))
+                      for name, v in consts))
+
+
 def lib_name(suffix: str = EXTENSION_SUFFIXES[0]) -> str:
     """The cached module's file name: a build of another source, other
-    flags or for another interpreter ABI gets another."""
-    key = SOURCE.read_bytes() + " ".join(FLAGS).encode() + suffix.encode()
+    flags or constants, or for another interpreter ABI gets another."""
+    key = SOURCE.read_bytes() + " ".join(flags()).encode() + suffix.encode()
     return f"compiled-{hashlib.sha256(key).hexdigest()}.so"
 
 
@@ -71,7 +88,7 @@ def built() -> Path:
         include = sysconfig.get_paths()["include"]
         Path(include, "Python.h").stat()
         with tempfile.TemporaryDirectory(dir=lib.parent) as tmp:
-            compile_to(f"{tmp}/{lib.name}", SOURCE, (*FLAGS, f"-I{include}"))
+            compile_to(f"{tmp}/{lib.name}", SOURCE, (*flags(), f"-I{include}"))
             os.replace(f"{tmp}/{lib.name}", lib)
         with suppress(OSError):     # another process may prune too
             for stale in sorted(lib.parent.glob("*.so"),

@@ -88,13 +88,6 @@ class ScalarBregman:
         if not self.lower <= self.upper:
             raise BregmanError(f"empty box [{self.lower}, {self.upper}]")
 
-    def in_box(self, x: float) -> bool:
-        return self.lower <= x <= self.upper
-
-    def j_value(self, x: float) -> float:
-        """Value of the scalar piece, without the box indicator."""
-        return 0.5 * x * x + self.gamma * abs(x - self.shift)
-
     def j_interval(self, x: float) -> tuple[float, float]:
         """Subdifferential of the scalar piece alone, as ``(lo, hi)``."""
         gamma = self.gamma
@@ -111,16 +104,6 @@ class ScalarBregman:
         lo, hi = self.j_interval(x)
         return (-math.inf if x == lower else lo,
                 math.inf if x == upper else hi)
-
-
-def euclidean_piece(lower: float = -math.inf,
-                    upper: float = math.inf) -> ScalarBregman:
-    return ScalarBregman(0.0, 0.0, lower, upper)
-
-
-def elastic_net_piece(gamma: float, lower: float = -math.inf,
-                      upper: float = math.inf) -> ScalarBregman:
-    return ScalarBregman(gamma, 0.0, lower, upper)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +129,7 @@ class BregmanSpec:
         # J must be finite on the box: at gamma = inf, J(shift) is inf * 0.
         if not math.isfinite(self.gamma):
             raise BregmanError(f"gamma must be finite, got {self.gamma}")
-        # Plain floats, which the compiled sweep reads from the pieces.
+        # Plain floats, so that the scalar search raises Python's errors.
         for name in ("gamma", "lower", "upper"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
@@ -215,12 +198,6 @@ class BregmanSpec:
         lo, hi = self.subdiff_intervals(x)
         p = self._check_dim(p)
         return bool(np.all((lo - tol <= p) & (p <= hi + tol)))
-
-    def membership_violation(self, x: np.ndarray, p: np.ndarray) -> float:
-        """Largest coordinate-wise distance of ``p`` from the subdifferential."""
-        lo, hi = self.subdiff_intervals(x)
-        p = self._check_dim(p)
-        return float(np.max(np.abs(p - np.clip(p, lo, hi)), initial=0.0))
 
     def _check_dim(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

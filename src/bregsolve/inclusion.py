@@ -11,7 +11,9 @@ jumps to the warm distance ``tau*|v|/2`` (v the Clarke element of least
 magnitude, capped at 2**30*dmin) and doubles outward until the residual
 changes sign.  A bracket that strictly contains the kink of j is split
 there, and :func:`brenth`, Brent's method, polishes the root.  DQ is
-evaluated once per point.
+evaluated once per point: here through an ``lru_cache``, and through a
+memo of the coordinate's points in the compiled student-t sweep, which
+runs this search bitwise with the constants below (``_quadpass.flags``).
 
 Where the residual changes sign several times along the ray, the root
 returned lies in the first bracket found, not necessarily nearest x: a
@@ -33,7 +35,11 @@ RESIDUAL_TOL = 1e-10
 _BRENT_XTOL = 1e-14
 _BRENT_RTOL = 4.0 * math.ulp(1.0)
 _BRENT_MAXITER = 100
-_MAX_DOUBLINGS = 60
+_DMIN = 1e-8                #: dmin, relative to max(1, |x|)
+_WARM_DOUBLINGS = 30        #: the warm distance is at most 2**30 * dmin
+_MAX_DOUBLINGS = 60         #: and the outward probes at most 2**60 * dmin
+_MAX_HALVINGS = 200         #: steps of the inward halving, the ulp squeeze
+_KINK_TOL = 1e-9            #: snap distance, relative to max(1, |root|)
 _INF = math.inf
 
 
@@ -183,7 +189,7 @@ def _solve_on_side(prob: InclusionProblem, mode: str, d: float,
 def _shrink_inward(prob: InclusionProblem, mode: str, d: float,
                    y0: float, g0: float):
     y_out, g_out = y0, g0
-    for _ in range(200):
+    for _ in range(_MAX_HALVINGS):
         y = prob.x + (y_out - prob.x) * 0.5
         if y == prob.x:
             break
@@ -282,7 +288,7 @@ def _ulp_root(prob: InclusionProblem, lo: float, hi: float, root: float,
         lo, glo = root, g
     elif g * ghi > 0:
         hi, ghi = root, g
-    for _ in range(200):
+    for _ in range(_MAX_HALVINGS):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -305,7 +311,7 @@ def _snap_to_kink(prob: InclusionProblem, root: float, g: float):
     for edge in (sb.lower, sb.upper):
         if math.isfinite(edge):
             kinks.append(edge)
-    tol = max(1e-9, 1e-9 * abs(root))
+    tol = max(_KINK_TOL, _KINK_TOL * abs(root))
     best_y, best_g = root, g
     for k in kinks:
         if abs(k - root) <= tol and k != prob.x:
@@ -333,10 +339,11 @@ def _search(prob: InclusionProblem, mode: str) -> InclusionSolution:
     # The search revisits points: side probes, bracket ends, Brent's last
     # iterate and the accepted root.
     prob = replace(prob, dq=lru_cache(maxsize=None)(prob.dq))
-    dmin = max(1e-8, 1e-8 * abs(prob.x))
+    dmin = max(_DMIN, _DMIN * abs(prob.x))
     # The cap keeps a bracket inside the probe to a ratio Brent resolves.
     v = interval_project(0.0, *prob.clarke)
-    delta0 = min(max(dmin, 0.5 * prob.tau * abs(v)), dmin * 2.0 ** 30)
+    delta0 = min(max(dmin, 0.5 * prob.tau * abs(v)),
+                 dmin * 2.0 ** _WARM_DOUBLINGS)
     last_err = None
     for d, y in _candidate_sides(prob, dmin):
         try:

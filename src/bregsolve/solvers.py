@@ -162,8 +162,9 @@ def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
     any is solved, for an index outside ``range(n)``.
 
     On a plain student-t objective the compiled module, if it loaded,
-    runs the whole sweep, bitwise alike, and hands each coordinate it
-    cannot solve to Python's solve.  Python's loop runs the sweep
+    runs the whole sweep, bitwise alike, from the spec's shift, gamma and
+    box, and hands each coordinate it cannot solve to Python's solve,
+    which alone builds ``spec.pieces``.  Python's loop runs the sweep
     otherwise, and wherever :data:`solve_inclusion` is wrapped, so that
     the wrapper sees every coordinate."""
     taus = np.ascontiguousarray(taus, dtype=float)
@@ -188,8 +189,9 @@ def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
     lib = compiled("inclusion_pass", V) \
         if fit and mode in ("keep_box", "forget_box") else None
     if lib is not None:
-        lib.sweep(ctx.y, V.h, V.w, *V.phi, V.x_delta, idx, spec.pieces, p,
-                  taus, mode == "forget_box", solve)
+        lib.sweep(ctx.y, V.h, V.w, *V.phi, V.x_delta, idx, spec.shift,
+                  spec.gamma, spec.lower, spec.upper, p, taus,
+                  mode == "forget_box", solve)
     else:
         for i in idx.tolist():
             solve(i)

@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bregsolve import inclusion, solvers
-from bregsolve.bregman import (BregmanError, ScalarBregman,
-                               elastic_net_piece, euclidean_piece)
+from bregsolve.bregman import BregmanError, ScalarBregman
 from bregsolve.cli import build_experiment, build_parser, effective_params
 from bregsolve.inclusion import (ConvergenceError, DivergenceError,
                                  InclusionError, InclusionProblem, brenth,
@@ -52,7 +51,7 @@ class TestBasicSolutions:
     def test_euclidean_hand_example(self):
         # v(y) = y^2/2, j euclidean, x=1, p=1, tau=1:
         # 1 - (y+1)/2 = y  =>  y = 1/3
-        prob = make_problem(euclidean_piece(), 1.0, 1.0, 1.0,
+        prob = make_problem(ScalarBregman(), 1.0, 1.0, 1.0,
                             g=1.0, a=1.0)
         sol = solve_inclusion(prob)
         assert sol.y == pytest.approx(1.0 / 3.0, abs=1e-10)
@@ -60,7 +59,7 @@ class TestBasicSolutions:
         assert not sol.stationary
 
     def test_stationary_when_zero_in_clarke(self):
-        prob = InclusionProblem(sb=euclidean_piece(), x=0.5, p=0.5,
+        prob = InclusionProblem(sb=ScalarBregman(), x=0.5, p=0.5,
                                 tau=1.0, dq=lambda y: 0.0,
                                 clarke=(-1.0, 1.0))
         sol = solve_inclusion(prob)
@@ -70,7 +69,7 @@ class TestBasicSolutions:
 
     def test_stationary_at_elastic_net_kink(self):
         # descent pressure absorbed by the kink: p - tau*v stays in [-1,1]
-        sb = elastic_net_piece(1.0, lower=0.0)
+        sb = ScalarBregman(1.0, lower=0.0)
         prob = InclusionProblem(sb=sb, x=0.0, p=-1.0, tau=1.0,
                                 dq=lambda y: -1.0, clarke=(-1.0, -1.0))
         sol = solve_inclusion(prob)
@@ -79,7 +78,7 @@ class TestBasicSolutions:
         check_solution(prob, sol)
 
     def test_nonstationary_moves_downhill(self):
-        prob = make_problem(euclidean_piece(), 0.0, 0.0, 1.0, g=2.0, a=1.0)
+        prob = make_problem(ScalarBregman(), 0.0, 0.0, 1.0, g=2.0, a=1.0)
         sol = solve_inclusion(prob)
         assert sol.y < 0.0  # positive slope means descent to the left
         check_solution(prob, sol)
@@ -88,11 +87,11 @@ class TestBasicSolutions:
     def test_invalid_inputs(self):
         for tau in (-1.0, math.nan):
             with pytest.raises(InclusionError):
-                make_problem(euclidean_piece(), 0.0, 0.0, tau, 1.0, 1.0)
+                make_problem(ScalarBregman(), 0.0, 0.0, tau, 1.0, 1.0)
         with pytest.raises(InclusionError):
-            make_problem(euclidean_piece(lower=0.0), -1.0, 0.0, 1.0,
+            make_problem(ScalarBregman(lower=0.0), -1.0, 0.0, 1.0,
                          1.0, 1.0)
-        prob = make_problem(euclidean_piece(), 0.0, 0.0, 1.0, 1.0, 1.0)
+        prob = make_problem(ScalarBregman(), 0.0, 0.0, 1.0, 1.0, 1.0)
         with pytest.raises(InclusionError):
             solve_inclusion(prob, mode="bogus")
 
@@ -101,16 +100,17 @@ class TestProblemContract:
     @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
     def test_rejects_a_bad_tau(self, tau):
         with pytest.raises(InclusionError, match="tau"):
-            make_problem(euclidean_piece(), 0.0, 0.0, tau, 1.0, 1.0)
+            make_problem(ScalarBregman(), 0.0, 0.0, tau, 1.0, 1.0)
 
     @pytest.mark.parametrize("x", [-1.0, math.nextafter(1.0, 2.0), math.nan])
     def test_rejects_x_outside_the_box(self, x):
         with pytest.raises(InclusionError, match="box"):
-            make_problem(euclidean_piece(0.0, 1.0), x, 0.0, 1.0, 1.0, 1.0)
+            make_problem(ScalarBregman(lower=0.0, upper=1.0), x, 0.0, 1.0,
+                         1.0, 1.0)
 
     def test_replace_round_trips_and_checks(self):
-        prob = make_problem(euclidean_piece(0.0, 1.0), 0.5, 0.5, 1.0,
-                            1.0, 1.0)
+        prob = make_problem(ScalarBregman(lower=0.0, upper=1.0), 0.5, 0.5,
+                            1.0, 1.0, 1.0)
         f = quadratic_dq(2.0, 1.0, 0.5)
         moved = dataclasses.replace(prob, dq=f)
         assert moved.dq is f and moved != prob
@@ -121,7 +121,7 @@ class TestProblemContract:
 
     def test_dq_is_assignable(self):
         # bench/tracer.py wraps each problem's dq by assignment.
-        prob = make_problem(euclidean_piece(), 0.0, 0.0, 1.0, 1.0, 1.0)
+        prob = make_problem(ScalarBregman(), 0.0, 0.0, 1.0, 1.0, 1.0)
         f = quadratic_dq(2.0, 1.0, 0.0)
         prob.dq = f
         assert prob.dq is f
@@ -194,21 +194,21 @@ class TestBuiltinOracles:
 class TestBoxHandling:
     def test_root_clamped_at_box_edge(self):
         # strong downhill pull but the box stops at 0
-        sb = euclidean_piece(lower=0.0, upper=10.0)
+        sb = ScalarBregman(lower=0.0, upper=10.0)
         prob = make_problem(sb, 1.0, 1.0, 1.0, g=50.0, a=0.1)
         sol = solve_inclusion(prob)
         assert sol.y == pytest.approx(0.0, abs=1e-9)
         check_solution(prob, sol)
 
     def test_forget_box_strips_normal_cone(self):
-        sb = euclidean_piece(lower=0.0, upper=10.0)
+        sb = ScalarBregman(lower=0.0, upper=10.0)
         prob = make_problem(sb, 1.0, 1.0, 1.0, g=50.0, a=0.1)
         sol = solve_inclusion(prob, mode="forget_box")
         lo, hi = sb.j_interval(sol.y)
         assert lo - 1e-9 <= sol.p_new <= hi + 1e-9
 
     def test_degenerate_box_is_stationary(self):
-        sb = euclidean_piece(lower=1.0, upper=1.0)
+        sb = ScalarBregman(lower=1.0, upper=1.0)
         prob = make_problem(sb, 1.0, 1.0, 1.0, g=50.0, a=0.1)
         sol = solve_inclusion(prob)
         assert sol.y == 1.0
@@ -228,7 +228,7 @@ class TestDivergence:
     def test_unbounded_ray_raises(self):
         # dq tends to a negative constant: residual never changes sign,
         # the objective decreases forever along the ray
-        prob = InclusionProblem(sb=euclidean_piece(), x=0.0, p=0.0,
+        prob = InclusionProblem(sb=ScalarBregman(), x=0.0, p=0.0,
                                 tau=1.0, dq=lambda y: -1.0 - abs(y),
                                 clarke=(-1.0, -1.0))
         # p - tau*dq(y) - y = 1 + |y| - y -> never 0 for y > 0; and the
@@ -246,7 +246,7 @@ class TestLargeTimeSteps:
             for g in (-0.3, 0.3):
                 for x in (0.0, -3.0, 50.0):
                     prob = InclusionProblem(
-                        sb=euclidean_piece(), x=x, p=x, tau=tau,
+                        sb=ScalarBregman(), x=x, p=x, tau=tau,
                         dq=lambda y, g=g, x=x: g + math.atan(y - x),
                         clarke=(g, g))
                     sol = solve_inclusion(prob)
@@ -268,7 +268,7 @@ class TestRootChoice:
 
         def dq(y):
             return -c * (y - r1) * (y - r2) * (r3 - y) - y
-        prob = InclusionProblem(sb=euclidean_piece(), x=0.0, p=0.0, tau=1.0,
+        prob = InclusionProblem(sb=ScalarBregman(), x=0.0, p=0.0, tau=1.0,
                                 dq=dq, clarke=clarke)
         sol = solve_inclusion(prob)
         check_solution(prob, sol)
@@ -303,7 +303,7 @@ class TestRootChoice:
         # residual of the pair wins, the lower float a tie; p_new lies in
         # the subdifferential there, or in the piece's interval.
         below = math.nextafter(1.3, -math.inf)
-        sb = euclidean_piece(upper=upper)
+        sb = ScalarBregman(upper=upper)
         prob = InclusionProblem(sb, 0.0, 0.0, 1.0,
                                 lambda y: -y - (a if y < 1.3 else -b),
                                 (-1.0, -1.0))
@@ -330,12 +330,12 @@ class TestCompiledCheckedSolve:
 
         def replaced(y):
             raise AssertionError("the replaced dq was called")
-        prob = InclusionProblem(euclidean_piece(), 1.0, 1.0, 1.0, replaced,
+        prob = InclusionProblem(ScalarBregman(), 1.0, 1.0, 1.0, replaced,
                                 (1.0, 1.0))
         calls = []
         prob.dq = lambda y: calls.append(y) or dq(y)
         sol = solvers.solve_inclusion(prob, "keep_box")
-        want = solve_inclusion(make_problem(euclidean_piece(), 1.0, 1.0, 1.0,
+        want = solve_inclusion(make_problem(ScalarBregman(), 1.0, 1.0, 1.0,
                                             1.0, 1.0))
         assert calls and not sol.stationary
         assert float(sol.y).hex() == float(want.y).hex()
@@ -403,7 +403,7 @@ class TestDeterminism:
     def test_delta0_insensitivity_convex(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
-            sb = elastic_net_piece(float(rng.uniform(0, 2)))
+            sb = ScalarBregman(float(rng.uniform(0, 2)))
             x = float(rng.uniform(-2, 2))
             lo, hi = sb.subdiff_interval(x)
             p = float(rng.uniform(lo, hi))
@@ -424,9 +424,12 @@ class TestGridOracle:
         """Two-stage grid argmin of v(y) + D(x, y)/tau over the box,
         where v is the local quadratic model integrated from its
         difference quotient."""
+        def j(y):
+            return 0.5 * y * y + sb.gamma * abs(y - sb.shift)
+
         def total(y):
             v = g * (y - x) + 0.25 * a * (y - x) ** 2
-            d = sb.j_value(y) - sb.j_value(x) - p * (y - x)
+            d = j(y) - j(x) - p * (y - x)
             return tau * v + d
 
         lo = max(sb.lower, x - 50.0)
@@ -451,7 +454,7 @@ class TestGridOracle:
         count = 0
         while count < 60:
             gamma = float(rng.uniform(0, 2))
-            sb = elastic_net_piece(gamma)
+            sb = ScalarBregman(gamma)
             x = float(rng.uniform(-2, 2))
             slo, shi = sb.subdiff_interval(x)
             p = float(rng.uniform(slo, shi))
@@ -471,7 +474,7 @@ class TestGridOracle:
             gamma = float(rng.uniform(0, 2))
             lo = float(rng.uniform(-3, 0))
             hi = float(rng.uniform(0.5, 3))
-            sb = elastic_net_piece(gamma, lower=lo, upper=hi)
+            sb = ScalarBregman(gamma, lower=lo, upper=hi)
             x = float(rng.uniform(lo, hi))
             slo, shi = sb.subdiff_interval(x)
             p = float(rng.uniform(max(slo, -50), min(shi, 50)))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bregsolve import solvers
-from bregsolve.bregman import BregmanSpec, PrimalDualState, euclidean_piece
+from bregsolve.bregman import BregmanSpec, PrimalDualState, ScalarBregman
 from bregsolve.inclusion import InclusionProblem, solve_inclusion
 from bregsolve.objectives import (CoordinateObjective, L1QuadraticObjective,
                                   ObjectiveError, QuadraticObjective,
@@ -408,7 +408,7 @@ class TestStudentTQuotient:
                             lambda self, y, i, old, new: reads.append(i)
                             or quotient(self, y, i, old, new))
         ctx = V.sweep_context(np.full(9, 0.5))
-        prob = InclusionProblem(euclidean_piece(), 0.5, 0.5, 1.0,
+        prob = InclusionProblem(ScalarBregman(), 0.5, 0.5, 1.0,
                                 ctx.dq(4), (-1.0, 1.0))
         for solve in (solve_inclusion, solvers.solve_inclusion):
             assert solve(prob).stationary and reads == []

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bregsolve import _quadpass, cli, inclusion, solvers
+from bregsolve import _quadpass, cli, inclusion, objectives, solvers
 from bregsolve.bregman import BregmanError, BregmanSpec, PrimalDualState
 from bregsolve.objectives import (L1QuadraticObjective, ObjectiveError,
                                   QuadraticObjective, StudentTObjective,
@@ -374,11 +374,15 @@ def red_black_bits(V, spec, state, sweeps=3):
     return state.x.tobytes(), state.p.tobytes()
 
 
-def kernel_sweep(V, pieces, y, idx, p, tau, forget=False, fallback=print):
+def kernel_sweep(V, spec, y, idx, p, tau, forget=False, fallback=print,
+                 shift=None):
     """The compiled module's sweep of ``idx`` on the student-t image ``y``,
-    which it writes in place with ``p``."""
+    which it writes in place with ``p``, with the pieces of ``spec`` or of
+    another ``shift``."""
+    shift = spec.shift if shift is None else shift
     return _quadpass.load().sweep(y, V.h, V.w, *V.phi, V.x_delta, idx,
-                                  pieces, p, tau, forget, fallback)
+                                  shift, spec.gamma, spec.lower, spec.upper,
+                                  p, tau, forget, fallback)
 
 
 needs_kernel = pytest.mark.skipif(
@@ -446,23 +450,25 @@ class TestRowResidualUpdate:
         # The inclusion sweep's order is read as C longs, y and p as
         # writable doubles, and each index is checked when its turn comes.
         V = StudentTObjective(2, 3, np.zeros(6))
-        pieces = BregmanSpec.euclidean(6).pieces
+        spec = BregmanSpec.euclidean(6)
         y, p, tau = np.zeros(6), np.zeros(6), np.ones(6)
         for idx in (np.arange(6, dtype=np.int32), np.arange(12)[::2]):
             with pytest.raises(TypeError, match="C-contiguous"):
-                kernel_sweep(V, pieces, y, idx, p, tau)
+                kernel_sweep(V, spec, y, idx, p, tau)
         for bad in (np.zeros(6, np.float32), np.zeros(12)[::2]):
             for args in ((bad, p, tau), (y, bad, tau), (y, p, bad)):
                 with pytest.raises(TypeError, match="C-contiguous"):
-                    kernel_sweep(V, pieces, args[0], np.arange(6), *args[1:])
+                    kernel_sweep(V, spec, args[0], np.arange(6), *args[1:])
+            with pytest.raises(TypeError, match="C-contiguous"):
+                kernel_sweep(V, spec, y, np.arange(6), p, tau, shift=bad)
         frozen = np.zeros(6)
         frozen.flags.writeable = False
         for args in ((frozen, p), (y, frozen)):
             with pytest.raises(ValueError, match="read-only"):
-                kernel_sweep(V, pieces, args[0], np.arange(6), args[1], tau)
+                kernel_sweep(V, spec, args[0], np.arange(6), args[1], tau)
         for idx in (np.array([0, 6]), np.array([-1])):
             with pytest.raises(IndexError, match="no coordinate"):
-                kernel_sweep(V, pieces, y, idx, p, tau)
+                kernel_sweep(V, spec, y, idx, p, tau)
         assert not y.any() and not p.any()
 
     @pytest.mark.parametrize("owner, name, error", [
@@ -615,6 +621,37 @@ class TestRowResidualUpdate:
         assert len(names) == 2
         assert all(n.startswith("compiled-") and n.endswith(".so")
                    for n in names)
+
+    @pytest.mark.parametrize("owner, name, value", [
+        (inclusion, "RESIDUAL_TOL", 2e-10), (inclusion, "_MAX_HALVINGS", 100),
+        (objectives, "STATIONARY_REL_TOL", 1e-13)])
+    def test_library_names_depend_on_the_search_constants(self, owner, name,
+                                                          value, monkeypatch):
+        # The C search is built with Python's constants, as -D flags of
+        # exact literals: another constant gets another module.
+        defined = dict(flag[2:].split("=") for flag in _quadpass.flags()
+                       if flag.startswith("-D"))
+        assert float.fromhex(defined["RESIDUAL_TOL"]) == inclusion.RESIDUAL_TOL
+        assert int(defined["MAX_HALVINGS"]) == inclusion._MAX_HALVINGS
+        before = _quadpass.lib_name()
+        monkeypatch.setattr(owner, name, value)
+        assert _quadpass.lib_name() != before
+
+    @needs_kernel
+    def test_search_constants_reach_the_kernel(self, fresh_kernel_cache,
+                                               monkeypatch):
+        # With a looser residual tolerance and a farther first probe, the
+        # module built for them, one more in the cache, leaves other bits,
+        # and Python's search the same.
+        V, spec, state = red_black_setup()
+        before = red_black_bits(V, spec, state)
+        monkeypatch.setattr(inclusion, "RESIDUAL_TOL", 1e-3)
+        monkeypatch.setattr(inclusion, "_DMIN", 1e-4)
+        _quadpass.load.cache_clear()
+        got = red_black_bits(V, spec, state)
+        with numpy_pass():
+            assert red_black_bits(V, spec, state) == got != before
+        assert len(list(fresh_kernel_cache.glob("compiled-*.so"))) == 2
 
     @needs_kernel
     def test_missing_python_headers_leave_nothing_compiled(
@@ -983,7 +1020,7 @@ class TestRunLoop:
         for variant in ("bia", "bia_modified", "l1_bsor"):
             cfg = SolverConfig(variant, tau=2.0, max_iters=30)
             state, _ = run(V, spec, np.zeros(10), cfg)
-            assert spec.membership_violation(state.x, state.p) <= 1e-9
+            assert spec.contains_subgradient(state.x, state.p, 1e-9)
 
     def test_variant_objective_mismatch(self):
         rng = np.random.default_rng(48)
@@ -1102,7 +1139,7 @@ class TestStudentTSolvers:
         spec = BregmanSpec.shifted_elastic_net(0.5, noisy.ravel())
         cfg = SolverConfig("bia_modified", tau=1.0, max_iters=10)
         state, _ = run(V, spec, noisy.ravel(), cfg)
-        assert spec.membership_violation(state.x, state.p) <= 1e-9
+        assert spec.contains_subgradient(state.x, state.p, 1e-9)
 
 
 def red_black_order(V):
@@ -1289,6 +1326,62 @@ def pass_through(prob, mode):
     return inclusion.solve_inclusion(prob, mode)
 
 
+def live_outcome(V, spec, state, taus, mode, order, sweeps):
+    """:func:`sweeps_outcome` of Python's loop reading ``order`` at each
+    turn, as the compiled sweep does: one single-coordinate sweep a turn."""
+    try:
+        with numpy_pass():
+            for _ in range(sweeps):
+                for k in range(len(order)):
+                    state = bia_sweep(V, spec, state, taus, mode,
+                                      order[k:k + 1]).state
+    except Exception as err:
+        return type(err), str(err)
+    return state.x.tobytes(), state.p.tobytes()
+
+
+#: Pixels where rounding, overflow and the sign of zero are at their edges.
+adversarial_pixel = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+     0.5, 1.0]) | st.floats(-2.0, 2.0)
+
+#: Coordinate 0 of a small image, (h, w, y, x_delta, gamma, box, p, tau),
+#: whose search reaches a branch that reuses a quotient evaluated before:
+#: the side probe that shrinks inward, the bracket end that decides a kink
+#: split, the box edge, the first probe, that a kink snap revisits and the
+#: bracket ends of an ulp squeeze.  The shifts are the data.
+_SQUEEZED = (1, 2, [float.fromhex("0x1.c478fd8e243c9p-2"), 0.32],
+             [float.fromhex("0x1.c478fd8ceb81bp-2"),
+              float.fromhex("0x1.49cd8ad891bd2p-2")], 0.0,
+             (0.0, float.fromhex("0x1.c478fd8e7a31ap-2")),
+             float.fromhex("-0x1.6197b944b7d2ep+1"),
+             float.fromhex("0x1.5497248826cd1p+3"))
+BRANCH_CASES = {
+    "shrink_inward": (1, 2, [0.25, 1.0], [0.0, 1.0], 0.0, (), -3.0, 0.5),
+    "kink_split": (1, 2, [0.25, 0.0], [0.0, 0.0], 0.5, (), -0.5, 0.5),
+    "kink_snap": _SQUEEZED,
+    "ulp_squeeze": _SQUEEZED,
+}
+
+
+def branch_reached(branch, spies):
+    """Whether Python's search took ``branch``, from the calls of the
+    spies on its functions."""
+    calls = {name: [c.args for c in spy.call_args_list]
+             for name, spy in spies.items()}
+    if branch == "kink_split":
+        return any(prob.sb.gamma > 0 and min(a, b) < prob.sb.shift < max(a, b)
+                   for prob, _, a, b in calls["_bracketed_root"])
+    if branch == "kink_snap":   # a box edge near the root, which it tries
+        tol = inclusion._KINK_TOL
+        return any(k != prob.x and math.isfinite(k)
+                   and abs(k - root) <= max(tol, tol * abs(root))
+                   for prob, root, _ in calls["_snap_to_kink"]
+                   for k in (prob.sb.lower, prob.sb.upper))
+    return bool(calls[{"shrink_inward": "_shrink_inward",
+                       "ulp_squeeze": "_ulp_root"}[branch]])
+
+
 @needs_kernel
 class TestCompiledProblems:
     """The compiled sweep solves each coordinate's problem in C, bitwise as
@@ -1299,9 +1392,10 @@ class TestCompiledProblems:
 
     @pytest.mark.parametrize("order", ["lexicographic", "red_black"])
     def test_tracer_contract_on_the_preset(self, order):
-        # Unwrapped, one sweep searches nothing in Python; wrapped as the
-        # tracer wraps it, it calls the wrapper once per pixel, whose
-        # replaced dq the search calls, and gives the same bits.
+        # Unwrapped, one sweep searches nothing in Python and never builds
+        # the spec's pieces; wrapped as the tracer wraps it, it calls the
+        # wrapper once per pixel, whose replaced dq the search calls, and
+        # gives the same bits.
         args = cli.build_parser().parse_args(
             ["--preset", "student_t_denoise", "--seed", "1"])
         exp = cli.build_experiment(cli.effective_params(args))
@@ -1309,7 +1403,7 @@ class TestCompiledProblems:
         state = PrimalDualState.initial(spec, exp.x0)
         with counted(inclusion, "_search") as searches:
             want = bia_sweep(V, spec, state, taus, order=order).state
-        assert searches == []
+        assert searches == [] and "pieces" not in vars(spec)
         real, seen, wrapped = solvers.solve_inclusion, [], [0]
 
         def traced(prob, *args, **kwargs):     # as the tracer wraps it
@@ -1373,7 +1467,7 @@ class TestCompiledProblems:
            mode=st.sampled_from(["keep_box", "forget_box"]),
            order=st.sampled_from(["lexicographic", "red_black", "repeated"]),
            outlier=st.booleans(),
-           odd=st.sampled_from([None, "float64_piece", "tau_0", "tau_nan"]))
+           odd=st.sampled_from([None, "tau_0", "tau_nan"]))
     def test_solve_is_the_python_solve(self, h, w, seed, box, gamma, tau,
                                        mode, order, outlier, odd):
         # Two sweeps by the kernel and by Python's loop, reached through a
@@ -1382,8 +1476,7 @@ class TestCompiledProblems:
         # noise on the box edges; without an upper bound one pixel may sit
         # 1e9 off, whose move to an edge at its neighbour's value rounds a
         # log1p argument to -1, and Python raises.  One coordinate may have
-        # a piece with an np.float64 field, or tau 0 or NaN, which the
-        # kernel hands to Python.
+        # tau 0 or NaN, which the kernel hands to Python.
         rng = np.random.default_rng(seed)
         x_delta = impulse_noise(rng.uniform(0.2, 0.8, (h, w)), 0.3,
                                 seed=seed).ravel()
@@ -1395,22 +1488,84 @@ class TestCompiledProblems:
         if order == "repeated":         # repeats and gaps
             order = rng.integers(0, V.n, 2 * V.n)
         taus, j = np.full(V.n, tau), int(rng.integers(V.n))
-        pieces = list(spec.pieces)
-        if odd == "float64_piece":
-            pieces[j] = dataclasses.replace(pieces[j], gamma=np.float64(gamma))
-            vars(spec)["pieces"] = tuple(pieces)
-        elif odd is not None:
+        if odd is not None:
             taus[j] = 0.0 if odd == "tau_0" else math.nan
         state = PrimalDualState.initial(spec, y)
         args = (V, spec, state, taus, mode, order, 2)
-        with counted(inclusion, "_try_stationary") as handed:
-            got = sweeps_outcome(*args)
+        got = sweeps_outcome(*args)
         with mock.patch.object(solvers, "solve_inclusion", pass_through):
             assert got == sweeps_outcome(*args)
-        visited = range(V.n) if isinstance(order, str) else order.tolist()
-        if odd == "float64_piece" and isinstance(got[0], bytes) \
-                and j in visited:
-            assert any(prob.sb is pieces[j] for prob in handed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), shape=st.sampled_from([(1, 1), (1, 5), (5, 1)])
+           | st.tuples(st.integers(1, 4), st.integers(1, 4)),
+           gamma=st.sampled_from([0.0, 0.05, 0.5, 2.0]),
+           tau=st.floats(1e-3, 20.0) | st.just(20.0),
+           mode=st.sampled_from(["keep_box", "forget_box"]),
+           order=st.sampled_from(["lexicographic", "red_black", "repeated"]))
+    def test_adversarial_images_are_the_python_loop(self, data, shape, gamma,
+                                                    tau, mode, order):
+        # Two sweeps by the kernel and by Python's loop reading the order at
+        # each turn: the same bits or the same error.  1 x 1, 1 x n and
+        # n x 1 images of subnormal, +-1e300 and signed-zero pixels, shifts
+        # and box edges at the pixels.  One coordinate may have tau NaN,
+        # which the kernel hands to Python: there it is solved at tau 1,
+        # and it writes the order array, the very array the kernel reads,
+        # maybe with an index outside the image.
+        (h, w), n = shape, shape[0] * shape[1]
+        pixels = st.lists(adversarial_pixel, min_size=n, max_size=n)
+        y, x_delta = np.array(data.draw(pixels)), np.array(data.draw(pixels))
+        shift = [data.draw(st.sampled_from([*y, *x_delta])) for _ in y]
+        box = (data.draw(st.sampled_from([-math.inf, y.min()])),
+               data.draw(st.sampled_from([math.inf, y.max()])))
+        V = StudentTObjective(h, w, x_delta)
+        spec = BregmanSpec(np.array(shift), gamma, *box)
+        idx = V.red_black.copy() if order == "red_black" else np.arange(n) \
+            if order == "lexicographic" else np.array(data.draw(st.lists(
+                st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+        taus = np.full(n, tau)
+        nan_at = data.draw(st.none() | st.integers(0, n - 1))
+        if nan_at is not None:
+            taus[nan_at] = math.nan
+        at = data.draw(st.integers(0, len(idx) - 1))
+        value = data.draw(st.integers(-1, n))
+        live, problem = [None], solvers.InclusionProblem
+
+        def written(sb, x, p, tau, dq, clarke):
+            if math.isnan(tau):
+                live[0][at], tau = value, 1.0
+            return problem(sb, x, p, tau, dq, clarke)
+        state = PrimalDualState.initial(spec, y)
+        outcomes = []
+        with mock.patch.object(solvers, "InclusionProblem", written):
+            for outcome in (sweeps_outcome, live_outcome):
+                live[0] = idx.copy()
+                outcomes.append(outcome(V, spec, state, taus, mode, live[0],
+                                        2))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("branch", sorted(BRANCH_CASES))
+    def test_carried_quotients_in_each_branch(self, branch):
+        # Python's search takes the branch, as the spies on its functions
+        # show; the kernel, which solves the coordinate without Python,
+        # gives the same bits.
+        h, w, y, x_delta, gamma, box, p, tau = BRANCH_CASES[branch]
+        V = StudentTObjective(h, w, np.array(x_delta))
+        spec = BregmanSpec(V.x_delta, gamma, *box)
+        state = PrimalDualState(np.array(y), np.r_[p, np.zeros(V.n - 1)])
+        taus = np.full(V.n, tau)
+        names = ("_shrink_inward", "_bracketed_root", "_snap_to_kink",
+                 "_ulp_root")
+        spies = {name: mock.Mock(wraps=getattr(inclusion, name))
+                 for name in names}
+        with numpy_pass(), mock.patch.multiple(inclusion, **spies):
+            want = bia_sweep(V, spec, state, taus, order=[0]).state
+        assert branch_reached(branch, spies)
+        with counted(inclusion, "_search") as searches:
+            got = bia_sweep(V, spec, state, taus, order=[0]).state
+        assert searches == [] and got.x[0] != y[0]
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.p.tobytes() == want.p.tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(h=st.integers(1, 5), w=st.integers(1, 5),
@@ -1480,29 +1635,28 @@ class TestCompiledProblems:
                 errors.append(str(err.value))
             assert errors[0] == errors[1]
         y, p, tau, idx = np.full(3, 0.5), np.zeros(3), np.ones(3), np.arange(3)
-        for bad in ((spec.pieces[:2], y, idx, p, tau),
-                    (spec.pieces, y, idx, p[:2], tau),
-                    (spec.pieces, y, idx, p, tau[:2])):
+        for bad in ((y, idx, p[:2], tau), (y, idx, p, tau[:2])):
             with pytest.raises(ValueError, match="fit"):
-                kernel_sweep(V, *bad)
+                kernel_sweep(V, spec, *bad)
+        with pytest.raises(ValueError, match="fit"):
+            kernel_sweep(V, spec, y, idx, p, tau, shift=spec.shift[:2])
         with pytest.raises(TypeError):
-            kernel_sweep(V, spec.pieces, y, idx.astype(float), p, tau)
+            kernel_sweep(V, spec, y, idx.astype(float), p, tau)
 
     def test_indices_written_after_the_call_are_checked(self):
         # The order is a writable array, V.red_black itself for a red-black
-        # sweep, which a coordinate handed to Python may write: an index
-        # written there raises IndexError when its turn comes.  In a new
-        # process, so that a crash fails this test alone.
+        # sweep, which a coordinate handed to Python, here by its tau of
+        # NaN, may write: an index written there raises IndexError when its
+        # turn comes.  In a new process, so that a crash fails this test
+        # alone.
         bad = (-100000, -1, 6, 2**40)
         code = f"""if True:
-            import dataclasses
             import numpy as np
             from bregsolve import _quadpass
-            from bregsolve.bregman import BregmanSpec
             from bregsolve.objectives import StudentTObjective
             V = StudentTObjective(2, 3, np.zeros(6))
-            pieces = list(BregmanSpec.euclidean(6).pieces)
-            pieces[0] = dataclasses.replace(pieces[0], gamma=np.float64(0))
+            tau = np.ones(6)
+            tau[0] = np.nan
             for i in {bad}:
                 idx = np.arange(6)
 
@@ -1511,8 +1665,8 @@ class TestCompiledProblems:
                 try:
                     _quadpass.load().sweep(
                         np.zeros(6), V.h, V.w, *V.phi, V.x_delta, idx,
-                        tuple(pieces), np.zeros(6), np.ones(6), False,
-                        fallback)
+                        np.zeros(6), 0.0, -np.inf, np.inf, np.zeros(6),
+                        tau, False, fallback)
                 except IndexError as err:
                     print(err)
         """
