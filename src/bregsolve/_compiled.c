@@ -138,9 +138,10 @@ static void quad_pass(int rule, Py_ssize_t n, const double *A, double *r,
 }
 
 /* The inclusion kernel's search of one coordinate, each branch of
- * inclusion._search in its order. */
+ * inclusion._search in its order; NONE where Python's finds no root or
+ * raises DivergenceError or ConvergenceError, which the sweep treats alike */
 
-enum { FOUND, NONE, FAIL };     /* FAIL: DivergenceError, ConvergenceError */
+enum { NONE, FOUND };
 enum { MEMO = 8 };
 
 typedef struct {
@@ -212,45 +213,30 @@ static int brenth(Coord *c, double a, double b, double *root)
         xcur += fabs(scur) > delta ? scur : sbis > 0 ? delta : -delta;
         fcur = residual(c, xcur);
     }
-    return FAIL;
-}
-
-/* inclusion._snap_to_kink */
-static void snap(Coord *c, double *root, double *g)
-{
-    double kinks[3] = {c->b.shift, c->b.lower, c->b.upper}, r = *root, gk;
-    double tol = pmax(KINK_TOL, KINK_TOL * fabs(r));
-    for (int k = c->b.gamma > 0 ? 0 : 1; k < 3; k++) {
-        if (isfinite(kinks[k]) && fabs(kinks[k] - r) <= tol
-                && kinks[k] != c->s.x && fabs(gk = residual(c, kinks[k]))
-                < fabs(*g))
-            *root = kinks[k], *g = gk;
-    }
+    return NONE;
 }
 
 /* inclusion._ulp_root */
-static int ulp_root(Coord *c, double lo, double hi, double *root, double g)
+static double ulp_root(Coord *c, double lo, double hi, double root, double g)
 {
     double glo = residual(c, lo), ghi = residual(c, hi);
-    if (glo * ghi > 0)
-        return FAIL;
     if (g * glo > 0)
-        lo = *root, glo = g;
+        lo = root, glo = g;
     else if (g * ghi > 0)
-        hi = *root, ghi = g;
+        hi = root, ghi = g;
     for (int it = 0; it < MAX_HALVINGS; it++) {
         double mid = 0.5 * (lo + hi);
         if (mid <= lo || mid >= hi)
             break;
         double gm = residual(c, mid);
         if (fabs(gm) <= RESIDUAL_TOL)
-            return *root = mid, FOUND;
+            return mid;
         if ((gm < 0) == (glo < 0))
             lo = mid, glo = gm;
         else
             hi = mid, ghi = gm;
     }
-    return *root = fabs(glo) <= fabs(ghi) ? lo : hi, FOUND;
+    return fabs(glo) <= fabs(ghi) ? lo : hi;
 }
 
 /* inclusion._bracketed_root */
@@ -266,12 +252,11 @@ static int bracketed(Coord *c, double a, double b, double *root)
         else
             hi = shift;
     }
-    if (brenth(c, lo, hi, root) == FAIL)
-        return FAIL;
-    g = residual(c, *root);
-    if (fabs(g) > RESIDUAL_TOL)
-        snap(c, root, &g);
-    return fabs(g) > RESIDUAL_TOL ? ulp_root(c, lo, hi, root, g) : FOUND;
+    if (brenth(c, lo, hi, root) == NONE)
+        return NONE;
+    if (fabs(g = residual(c, *root)) > RESIDUAL_TOL)
+        *root = ulp_root(c, lo, hi, *root, g);
+    return FOUND;
 }
 
 /* inclusion._shrink_inward */
@@ -313,15 +298,15 @@ static int on_side(Coord *c, double d, double y_prev, double dmin,
             return NONE;
         y_prev = y, g_prev = g;
     }
-    return FAIL;
+    return NONE;
 }
 
 /* inclusion._search up to its fallbacks: each side in the order of
- * _candidate_sides; NONE if no side has a root */
+ * _candidate_sides */
 static int solve(Coord *c, double *root)
 {
     double x = c->s.x, d[2], y[2], q[2], side;
-    int sides = 0, failed = 0;
+    int sides = 0;
     double dmin = pmax(DMIN, DMIN * fabs(x));
     double v = project(0.0, c->s.lo, c->s.hi);
     double delta0 = pmin(pmax(dmin, 0.5 * c->tau * fabs(v)),
@@ -334,13 +319,10 @@ static int solve(Coord *c, double *root)
     if (sides == 2 && q[1] < q[0])
         side = d[0], d[0] = d[1], d[1] = side,
         side = y[0], y[0] = y[1], y[1] = side;
-    for (int k = 0; k < sides && !c->err; k++) {
-        int got = on_side(c, d[k], y[k], dmin, delta0, root);
-        if (got == FOUND)
+    for (int k = 0; k < sides && !c->err; k++)
+        if (on_side(c, d[k], y[k], dmin, delta0, root) == FOUND)
             return FOUND;
-        failed |= got == FAIL;
-    }
-    return failed ? FAIL : NONE;
+    return NONE;
 }
 
 /* PyArg_Parse converters to C-contiguous views of doubles, of writable
@@ -367,7 +349,8 @@ static int longs(PyObject *o, void *b) { return view(o, b, "l", 0); }
  * written to y[i] and p[i]: the stationary test (inclusion._try_stationary)
  * and, where it fails, the kernel's search and inclusion._finish.  0 where
  * Python must solve it: tau not > 0 (Python raises), x outside the box
- * (Python raises), a search that fails, meets an error or returns x. */
+ * (Python raises), a search that fails, finds no root or meets an error;
+ * no root is x, since each probe and bracket lies strictly to one side. */
 static int solved(double *y, double *p, double tau, const Piece *b,
                   Py_ssize_t h, Py_ssize_t w, const double phi[2],
                   const double *xd, Py_ssize_t i, int forget)
@@ -381,7 +364,7 @@ static int solved(double *y, double *p, double tau, const Piece *b,
         t = c.p - tau * pmin(pmax(0.0, a[0]), a[1]);
         root = x;
     } else {
-        if (solve(&c, &root) != FOUND || root == x)
+        if (solve(&c, &root) != FOUND)
             return 0;
         t = c.p - tau * dq(&c, root);
         intervals(b, root, j, s);

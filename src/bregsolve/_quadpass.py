@@ -64,8 +64,7 @@ def flags() -> tuple[str, ...]:
     called, as ``-D`` flags of exact literals, so that the compiled search
     and Python's cannot drift apart."""
     names = ("RESIDUAL_TOL", "_BRENT_XTOL", "_BRENT_RTOL", "_BRENT_MAXITER",
-             "_DMIN", "_WARM_DOUBLINGS", "_MAX_DOUBLINGS", "_MAX_HALVINGS",
-             "_KINK_TOL")
+             "_DMIN", "_WARM_DOUBLINGS", "_MAX_DOUBLINGS", "_MAX_HALVINGS")
     consts = [(name, getattr(inclusion, name)) for name in names]
     consts.append(("STATIONARY_REL_TOL", objectives.STATIONARY_REL_TOL))
     return (*FLAGS, *("-D" + name.lstrip("_") + "="

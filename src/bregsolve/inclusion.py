@@ -39,8 +39,8 @@ _DMIN = 1e-8                #: dmin, relative to max(1, |x|)
 _WARM_DOUBLINGS = 30        #: the warm distance is at most 2**30 * dmin
 _MAX_DOUBLINGS = 60         #: and the outward probes at most 2**60 * dmin
 _MAX_HALVINGS = 200         #: steps of the inward halving, the ulp squeeze
-_KINK_TOL = 1e-9            #: snap distance, relative to max(1, |root|)
 _INF = math.inf
+MODES = ("keep_box", "forget_box")
 
 
 class InclusionError(RuntimeError):
@@ -245,6 +245,8 @@ def brenth(f: Callable[[float], float], a: float, b: float) -> float:
 
 
 def _bracketed_root(prob: InclusionProblem, mode: str, a: float, b: float):
+    """The solution at the sign change between ``a`` and ``b``: the kink
+    of j inside, Brent's root, or that root squeezed between floats."""
     lo, hi = (a, b) if a < b else (b, a)
     sb = prob.sb
     if sb.gamma > 0 and lo < sb.shift < hi:
@@ -258,22 +260,15 @@ def _bracketed_root(prob: InclusionProblem, mode: str, a: float, b: float):
         else:
             hi = sb.shift
     root = brenth(lambda y: _residual(prob, y), lo, hi)
-    g = _residual(prob, root)
-    if abs(g) > RESIDUAL_TOL:
-        root, g = _snap_to_kink(prob, root, g)
-    if abs(g) > RESIDUAL_TOL:
-        squeezed = _ulp_root(prob, lo, hi, root, g)
-        if squeezed is None:
-            raise ConvergenceError(
-                f"inclusion residual {g:.3e} above tolerance at y={root} "
-                f"(x={prob.x}, p={prob.p}, tau={prob.tau})")
-        root = squeezed
+    if abs(g := _residual(prob, root)) > RESIDUAL_TOL:
+        root = _ulp_root(prob, lo, hi, root, g)
     return _finish(prob, root, mode)
 
 
 def _ulp_root(prob: InclusionProblem, lo: float, hi: float, root: float,
-              g: float):
-    """Find the root squeezed between adjacent floats, or None.
+              g: float) -> float:
+    """The root of the sign change on ``[lo, hi]``, whose ends brenth took
+    with opposite residual signs, squeezed between adjacent floats.
 
     Near a data kink the difference quotient can have slope ~1/|x - s|,
     so the residual moves by more than the tolerance per ulp and no
@@ -282,8 +277,6 @@ def _ulp_root(prob: InclusionProblem, lo: float, hi: float, root: float,
     """
     glo = _residual(prob, lo)
     ghi = _residual(prob, hi)
-    if glo * ghi > 0:
-        return None
     if g * glo > 0:
         lo, glo = root, g
     elif g * ghi > 0:
@@ -303,24 +296,6 @@ def _ulp_root(prob: InclusionProblem, lo: float, hi: float, root: float,
     return lo if abs(glo) <= abs(ghi) else hi
 
 
-def _snap_to_kink(prob: InclusionProblem, root: float, g: float):
-    """The subdifferential interval jumps at kinks of j and at the box
-    edges; Brent may stop a rounding error away from such a point."""
-    sb = prob.sb
-    kinks = [sb.shift] if sb.gamma > 0 else []
-    for edge in (sb.lower, sb.upper):
-        if math.isfinite(edge):
-            kinks.append(edge)
-    tol = max(_KINK_TOL, _KINK_TOL * abs(root))
-    best_y, best_g = root, g
-    for k in kinks:
-        if abs(k - root) <= tol and k != prob.x:
-            gk = _residual(prob, k)
-            if abs(gk) < abs(best_g):
-                best_y, best_g = k, gk
-    return best_y, best_g
-
-
 def solve_inclusion(prob: InclusionProblem,
                     mode: str = "keep_box") -> InclusionSolution:
     """Solve the scalar inclusion; see the module docstring.
@@ -328,7 +303,7 @@ def solve_inclusion(prob: InclusionProblem,
     ``mode`` is "keep_box" (subgradient may include the box normal cone)
     or "forget_box" (the normal-cone part is discarded from p_new).
     """
-    if mode not in ("keep_box", "forget_box"):
+    if mode not in MODES:
         raise InclusionError(f"unknown mode {mode!r}")
     return _try_stationary(prob, mode) or _search(prob, mode)
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import _quadpass, inclusion
 from .bregman import (BregmanSpec, PrimalDualState, interval_dist_zero,
                       interval_project, shrink)
-from .inclusion import InclusionProblem
+from .inclusion import InclusionError, InclusionProblem
 from .metrics import (TraceRecord, clarke_dist, dissipation_slack,
                       support_stats)
 from .objectives import (CoordinateObjective, QuadraticObjective,
@@ -158,8 +158,9 @@ def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
               mode: str = "keep_box", order="lexicographic") -> SweepResult:
     """One Bregman coordinate sweep, one scalar inclusion per index of
     ``order``: index order, an array of indices, or ``"red_black"``, the
-    red pixels of ``V.colours`` and then the black.  IndexError, before
-    any is solved, for an index outside ``range(n)``.
+    red pixels of ``V.colours`` and then the black.  Before any is solved:
+    SolverError unless taus, x, p and spec have V.n entries, InclusionError
+    for an unknown mode, IndexError for an index outside ``range(n)``.
 
     On a plain student-t objective the compiled module, if it loaded,
     runs the whole sweep, bitwise alike, from the spec's shift, gamma and
@@ -168,6 +169,10 @@ def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
     otherwise, and wherever :data:`solve_inclusion` is wrapped, so that
     the wrapper sees every coordinate."""
     taus = np.ascontiguousarray(taus, dtype=float)
+    if {taus.shape, state.x.shape, state.p.shape, (spec.n,)} != {(V.n,)}:
+        raise SolverError(f"taus, x, p and the spec need {V.n} entries")
+    if mode not in inclusion.MODES:
+        raise InclusionError(f"unknown mode {mode!r}")
     ctx = V.sweep_context(state.x)
     if isinstance(order, str):
         order = V.red_black if order == "red_black" else np.arange(spec.n)
@@ -185,9 +190,7 @@ def bia_sweep(V: CoordinateObjective, spec: BregmanSpec,
         p[i] = sol.p_new
         if not sol.stationary:
             ctx.commit(i, sol.y)
-    fit = {taus.shape, ctx.y.shape, p.shape, (spec.n,)} == {(V.n,)}
-    lib = compiled("inclusion_pass", V) \
-        if fit and mode in ("keep_box", "forget_box") else None
+    lib = compiled("inclusion_pass", V)
     if lib is not None:
         lib.sweep(ctx.y, V.h, V.w, *V.phi, V.x_delta, idx, spec.shift,
                   spec.gamma, spec.lower, spec.upper, p, taus,

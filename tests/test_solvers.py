@@ -1132,6 +1132,37 @@ class TestStudentTSolvers:
         for r in records:
             assert r.dissipation_slack >= -1e-9 * max(1.0, abs(r.objective))
 
+    def test_root_beside_a_shift_below_the_box(self):
+        # Brent's root lies within 1e-9 of the piece's shift, which lies
+        # just below the box, and misses the residual tolerance: the ulp
+        # squeeze settles it, and no residual is taken outside the box,
+        # where subdiff_interval raises BregmanError.  The compiled sweep
+        # solves it alike, without Python.
+        h = float.fromhex
+        V = StudentTObjective(1, 1, np.array([h("0x1.c02589fbab5fcp-1")]))
+        spec = BregmanSpec(np.array([h("0x1.c02589ca68ae0p-1")]), 2.0,
+                           lower=0.8752863941010975)
+        x0 = np.array([h("0x1.c0258a2cbe2eap-1")])
+        cfg = SolverConfig("bia", tau=h("0x1.766272a20e167p-2"), max_iters=3)
+        residual, outside = inclusion._residual, []
+
+        def in_box(prob, y):
+            if not prob.sb.lower <= y <= prob.sb.upper:
+                outside.append(y)
+            return residual(prob, y)
+        with numpy_pass(), mock.patch.object(inclusion, "_residual", in_box):
+            want, records = run(V, spec, x0, cfg)
+        assert outside == []
+        assert len(records) == 3 and want.x[0] != x0[0]
+        assert spec.contains_subgradient(want.x, want.p, 0.0)
+        for r in records:
+            assert r.dissipation_slack >= -1e-9 * max(1.0, abs(r.objective))
+        with counted(inclusion, "_search") as searches:
+            got, _ = run(V, spec, x0, cfg)
+        assert len(searches) == (0 if _quadpass.load() else 3)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.p.tobytes() == want.p.tobytes()
+
     def test_modified_scheme_keeps_membership(self):
         img = make_test_image(8, 8)
         noisy = impulse_noise(img, 0.2, seed=55)
@@ -1261,12 +1292,12 @@ class TestRedBlackSweep:
         assert new.x.tobytes() == state.x.tobytes()
 
     def test_kernel_skips_subclasses_and_indices_out_of_range(self):
-        # A subclass, and time steps that do not fit the image, get
-        # Python's loop, a solve per coordinate; every order in range,
-        # repeats and gaps included, gets the compiled sweep, which solves
-        # these coordinates without Python.  An index outside range(n)
-        # raises the same IndexError with and without the module, before
-        # any solve.
+        # A subclass gets Python's loop, a solve per coordinate; every
+        # order in range, repeats and gaps included, gets the compiled
+        # sweep, which solves these coordinates without Python.  An index
+        # outside range(n), time steps, a state or a spec that do not fit
+        # the image, and an unknown mode raise the same error with and
+        # without the module, before any coordinate's problem is built.
         class Sub(StudentTObjective):
             pass
         x_delta = impulse_noise(np.full((3, 3), 0.5), 0.3, seed=1).ravel()
@@ -1276,8 +1307,26 @@ class TestRedBlackSweep:
         kernel = _quadpass.load() is not None
         with counted(inclusion, "_try_stationary") as solves:
             bia_sweep(Sub(3, 3, x_delta), spec, state, np.ones(9))
-            bia_sweep(V, spec, state, np.ones(10))
-        assert len(solves) == 18
+        assert len(solves) == 9
+        ten = np.r_[x_delta, 0.5]
+        long_state = PrimalDualState.initial(BregmanSpec(ten, 0.5), ten)
+        for args, error in (
+                ((spec, state, np.ones(10)), SolverError),
+                ((spec, long_state, np.ones(9)), SolverError),
+                ((BregmanSpec(np.zeros(12), 0.5), state, np.ones(9)),
+                 SolverError),
+                ((spec, state, np.ones(9), "sideways"),
+                 inclusion.InclusionError)):
+            errors = []
+            for loaded in (True, False):
+                with (nullcontext() if loaded else numpy_pass()), \
+                        counted(solvers, "InclusionProblem") as built, \
+                        pytest.raises(error) as err:
+                    bia_sweep(V, *args, order="red_black")
+                errors.append(str(err.value))
+                assert built == []
+            assert errors[0] == errors[1]
+        assert errors[0] == "unknown mode 'sideways'"
         for order in ("lexicographic", "red_black", [0, 1, 2, 2, 4],
                       range(8), np.random.default_rng(1).integers(0, 9, 20)):
             with counted(inclusion, "_try_stationary") as solves:
@@ -1348,19 +1397,16 @@ adversarial_pixel = st.sampled_from(
 #: Coordinate 0 of a small image, (h, w, y, x_delta, gamma, box, p, tau),
 #: whose search reaches a branch that reuses a quotient evaluated before:
 #: the side probe that shrinks inward, the bracket end that decides a kink
-#: split, the box edge, the first probe, that a kink snap revisits and the
-#: bracket ends of an ulp squeeze.  The shifts are the data.
-_SQUEEZED = (1, 2, [float.fromhex("0x1.c478fd8e243c9p-2"), 0.32],
-             [float.fromhex("0x1.c478fd8ceb81bp-2"),
-              float.fromhex("0x1.49cd8ad891bd2p-2")], 0.0,
-             (0.0, float.fromhex("0x1.c478fd8e7a31ap-2")),
-             float.fromhex("-0x1.6197b944b7d2ep+1"),
-             float.fromhex("0x1.5497248826cd1p+3"))
+#: split and the bracket ends of an ulp squeeze.  The shifts are the data.
 BRANCH_CASES = {
     "shrink_inward": (1, 2, [0.25, 1.0], [0.0, 1.0], 0.0, (), -3.0, 0.5),
     "kink_split": (1, 2, [0.25, 0.0], [0.0, 0.0], 0.5, (), -0.5, 0.5),
-    "kink_snap": _SQUEEZED,
-    "ulp_squeeze": _SQUEEZED,
+    "ulp_squeeze": (1, 2, [float.fromhex("0x1.c478fd8e243c9p-2"), 0.32],
+                    [float.fromhex("0x1.c478fd8ceb81bp-2"),
+                     float.fromhex("0x1.49cd8ad891bd2p-2")], 0.0,
+                    (0.0, float.fromhex("0x1.c478fd8e7a31ap-2")),
+                    float.fromhex("-0x1.6197b944b7d2ep+1"),
+                    float.fromhex("0x1.5497248826cd1p+3")),
 }
 
 
@@ -1372,12 +1418,6 @@ def branch_reached(branch, spies):
     if branch == "kink_split":
         return any(prob.sb.gamma > 0 and min(a, b) < prob.sb.shift < max(a, b)
                    for prob, _, a, b in calls["_bracketed_root"])
-    if branch == "kink_snap":   # a box edge near the root, which it tries
-        tol = inclusion._KINK_TOL
-        return any(k != prob.x and math.isfinite(k)
-                   and abs(k - root) <= max(tol, tol * abs(root))
-                   for prob, root, _ in calls["_snap_to_kink"]
-                   for k in (prob.sb.lower, prob.sb.upper))
     return bool(calls[{"shrink_inward": "_shrink_inward",
                        "ulp_squeeze": "_ulp_root"}[branch]])
 
@@ -1554,8 +1594,7 @@ class TestCompiledProblems:
         spec = BregmanSpec(V.x_delta, gamma, *box)
         state = PrimalDualState(np.array(y), np.r_[p, np.zeros(V.n - 1)])
         taus = np.full(V.n, tau)
-        names = ("_shrink_inward", "_bracketed_root", "_snap_to_kink",
-                 "_ulp_root")
+        names = ("_shrink_inward", "_bracketed_root", "_ulp_root")
         spies = {name: mock.Mock(wraps=getattr(inclusion, name))
                  for name in names}
         with numpy_pass(), mock.patch.multiple(inclusion, **spies):
@@ -1619,7 +1658,7 @@ class TestCompiledProblems:
     def test_failed_checks_raise_pythons_error(self):
         # An x outside the box, a tau of 0 or NaN: the kernel hands the
         # coordinate to Python, which raises as its loop does; an unknown
-        # mode runs Python's loop.
+        # mode raises solve_inclusion's error before any solve.
         V = StudentTObjective(1, 3, np.full(3, 0.5))
         spec = BregmanSpec(V.x_delta, 0.5, 0.0, 1.0)
         for y, tau, mode in (([0.5, -0.5, 0.5], 1.0, "keep_box"),
