@@ -106,29 +106,23 @@ static double shrink(double x, double lam)
     return x > lam ? x - lam : x < -lam ? x + lam : 0.0;
 }
 
-/* solvers._quadratic_pass with the rules bsor (0: c = omega, thr, tau,
- * gamma; aux = rsub) and blcd (1: c = alpha, gamma; aux = p), which sor and
- * gauss_seidel run at gamma = 0, over the symmetric C-ordered n x n A and
- * r = A y - b.  The cheap cost model vectorises the row update, each lane
- * rounding as NumPy does. */
+/* solvers._quadratic_pass with solvers._shrinkage's rule, which bsor
+ * (h = tau/2, step = tau) and blcd (h = 0, step = alpha) share, and sor and
+ * gauss_seidel run as blcd at gamma = 0, over the symmetric C-ordered n x n
+ * A and r = A y - b.  The cheap cost model vectorises the row update, each
+ * lane rounding as NumPy does. */
 #ifdef __x86_64__     /* one copy per instruction set, picked at load */
 __attribute__((target_clones("avx512f", "avx2", "default")))
 #endif
-static void quad_pass(int rule, Py_ssize_t n, const double *A, double *r,
-                      double *y, double *aux, const double *c)
+static void quad_pass(Py_ssize_t n, const double *A, double *r, double *y,
+                      double *p, double h, double step, double gamma)
 {
     for (Py_ssize_t i = 0; i < n; i++) {
         const double *row = A + i * n;
-        double g = r[i], xi = y[i], aii = row[i], x_new;
-        if (rule == 0) {
-            x_new = shrink(xi - (c[0] / aii) * g + c[1] * aux[i], c[1]);
-            aux[i] += (c[2] / (c[3] * aii))
-                * (-g - (aii * (2.0 + c[2]) / (2.0 * c[2])) * (x_new - xi));
-        } else {
-            aux[i] -= (c[0] / aii) * g;
-            x_new = shrink(aux[i], c[1]);
-        }
-        double delta = x_new - xi;
+        double g = r[i], xi = y[i], aii = row[i];
+        double t = p[i] + h * xi - (step / aii) * g;
+        double x_new = shrink(t, gamma) / (1.0 + h), delta = x_new - xi;
+        p[i] = t - h * x_new;
         if (delta != 0.0) {
             for (Py_ssize_t j = 0; j < n; j++)
                 r[j] += row[j] * delta;
@@ -177,13 +171,13 @@ static double residual(Coord *c, double y)
     return t - project(t, s[0], s[1]);
 }
 
-/* inclusion.brenth on the residual */
+/* inclusion.brenth on the residual, from ends whose residuals have strictly
+ * opposite signs, as bracketed passes them */
 static int brenth(Coord *c, double a, double b, double *root)
 {
     double xpre = a, xcur = b, fpre = residual(c, a), fcur = residual(c, b);
     if (fpre == 0 || fcur == 0)
         return *root = fpre == 0 ? a : b, FOUND;
-    c->err |= (fpre < 0) == (fcur < 0);
     double xblk = 0.0, fblk = 0.0, spre = 0.0, scur = 0.0;
     for (int it = 0; it < BRENT_MAXITER && !c->err; it++) {
         if ((fpre < 0) != (fcur < 0))
@@ -425,25 +419,23 @@ done:
     return got;
 }
 
-/* quad_pass(rule, A, r, y, aux, *c): the closed-form pass; TypeError
+/* quad_pass(A, r, y, p, h, step, gamma): the closed-form pass; TypeError
  * before anything is written unless every array is a C-contiguous array
  * of doubles */
 static PyObject *quad_pass_call(PyObject *self, PyObject *args)
 {
-    Py_buffer a[4] = {{0}};             /* A, r, y, aux */
-    double c[4] = {0.0};
-    int rule;
+    Py_buffer a[4] = {{0}};             /* A, r, y, p */
+    double h, step, gamma;
     PyObject *got = NULL;
-    if (PyArg_ParseTuple(args, "iO&O&O&O&dd|dd", &rule, doubles, a,
-                         doubles, a + 1, doubles, a + 2, doubles, a + 3, c,
-                         c + 1, c + 2, c + 3)) {
+    if (PyArg_ParseTuple(args, "O&O&O&O&ddd", doubles, a, doubles, a + 1,
+                         doubles, a + 2, doubles, a + 3, &h, &step, &gamma)) {
         Py_ssize_t n = a[2].len / sizeof(double);
         if (a[0].len != n * a[2].len || a[1].len != a[2].len
                 || a[3].len != a[2].len)
             PyErr_SetString(PyExc_ValueError, "the arrays do not fit A");
         else
-            quad_pass(rule, n, a[0].buf, a[1].buf, a[2].buf, a[3].buf, c),
-                got = Py_NewRef(Py_None);
+            quad_pass(n, a[0].buf, a[1].buf, a[2].buf, a[3].buf, h, step,
+                      gamma), got = Py_NewRef(Py_None);
     }
     for (int k = 0; k < 4; k++)
         PyBuffer_Release(a + k);
@@ -452,8 +444,8 @@ static PyObject *quad_pass_call(PyObject *self, PyObject *args)
 
 static PyMethodDef methods[] = {
     {"quad_pass", quad_pass_call, METH_VARARGS,
-     "quad_pass(rule, A, r, y, aux, *c)\n--\n\n"
-     "solvers._quadratic_pass with the rule bsor (0) or blcd (1)."},
+     "quad_pass(A, r, y, p, h, step, gamma)\n--\n\n"
+     "solvers._quadratic_pass with solvers._shrinkage's rule."},
     {"sweep", sweep, METH_VARARGS,
      "sweep(y, h, w, phi_x, phi_y, x_delta, idx, shift, gamma, lower, "
      "upper, p, tau, forget, fallback)\n--\n\nThe loop of solvers.bia_sweep "

@@ -33,7 +33,6 @@ SOURCE = Path(__file__).with_name("_compiled.c")
 #: closed-form pass, each lane rounding alike.
 FLAGS = ("-O2", "-fno-strict-aliasing", "-fvect-cost-model=cheap",
          "-ffp-contract=off", "-fPIC", "-shared")
-RULES = {"bsor": 0, "blcd": 1}
 #: Modules a build leaves in the cache, the newest by modification time.
 KEEP = 4
 

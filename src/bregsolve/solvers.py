@@ -114,24 +114,42 @@ solve_inclusion = inclusion.solve_inclusion
 # ---------------------------------------------------------------------------
 
 def _quadratic_pass(q: QuadraticObjective, x: np.ndarray, rule,
-                    kernel_rule=None, r: np.ndarray | None = None):
+                    kernel=None, r: np.ndarray | None = None):
     """One lexicographic coordinate pass over the residual cache of ``q``,
     from a copy of ``r = A x - b`` if given; ``rule(i, r_i, y_i, a_ii)``
     gives the new ``y_i`` from ``r_i = (A y - b)_i``.  Returns ``y`` and
     ``r``.  On the plain residual context the C kernel, if it loaded, runs
-    the pass instead, bitwise alike, with ``kernel_rule`` ``(name, aux,
-    *c)``."""
+    the pass instead, bitwise alike, with :func:`_shrinkage`'s rule on
+    ``kernel``, its ``(variant, p, h, step, gamma)``."""
     ctx = q.sweep_context(x) if r is None else q.sweep_context(x, r)
     r, y, diag, commit = ctx.r, ctx.y, q.diag, ctx.commit
-    name, aux, *consts = kernel_rule or (None, None)
+    name, *args = kernel or (None,)
     lib = compiled("quadratic_pass", variant=name) \
         if type(ctx) is _QuadraticSweepContext else None
     if lib is not None:
-        lib.quad_pass(_quadpass.RULES[name], q.A, r, y, aux, *consts)
+        lib.quad_pass(q.A, r, y, *args)
         return y, r
     for i in range(q.n):
         commit(i, rule(i, r[i], y[i], diag[i]))
     return y, r
+
+
+def _shrinkage(q: QuadraticObjective, state: PrimalDualState, gamma: float,
+               h: float, step: float, r, variant: str) -> SweepResult:
+    """The closed-form sweep of ``bsor`` (``h = tau/2``, ``step = tau``) and
+    ``blcd`` (``h = 0``, ``step = alpha``) on ``p`` itself: coordinate ``i``
+    takes ``t = p_i + h x_i - (step / a_ii) g_i``, then ``x_i = shrink(t,
+    gamma) / (1 + h)`` and ``p_i = t - h x_i``."""
+    p = state.p.copy()
+
+    def rule(i, g, xi, aii):
+        t = p[i] + h * xi - (step / aii) * g
+        x_new = shrink(t, gamma) / (1.0 + h)
+        p[i] = t - h * x_new
+        return x_new
+
+    y, r = _quadratic_pass(q, state.x, rule, (variant, p, h, step, gamma), r)
+    return SweepResult(PrimalDualState(y, p, state.k + 1), r)
 
 
 # ---------------------------------------------------------------------------
@@ -213,81 +231,63 @@ def ia_sweep(V: CoordinateObjective, state: PrimalDualState,
 
 def bsor_sweep(q: QuadraticObjective, state: PrimalDualState, gamma: float,
                tau: float, r: np.ndarray | None = None) -> SweepResult:
-    """Shrinkage-modified SOR sweep for ``J = ||.||^2/2 + gamma*||.||_1``.
-
-    Equivalent to the scalar-inclusion sweep with elastic-net pieces, in
-    closed form; the subgradient decomposes as ``p = x + gamma * r`` with
-    ``r`` an l1 subgradient.
+    """Shrinkage-modified SOR sweep for ``J = ||.||^2/2 + gamma*||.||_1``,
+    ``gamma >= 0``: the scalar-inclusion sweep with elastic-net pieces and
+    steps ``tau / a_ii``, in closed form on ``p`` (:func:`_shrinkage` with
+    ``h = tau / 2``).  At ``gamma = 0`` it is the Itoh-Abe sweep with those
+    steps, which is SOR with ``omega = 2 tau / (2 + tau)``.
     """
-    if not (gamma > 0 and tau > 0):
-        raise SolverError("bsor requires gamma > 0 and tau > 0")
-    rsub = (state.p - state.x) / gamma
-    omega = 2.0 * tau / (2.0 + tau)
-    thr = 2.0 * gamma / (2.0 + tau)
-
-    def rule(i, g, xi, aii):
-        xt = xi - (omega / aii) * g
-        x_new = shrink(xt + thr * rsub[i], thr)
-        rsub[i] += (tau / (gamma * aii)) * (
-            -g - (aii * (2.0 + tau) / (2.0 * tau)) * (x_new - xi))
-        return x_new
-
-    y, r = _quadratic_pass(q, state.x, rule,
-                           ("bsor", rsub, omega, thr, tau, gamma), r)
-    return SweepResult(PrimalDualState(y, y + gamma * rsub, state.k + 1), r)
-
-
-def _l1_case1_subgradient(p, g, t, gamma, lam):
-    """Stationary-at-zero subgradient, matching the scalar-inclusion rule:
-    the admissible Clarke element of smallest magnitude."""
-    alo = max(g - lam, (p - gamma) / t)
-    ahi = min(g + lam, (p + gamma) / t)
-    v = interval_project(0.0, alo, ahi)
-    return p - t * v
+    if not (gamma >= 0 and tau > 0):
+        raise SolverError("bsor requires gamma >= 0 and tau > 0")
+    return _shrinkage(q, state, gamma, tau / 2.0, tau, r, "bsor")
 
 
 def l1_bsor_sweep(q: QuadraticObjective, state: PrimalDualState,
                   gamma: float, lam: float, tau: float, r=None) -> SweepResult:
     """Closed-form sweep for the l1-regularised quadratic objective with an
-    elastic-net Bregman function: four coordinate cases (stay at zero,
-    same-side shrinkage move, cross to zero, sign-crossing quadratic root),
-    tried in order; exactly one applies away from predicate boundaries.
+    elastic-net Bregman function, ``gamma >= 0``, on ``p`` itself: four
+    coordinate cases (stay at zero, same-side shrinkage move, cross to zero,
+    sign-crossing quadratic root) of ``c = p_i + (tau/2) x_i - t g_i``,
+    ``t = tau / a_ii``, tried in order; exactly one applies away from
+    predicate boundaries.  At ``gamma = 0`` it is the euclidean implicit
+    step of ``ia``, where case 3 holds at a single point only.
     """
-    if gamma <= 0 or lam < 0:
-        raise SolverError("l1_bsor requires gamma > 0 and lam >= 0")
-    rsub = (state.p - state.x) / gamma
-    kappa = 1.0 + tau / 2.0
+    if not (gamma >= 0 and lam >= 0):
+        raise SolverError("l1_bsor requires gamma >= 0 and lam >= 0")
+    p = state.p.copy()
+    h = tau / 2.0
 
     def rule(i, g, xi, aii):
         t = tau / aii
-        ri = rsub[i]
-        c = kappa * xi + gamma * ri - t * g
-        tl = t * lam
-        x_new, rsub[i] = _l1_coordinate_update(xi, ri, g, c, t, tl, gamma,
-                                               lam, kappa, aii, tau)
+        c = p[i] + h * xi - t * g
+        x_new, p[i] = _l1_coordinate_update(xi, p[i], g, c, t, t * lam,
+                                            gamma, lam, 1.0 + h, aii)
         return x_new
 
     y, r = _quadratic_pass(q, state.x, rule, r=r)
-    return SweepResult(PrimalDualState(y, y + gamma * rsub, state.k + 1), r)
+    return SweepResult(PrimalDualState(y, p, state.k + 1), r)
 
 
-def _l1_coordinate_update(xi, ri, g, c, t, tl, gamma, lam, kappa, aii, tau):
+def _l1_coordinate_update(xi, pi, g, c, t, tl, gamma, lam, kappa, aii):
     sgn_c = math.copysign(1.0, c) if c != 0 else 0.0
     sgn_x = math.copysign(1.0, xi) if xi != 0 else 0.0
 
-    # Case 1: already at zero and zero remains admissible.
+    # Case 1: already at zero and zero remains admissible; p moves by the
+    # admissible Clarke element of smallest magnitude, as the
+    # scalar-inclusion rule takes it.
     if xi == 0.0 and abs(c) <= gamma + tl:
-        p_new = _l1_case1_subgradient(gamma * ri, g, t, gamma, lam)
-        return 0.0, p_new / gamma
+        v = interval_project(0.0, max(g - lam, (pi - gamma) / t),
+                             min(g + lam, (pi + gamma) / t))
+        return 0.0, pi - t * v
 
     # Case 2: shrinkage-type move staying on (or entering) the side of c.
     if abs(c) > gamma + tl and (xi == 0.0 or sgn_x == sgn_c):
         x_new = (c - (gamma + tl) * sgn_c) / kappa
-        return x_new, sgn_c
+        return x_new, x_new + gamma * sgn_c
 
     # Case 3: move from a nonzero value to exactly zero.
     if xi != 0.0 and abs(c - tl * sgn_x) <= gamma:
-        return 0.0, (c - tl * sgn_x) / gamma
+        return 0.0, c - tl * sgn_x
 
     # Case 4: cross zero to the opposite side; quadratic in the new value
     # because the l1 difference quotient depends on it.
@@ -310,15 +310,16 @@ def _l1_coordinate_update(xi, ri, g, c, t, tl, gamma, lam, kappa, aii, tau):
             if 0.0 in roots:
                 # Crossing collapses exactly onto the kink; the dual
                 # value is the case-3 boundary subgradient.
-                r0 = min(1.0, max(-1.0, (c - tl * sgn_x) / gamma))
-                return 0.0, r0
+                return 0.0, min(gamma, max(-gamma, c - tl * sgn_x))
             best = None
             best_res = math.inf
             for root in roots:
                 if root * s <= 0:
                     continue
-                res = _l1_scalar_residual(root, xi, ri, g, t, gamma, lam,
-                                          aii, tau)
+                # |p_new - (p - t * DQ(root))|, p_new = root + gamma * s
+                dq = g + 0.5 * aii * (root - xi) \
+                    + lam * (abs(root) - abs(xi)) / (root - xi)
+                res = abs(root + gamma * s - (pi - t * dq))
                 if res < best_res:
                     best, best_res = root, res
             if best is not None:
@@ -335,24 +336,14 @@ def _l1_coordinate_update(xi, ri, g, c, t, tl, gamma, lam, kappa, aii, tau):
                 scale = max(abs(best), abs(xi), abs(B) / (2.0 * kappa))
                 tol = max(1e-8, 32.0 * sens * math.ulp(scale))
                 if best_res <= tol:
-                    return best, s
+                    return best, best + gamma * s
 
     raise InvariantViolation(
         "no closed-form case applies: "
-        f"x={xi}, r={ri}, g={g}, c={c}, t={t}, gamma={gamma}, lam={lam}, "
+        f"x={xi}, p={pi}, g={g}, c={c}, t={t}, gamma={gamma}, lam={lam}, "
         f"predicates: case1={xi == 0.0 and abs(c) <= gamma + tl}, "
         f"case2={abs(c) > gamma + tl}, "
         f"case3={xi != 0.0 and abs(c - tl * sgn_x) <= gamma}")
-
-
-def _l1_scalar_residual(y_new, xi, ri, g, t, gamma, lam, aii, tau):
-    """|p_new - (p - t * DQ(y_new))| for the candidate crossing root."""
-    dq = g + 0.5 * aii * (y_new - xi) \
-        + lam * (abs(y_new) - abs(xi)) / (y_new - xi)
-    target = xi + gamma * ri - t * dq
-    s = math.copysign(1.0, y_new)
-    p_new = y_new + gamma * s
-    return abs(p_new - target)
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +361,7 @@ def blcd_sweep(q: QuadraticObjective, state: PrimalDualState, gamma: float,
     """
     if not (0 < alpha < 2 and gamma >= 0):
         raise SolverError("blcd requires 0 < alpha < 2 and gamma >= 0")
-    p = state.p.copy()
-
-    def rule(i, g, xi, aii):
-        p[i] -= (alpha / aii) * g
-        return shrink(p[i], gamma)
-
-    y, r = _quadratic_pass(q, state.x, rule, ("blcd", p, alpha, gamma), r)
-    return SweepResult(PrimalDualState(y, p, state.k + 1), r)
+    return _shrinkage(q, state, gamma, 0.0, alpha, r, "blcd")
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +419,8 @@ def make_sweeper(V: CoordinateObjective, spec: BregmanSpec,
             raise SolverError(f"{variant} requires lam == 0; use l1_bsor "
                               "for l1-regularised objectives")
     tau, gamma = cfg.tau, spec.gamma
+    # Where these overflow, p carries values (gamma, tau * x / 2) whose
+    # rounding swamps x: such a gamma or tau is refused before any sweep.
     with np.errstate(over="ignore"):
         taus = coordinate_time_steps(cfg, V)
         consts = [taus]

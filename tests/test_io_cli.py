@@ -309,6 +309,21 @@ class TestCliMain:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["lam"] == 0.0
 
+    def test_closed_forms_at_gamma_zero(self, tmp_path):
+        # At gamma = 0 bsor is SOR, and l1_bsor the euclidean implicit
+        # step of ia, whose objective it gives to rounding.
+        assert main(["--preset", "gaussian_noiseless", "--gamma", "0",
+                     "--solvers", "sor,bsor",
+                     "--out-dir", str(tmp_path / "q")]) == 0
+        assert main(["--preset", "gaussian_noisy_l1", "--n", "64",
+                     "--iters", "40", "--gamma", "0", "--solvers",
+                     "ia,l1_bsor", "--out-dir", str(tmp_path / "l1")]) == 0
+        _, ia = read_trace(tmp_path / "l1" / "gaussian_noisy_l1_ia.csv")
+        _, l1 = read_trace(tmp_path / "l1" / "gaussian_noisy_l1_l1_bsor.csv")
+        assert len(ia) == len(l1) > 1
+        for a, b in zip(ia, l1):
+            assert abs(b.objective - a.objective) <= 1e-12 * abs(a.objective)
+
     def test_out_dir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BIA_OUT_DIR", str(tmp_path / "envout"))
         code = main(["--preset", "gaussian_noiseless", "--n", "8",

@@ -154,17 +154,30 @@ class TestBsorSweep:
             assert np.max(np.abs(st_a.x - st_b.x)) <= 1e-10
             assert np.max(np.abs(st_a.p - st_b.p)) <= 1e-10
 
-    def test_requires_positive_gamma(self):
-        q, _ = spd_system(2, 36)
-        spec = BregmanSpec.elastic_net(2, 1.0)
-        state = PrimalDualState.initial(spec, np.zeros(2))
-        with pytest.raises(SolverError):
-            bsor_sweep(q, state, gamma=0.0, tau=2.0)
+    @pytest.mark.parametrize("tau", [0.5, 2.0, 6.0])
+    def test_gamma_zero_is_ia_and_sor(self, tau):
+        # At gamma = 0 bsor is the Itoh-Abe sweep with steps tau / a_ii,
+        # which is SOR with omega = 2 tau / (2 + tau).
+        q, rng = spd_system(16, 36)
+        x0 = rng.standard_normal(16)
+        spec = BregmanSpec.euclidean(16)
+        st_b = st_ia = PrimalDualState.initial(spec, x0)
+        x_sor = x0.copy()
+        gap = 0.0
+        for _ in range(100):
+            st_b = bsor_sweep(q, st_b, gamma=0.0, tau=tau).state
+            st_ia = ia_sweep(q, st_ia, tau / q.diag).state
+            x_sor = sor_sweep(q, x_sor, 2.0 * tau / (2.0 + tau))
+            gap = max(gap, float(np.max(np.abs(st_b.x - st_ia.x))),
+                      float(np.max(np.abs(st_b.p - st_ia.p))),
+                      float(np.max(np.abs(st_b.x - x_sor))))
+        assert gap <= 1e-12
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, -3.0, math.nan])
     def test_requires_positive_tau(self, tau):
-        # tau < -2 makes the shrinkage threshold negative, which the NumPy
-        # rule's shrink rejects and the C kernel would not; both refuse it.
+        # Only a positive step is an implicit step (at tau = -2 the rule
+        # would divide by 1 + tau/2 = 0); the NumPy pass and the C kernel
+        # both refuse any other.
         q, _ = spd_system(2, 36)
         state = PrimalDualState.initial(BregmanSpec.elastic_net(2, 1.0),
                                         np.ones(2))
@@ -187,8 +200,9 @@ class TestL1BsorSweep:
             assert np.max(np.abs(st_a.p - st_b.p)) <= 1e-12
 
     def test_matches_inclusion_oracle_randomized(self):
-        # 10^4 randomized scalar instances: the closed-form coordinate
-        # update must match the root-solved scalar inclusion
+        # 10^4 randomized scalar instances, each also at gamma = 0 with
+        # the euclidean spec: the closed-form coordinate update must match
+        # the root-solved scalar inclusion
         rng = np.random.default_rng(38)
         for _ in range(10_000):
             aii = float(rng.uniform(0.2, 5.0))
@@ -202,14 +216,15 @@ class TestL1BsorSweep:
                  else math.copysign(1.0, x))
             q = QuadraticObjective(np.array([[aii]]),
                                    np.array([aii * x - g]))
-            spec = BregmanSpec.elastic_net(1, gamma)
-            state = PrimalDualState(np.array([x]),
-                                    np.array([x + gamma * r]))
             V = L1QuadraticObjective(q, lam)
-            res = l1_bsor_sweep(q, state, gamma, lam, tau)
-            ref = bia_sweep(V, spec, state, np.array([tau / aii]))
-            assert abs(res.state.x[0] - ref.state.x[0]) <= 1e-8
-            assert abs(res.state.p[0] - ref.state.p[0]) <= 1e-8
+            for gamma, spec in ((gamma, BregmanSpec.elastic_net(1, gamma)),
+                                (0.0, BregmanSpec.euclidean(1))):
+                state = PrimalDualState(np.array([x]),
+                                        np.array([x + gamma * r]))
+                res = l1_bsor_sweep(q, state, gamma, lam, tau)
+                ref = bia_sweep(V, spec, state, np.array([tau / aii]))
+                assert abs(res.state.x[0] - ref.state.x[0]) <= 1e-8
+                assert abs(res.state.p[0] - ref.state.p[0]) <= 1e-8
 
     def test_multisweep_matches_bia(self):
         q, _ = spd_system(10, 39)
@@ -228,8 +243,6 @@ class TestL1BsorSweep:
         q, _ = spd_system(2, 40)
         spec = BregmanSpec.elastic_net(2, 1.0)
         state = PrimalDualState.initial(spec, np.zeros(2))
-        with pytest.raises(SolverError):
-            l1_bsor_sweep(q, state, gamma=0.0, lam=1.0, tau=1.0)
         with pytest.raises(SolverError):
             l1_bsor_sweep(q, state, gamma=1.0, lam=-1.0, tau=1.0)
 
@@ -407,7 +420,7 @@ class TestRowResidualUpdate:
     @needs_kernel
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
-           gamma=st.floats(0.05, 2.0), tau=st.floats(0.1, 10.0),
+           gamma=st.floats(0.0, 2.0), tau=st.floats(0.1, 10.0),
            omega=st.floats(0.1, 1.9), sweeps=st.integers(1, 3),
            layout=st.sampled_from(["C", "F", "near_symmetric"]))
     def test_kernel_matches_numpy_pass_bitwise(self, n, seed, gamma, tau,
@@ -436,17 +449,19 @@ class TestRowResidualUpdate:
         for bad in (np.zeros(6, np.float32), np.zeros(6, ">f8"),
                     np.zeros(12)[::2], np.zeros((2, 3)).T,
                     np.zeros(6, np.intp)):
-            r, y, aux = want.copy(), x.copy(), np.zeros(6)
-            for args in ((bad, y, aux), (r, y, bad)):
+            r, y, p = want.copy(), x.copy(), np.zeros(6)
+            for args in ((bad, y, p), (r, bad, p), (r, y, bad)):
                 with pytest.raises(TypeError, match="C-contiguous"):
-                    lib.quad_pass(1, q.A, *args, 1.0, 0.5)
+                    lib.quad_pass(q.A, *args, 1.0, 2.0, 0.5)
             with pytest.raises(TypeError, match="C-contiguous"):
-                solvers._quadratic_pass(q, x, None, ("blcd", bad, 1.0, 0.5),
-                                        r)
-            assert np.array_equal(r, want) and not aux.any()
+                solvers._quadratic_pass(
+                    q, x, None, ("bsor", bad, 1.0, 2.0, 0.5), r)
+            assert np.array_equal(r, want) and not p.any()
             assert np.array_equal(y, x) and not bad.any()
         with pytest.raises(ValueError, match="fit"):
-            lib.quad_pass(1, q.A, r[:5], y, aux, 1.0, 0.5)
+            lib.quad_pass(q.A, r[:5], y, p, 1.0, 2.0, 0.5)
+        with pytest.raises(ValueError, match="fit"):
+            lib.quad_pass(q.A, r, y, p[:5], 1.0, 2.0, 0.5)
         # The inclusion sweep's order is read as C longs, y and p as
         # writable doubles, and each index is checked when its turn comes.
         V = StudentTObjective(2, 3, np.zeros(6))
@@ -744,7 +759,7 @@ class TestRowResidualUpdate:
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
-           gamma=st.floats(0.05, 2.0), tau=st.floats(0.1, 10.0),
+           gamma=st.floats(0.0, 2.0), tau=st.floats(0.1, 10.0),
            omega=st.floats(0.1, 1.9), lam=st.floats(0.0, 3.0),
            sweeps=st.integers(1, 3))
     def test_sweeps_match_column_reference_bitwise(self, n, seed, gamma, tau,
@@ -849,7 +864,7 @@ class TestCarriedResidual:
     @needs_kernel
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
-           gamma=st.floats(0.05, 2.0), tau=st.floats(0.1, 10.0),
+           gamma=st.floats(0.0, 2.0), tau=st.floats(0.1, 10.0),
            omega=st.floats(0.1, 1.9),
            extra=st.integers(1, solvers.RESIDUAL_REFRESH))
     def test_kernel_matches_numpy_pass_across_refreshes(self, n, seed, gamma,
