@@ -237,23 +237,23 @@ def bsor_sweep(q: QuadraticObjective, state: PrimalDualState, gamma: float,
     ``h = tau / 2``).  At ``gamma = 0`` it is the Itoh-Abe sweep with those
     steps, which is SOR with ``omega = 2 tau / (2 + tau)``.
     """
-    if not (gamma >= 0 and tau > 0):
-        raise SolverError("bsor requires gamma >= 0 and tau > 0")
+    if not (gamma >= 0 and math.isfinite(tau) and tau > 0):
+        raise SolverError("bsor requires gamma >= 0 and a finite tau > 0")
     return _shrinkage(q, state, gamma, tau / 2.0, tau, r, "bsor")
 
 
 def l1_bsor_sweep(q: QuadraticObjective, state: PrimalDualState,
                   gamma: float, lam: float, tau: float, r=None) -> SweepResult:
     """Closed-form sweep for the l1-regularised quadratic objective with an
-    elastic-net Bregman function, ``gamma >= 0``, on ``p`` itself: four
-    coordinate cases (stay at zero, same-side shrinkage move, cross to zero,
-    sign-crossing quadratic root) of ``c = p_i + (tau/2) x_i - t g_i``,
-    ``t = tau / a_ii``, tried in order; exactly one applies away from
-    predicate boundaries.  At ``gamma = 0`` it is the euclidean implicit
-    step of ``ia``, where case 3 holds at a single point only.
+    elastic-net Bregman function, ``gamma >= 0``, on ``p`` itself: each
+    coordinate solves the monotone equation of
+    :func:`_l1_coordinate_update` in ``c = p_i + (tau/2) x_i - t g_i``,
+    ``t = tau / a_ii``, by the side of zero its root falls on.  At ``gamma
+    = 0`` it is the euclidean implicit step of ``ia``.
     """
-    if not (gamma >= 0 and lam >= 0):
-        raise SolverError("l1_bsor requires gamma >= 0 and lam >= 0")
+    if not (gamma >= 0 and lam >= 0 and math.isfinite(tau) and tau > 0):
+        raise SolverError("l1_bsor requires gamma >= 0, lam >= 0 and a "
+                          "finite tau > 0")
     p = state.p.copy()
     h = tau / 2.0
 
@@ -261,89 +261,53 @@ def l1_bsor_sweep(q: QuadraticObjective, state: PrimalDualState,
         t = tau / aii
         c = p[i] + h * xi - t * g
         x_new, p[i] = _l1_coordinate_update(xi, p[i], g, c, t, t * lam,
-                                            gamma, lam, 1.0 + h, aii)
+                                            gamma, lam, 1.0 + h)
         return x_new
 
     y, r = _quadratic_pass(q, state.x, rule, r=r)
     return SweepResult(PrimalDualState(y, p, state.k + 1), r)
 
 
-def _l1_coordinate_update(xi, pi, g, c, t, tl, gamma, lam, kappa, aii):
+def _l1_coordinate_update(xi, pi, g, c, t, tl, gamma, lam, kappa):
+    """The new ``(x_i, p_i)``: the root ``y`` of ``c in kappa y + gamma
+    d|y| + tl (|y| - |x_i|) / (y - x_i)``.  The right side increases in
+    ``y``, so the root is unique; the side of zero it lies on is the case."""
     sgn_c = math.copysign(1.0, c) if c != 0 else 0.0
     sgn_x = math.copysign(1.0, xi) if xi != 0 else 0.0
-
-    # Case 1: already at zero and zero remains admissible; p moves by the
-    # admissible Clarke element of smallest magnitude, as the
-    # scalar-inclusion rule takes it.
+    # Case 1: zero stays admissible; p moves by the admissible Clarke
+    # element of smallest magnitude, as the scalar inclusion takes it.
     if xi == 0.0 and abs(c) <= gamma + tl:
         v = interval_project(0.0, max(g - lam, (pi - gamma) / t),
                              min(g + lam, (pi + gamma) / t))
         return 0.0, pi - t * v
-
-    # Case 2: shrinkage-type move staying on (or entering) the side of c.
+    # Case 2: a shrinkage move on (or onto) the side of c.
     if abs(c) > gamma + tl and (xi == 0.0 or sgn_x == sgn_c):
         x_new = (c - (gamma + tl) * sgn_c) / kappa
         return x_new, x_new + gamma * sgn_c
-
-    # Case 3: move from a nonzero value to exactly zero.
-    if xi != 0.0 and abs(c - tl * sgn_x) <= gamma:
-        return 0.0, c - tl * sgn_x
-
-    # Case 4: cross zero to the opposite side; quadratic in the new value
-    # because the l1 difference quotient depends on it.
-    if xi != 0.0:
+    # Case 3 is u sgn(x) >= -gamma: a move to zero.  Otherwise, NaN
+    # included, case 4 crosses to side s = -sgn(x).  Times y - x, its
+    # equation reads f(y) = (kappa y + gamma s - c)(y - x) + tl s (y + x)
+    # = 0, and f(0) = -|x| (s u - gamma) < 0: one root lies on each side
+    # of zero, and the step takes side s's.
+    u = c - tl * sgn_x
+    if not u * sgn_x >= -gamma:
         s = -sgn_x
         B = gamma * s + tl * s - c - kappa * xi
         C = xi * (c - gamma * s + tl * s)
-        disc = B * B - 4.0 * kappa * C
-        if disc >= 0.0:
-            sq = math.sqrt(disc)
-            # Stable pairing: the root nearest zero comes from the
-            # product relation, not from cancelling -B against sq.
-            if B >= 0.0:
-                qq = -0.5 * (B + sq)
-            else:
-                qq = -0.5 * (B - sq)
-            roots = [qq / kappa]
-            if qq != 0.0:
-                roots.append(C / qq)
-            if 0.0 in roots:
-                # Crossing collapses exactly onto the kink; the dual
-                # value is the case-3 boundary subgradient.
-                return 0.0, min(gamma, max(-gamma, c - tl * sgn_x))
-            best = None
-            best_res = math.inf
-            for root in roots:
-                if root * s <= 0:
-                    continue
-                # |p_new - (p - t * DQ(root))|, p_new = root + gamma * s
-                dq = g + 0.5 * aii * (root - xi) \
-                    + lam * (abs(root) - abs(xi)) / (root - xi)
-                res = abs(root + gamma * s - (pi - t * dq))
-                if res < best_res:
-                    best, best_res = root, res
-            if best is not None:
-                # The residual check guards against picking a spurious
-                # branch, but its own rounding error grows like the
-                # derivative of the difference quotient when the root
-                # sits very close to the old value; scale the tolerance
-                # by that sensitivity so ill-conditioned (yet exact)
-                # roots are not rejected.
-                den = best - xi
-                sens = (1.0 + 0.5 * t * aii
-                        + 2.0 * t * lam * max(abs(best), abs(xi))
-                        / (den * den))
-                scale = max(abs(best), abs(xi), abs(B) / (2.0 * kappa))
-                tol = max(1e-8, 32.0 * sens * math.ulp(scale))
-                if best_res <= tol:
-                    return best, best + gamma * s
-
-    raise InvariantViolation(
-        "no closed-form case applies: "
-        f"x={xi}, p={pi}, g={g}, c={c}, t={t}, gamma={gamma}, lam={lam}, "
-        f"predicates: case1={xi == 0.0 and abs(c) <= gamma + tl}, "
-        f"case2={abs(c) > gamma + tl}, "
-        f"case3={xi != 0.0 and abs(c - tl * sgn_x) <= gamma}")
+        sq = math.sqrt(B * B - 4.0 * kappa * C)
+        # Rounding is monotone, so C <= 0 as computed too; of the stable
+        # pair qq / kappa and C / qq, the second is the root nearest zero.
+        qq = -0.5 * (B + sq) if B >= 0.0 else -0.5 * (B - sq)
+        y = C / qq if qq * s < 0.0 else qq / kappa
+        if y != 0.0:
+            if not 0.0 < y * s < math.inf:
+                raise InvariantViolation(
+                    f"no finite root on side {s}: x={xi}, p={pi}, g={g}, "
+                    f"c={c}, t={t}, gamma={gamma}, lam={lam}")
+            return y, y + gamma * s
+    # Case 3, and a crossing root of 0: the kink, with p clamped to
+    # [-gamma, gamma], which also takes u sgn(x) > gamma at case 2's edge.
+    return 0.0, min(gamma, max(-gamma, u))
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +382,11 @@ def make_sweeper(V: CoordinateObjective, spec: BregmanSpec,
         if V.lam != 0 and variant != "l1_bsor":
             raise SolverError(f"{variant} requires lam == 0; use l1_bsor "
                               "for l1-regularised objectives")
+        # The closed forms read spec.gamma alone: no shift, no box.
+        shifted = spec.gamma != 0 and np.any(spec.shift)
+        if shifted or (spec.lower, spec.upper) != (-math.inf, math.inf):
+            raise SolverError(f"{variant} requires an unshifted elastic-net "
+                              "spec without a box")
     tau, gamma = cfg.tau, spec.gamma
     # Where these overflow, p carries values (gamma, tau * x / 2) whose
     # rounding swamps x: such a gamma or tau is refused before any sweep.

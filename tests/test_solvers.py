@@ -10,6 +10,7 @@ import sys
 import sysconfig
 import tempfile
 from contextlib import contextmanager, nullcontext
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -173,18 +174,22 @@ class TestBsorSweep:
                       float(np.max(np.abs(st_b.x - x_sor))))
         assert gap <= 1e-12
 
-    @pytest.mark.parametrize("tau", [0.0, -1.0, -3.0, math.nan])
+    @pytest.mark.parametrize("tau", [0.0, -1.0, -2.0, -3.0, math.nan,
+                                     math.inf])
     def test_requires_positive_tau(self, tau):
-        # Only a positive step is an implicit step (at tau = -2 the rule
-        # would divide by 1 + tau/2 = 0); the NumPy pass and the C kernel
-        # both refuse any other.
+        # Only a finite positive step is an implicit step (at tau = -2 the
+        # rule would divide by 1 + tau/2 = 0, at tau = inf p is NaN); with
+        # the C kernel and on the NumPy pass, bsor and l1_bsor refuse any
+        # other.
         q, _ = spd_system(2, 36)
         state = PrimalDualState.initial(BregmanSpec.elastic_net(2, 1.0),
                                         np.ones(2))
-        with pytest.raises(SolverError):
-            bsor_sweep(q, state, gamma=1.0, tau=tau)
-        with numpy_pass(), pytest.raises(SolverError):
-            bsor_sweep(q, state, gamma=1.0, tau=tau)
+        for sweep in (partial(bsor_sweep, gamma=1.0),
+                      partial(l1_bsor_sweep, gamma=1.0, lam=0.5)):
+            with pytest.raises(SolverError):
+                sweep(q, state, tau=tau)
+            with numpy_pass(), pytest.raises(SolverError):
+                sweep(q, state, tau=tau)
 
 
 class TestL1BsorSweep:
@@ -238,6 +243,86 @@ class TestL1BsorSweep:
             st_a = l1_bsor_sweep(q, st_a, 1.0, lam, 2.0).state
             st_b = bia_sweep(V, spec, st_b, taus).state
             assert np.max(np.abs(st_a.x - st_b.x)) <= 1e-8
+
+    @staticmethod
+    def with_oracle(aii, x, p, g, gamma, lam, tau):
+        """``(x, p)`` after one l1_bsor sweep of the 1 x 1 quadratic ``aii
+        (y - x)^2 / 2 + g (y - x)`` plus ``lam |y|`` from ``(x, p)``, which
+        must leave ``p`` in ``dJ(x)``, and after the root-solved bia_sweep."""
+        q = QuadraticObjective(np.array([[aii]]), np.array([aii * x - g]))
+        spec = BregmanSpec.elastic_net(1, gamma)
+        state = PrimalDualState(np.array([x]), np.array([p]))
+        res = l1_bsor_sweep(q, state, gamma, lam, tau).state
+        ref = bia_sweep(L1QuadraticObjective(q, lam), spec, state,
+                        np.array([tau / aii])).state
+        assert spec.contains_subgradient(res.x, res.p)
+        return (res.x[0], res.p[0]), (ref.x[0], ref.p[0])
+
+    def test_stays_at_zero_between_cases_two_and_three(self):
+        # c lies within rounding of the boundary between the move to zero
+        # and the same-side shrinkage move: u sgn(x) > gamma, yet |c| is
+        # not above gamma + t lam.  The move to zero takes it, p clamped.
+        h = float.fromhex
+        gamma = h("0x1.d982084d0e66fp+0")
+        new, ref = self.with_oracle(
+            h("0x1.e3216a5b31668p+1"), h("0x1.8237e010c9b30p-1"),
+            h("0x1.4d4efc2ab9a04p+1"), h("0x1.f1eaa6f3d4a78p+0"), gamma,
+            h("0x1.718f4e5bcd074p-1"), h("0x1.2526ac4c6cc69p+1"))
+        assert new == pytest.approx(ref, abs=1e-8)
+        assert new == (0.0, gamma)
+
+    def test_crosses_zero_from_a_tiny_value(self):
+        # |x| = 3e-200: the crossing root is near 41 |x|, and nothing
+        # squares y - x, which would underflow.
+        new, ref = self.with_oracle(2.0, -3e-200, -0.5, -2.0, 0.5, 0.7, 1.5)
+        assert new == pytest.approx(ref, abs=1e-8)
+        assert new == (pytest.approx(1.23e-198, rel=1e-2), 0.5)
+
+    @pytest.mark.parametrize("x, g", [(0.0, math.nan), (0.3, math.nan),
+                                      (-0.3, math.nan), (-1e160, -1e161)])
+    def test_nan_or_overflow_raises(self, x, g):
+        # A NaN gradient, or a crossing whose quadratic overflows (the root
+        # near 7.6e160 comes out infinite), raises and returns no value;
+        # NumPy's overflow warning is silenced to reach the raise.
+        q = QuadraticObjective(np.eye(1), np.zeros(1))
+        state = PrimalDualState(np.array([x]),
+                                np.array([x + math.copysign(0.5, x)]))
+        with np.errstate(over="ignore"), pytest.raises(InvariantViolation):
+            l1_bsor_sweep(q, state, 0.5, 0.7, 1.5, r=np.array([g]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(aii=st.floats(0.2, 5.0), tau=st.floats(0.2, 4.0),
+           gamma=st.sampled_from([0.0, 0.05, 1.0]), lam=st.floats(0.0, 3.0),
+           size=st.floats(-300.0, 3.0) | st.just(-math.inf),
+           sign=st.sampled_from([-1.0, 1.0]), r=st.floats(-1.0, 1.0),
+           boundary=st.sampled_from(["zero", "stay", "cross"]),
+           ulps=st.integers(-4, 4))
+    def test_matches_oracle_at_every_magnitude_and_boundary(
+            self, aii, tau, gamma, lam, size, sign, r, boundary, ulps):
+        # |x| from 1e-300 to 1e3, and 0, with c within a few ulps of where
+        # two cases meet: leaving zero, staying on x's side, crossing it.
+        x = sign * 10.0 ** size
+        sgn_x = math.copysign(1.0, x) if x else 0.0
+        t, h = tau / aii, tau / 2.0
+        c = {"zero": sign * (gamma + t * lam),
+             "stay": (t * lam + gamma) * sgn_x,
+             "cross": (t * lam - gamma) * sgn_x}[boundary]
+        for _ in range(abs(ulps)):
+            c = math.nextafter(c, math.copysign(math.inf, ulps))
+        p = x + gamma * (r if x == 0.0 else sgn_x)
+        g = (p + h * x - c) / t
+        (y, p_new), ref = self.with_oracle(aii, x, p, g, gamma, lam, tau)
+        assert abs(y - ref[0]) <= 1e-8
+        # bia_sweep does not resolve a root within its least probe
+        # distance, 1e-8 max(1, |x|), of x: it stays at x with the nearest
+        # stationary p, maybe across the kink.  There the closed form is
+        # checked against the inclusion itself.
+        if y == x or ref[0] != x:
+            assert abs(p_new - ref[1]) <= 1e-8
+        if y != x:
+            dq = g + 0.5 * aii * (y - x) + lam * (abs(y) - abs(x)) / (y - x)
+            scale = 1.0 + abs(p) + t * abs(g) + h * abs(x)
+            assert abs(p_new - (p - t * dq)) <= 1e-9 * scale
 
     def test_invalid_params(self):
         q, _ = spd_system(2, 40)
@@ -1045,6 +1130,21 @@ class TestRunLoop:
         cfg = SolverConfig("bsor", tau=2.0)
         with pytest.raises(SolverError):
             run(V, spec, x_delta, cfg)
+
+    @pytest.mark.parametrize("variant", solvers.CLOSED_FORM_VARIANTS)
+    @pytest.mark.parametrize("spec", [
+        BregmanSpec.shifted_elastic_net(0.5, np.full(4, 0.3)),
+        BregmanSpec.elastic_net(4, 0.0, 0.0, 1.0)], ids=["shifted", "boxed"])
+    def test_closed_forms_refuse_shifts_and_boxes(self, variant, spec):
+        # The closed forms read spec.gamma alone: such a spec is refused
+        # before any sweep, not after the first, once p leaves dJ(x) or x
+        # leaves the box.
+        q, _ = spd_system(4, 50)
+        V = L1QuadraticObjective(q, 0.5) if variant == "l1_bsor" else q
+        with pytest.raises(SolverError, match="without a box"):
+            make_sweeper(V, spec, SolverConfig(variant))
+        with pytest.raises(SolverError, match="without a box"):
+            run(V, spec, np.full(4, 0.5), SolverConfig(variant, max_iters=2))
 
     def test_ia_requires_euclidean(self):
         q, _ = spd_system(4, 49)
