@@ -171,13 +171,13 @@ static double residual(Coord *c, double y)
     return t - project(t, s[0], s[1]);
 }
 
-/* inclusion.brenth on the residual, from ends whose residuals have strictly
- * opposite signs, as bracketed passes them */
+/* inclusion.brenth on the residual at ftol BRENT_FTOL, from ends whose
+ * residuals have strictly opposite signs, as bracketed passes them */
 static int brenth(Coord *c, double a, double b, double *root)
 {
     double xpre = a, xcur = b, fpre = residual(c, a), fcur = residual(c, b);
-    if (fpre == 0 || fcur == 0)
-        return *root = fpre == 0 ? a : b, FOUND;
+    if (fabs(fpre) <= BRENT_FTOL || fabs(fcur) <= BRENT_FTOL)
+        return *root = fabs(fpre) <= BRENT_FTOL ? a : b, FOUND;
     double xblk = 0.0, fblk = 0.0, spre = 0.0, scur = 0.0;
     for (int it = 0; it < BRENT_MAXITER && !c->err; it++) {
         if ((fpre < 0) != (fcur < 0))
@@ -187,7 +187,7 @@ static int brenth(Coord *c, double a, double b, double *root)
             fpre = fcur, fcur = fblk, fblk = fpre;
         double delta = (BRENT_XTOL + BRENT_RTOL * fabs(xcur)) / 2;
         double sbis = (xblk - xcur) / 2, stry = INFINITY;
-        if (fcur == 0 || fabs(sbis) < delta)
+        if (fabs(fcur) <= BRENT_FTOL || fabs(sbis) < delta)
             return *root = xcur, FOUND;
         if (fabs(spre) > delta && fabs(fcur) < fabs(fpre)) {
             if (xpre == xblk) {
@@ -295,27 +295,21 @@ static int on_side(Coord *c, double d, double y_prev, double dmin,
     return NONE;
 }
 
-/* inclusion._search up to its fallbacks: each side in the order of
- * _candidate_sides */
+/* inclusion._search up to its fallbacks: the sides of _candidate_sides in
+ * their order, the descent side of v first, the other only if it has no
+ * root */
 static int solve(Coord *c, double *root)
 {
-    double x = c->s.x, d[2], y[2], q[2], side;
-    int sides = 0;
-    double dmin = pmax(DMIN, DMIN * fabs(x));
+    double x = c->s.x, dmin = pmax(DMIN, DMIN * fabs(x));
     double v = project(0.0, c->s.lo, c->s.hi);
     double delta0 = pmin(pmax(dmin, 0.5 * c->tau * fabs(v)),
                          ldexp(dmin, WARM_DOUBLINGS));
-    for (side = 1.0; side >= -1.0; side -= 2.0) {
-        y[sides] = project(x + side * dmin, c->b.lower, c->b.upper);
-        if (y[sides] != x)
-            d[sides] = side, q[sides] = side * dq(c, y[sides]), sides++;
-    }
-    if (sides == 2 && q[1] < q[0])
-        side = d[0], d[0] = d[1], d[1] = side,
-        side = y[0], y[0] = y[1], y[1] = side;
-    for (int k = 0; k < sides && !c->err; k++)
-        if (on_side(c, d[k], y[k], dmin, delta0, root) == FOUND)
+    double d = v <= 0 ? 1.0 : -1.0;
+    for (int k = 0; k < 2 && !c->err; k++, d = -d) {
+        double y = project(x + d * dmin, c->b.lower, c->b.upper);
+        if (y != x && on_side(c, d, y, dmin, delta0, root) == FOUND)
             return FOUND;
+    }
     return NONE;
 }
 

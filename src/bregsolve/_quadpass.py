@@ -62,8 +62,9 @@ def flags() -> tuple[str, ...]:
     """:data:`FLAGS` and the constants of the inclusion search, read when
     called, as ``-D`` flags of exact literals, so that the compiled search
     and Python's cannot drift apart."""
-    names = ("RESIDUAL_TOL", "_BRENT_XTOL", "_BRENT_RTOL", "_BRENT_MAXITER",
-             "_DMIN", "_WARM_DOUBLINGS", "_MAX_DOUBLINGS", "_MAX_HALVINGS")
+    names = ("RESIDUAL_TOL", "_BRENT_XTOL", "_BRENT_RTOL", "_BRENT_FTOL",
+             "_BRENT_MAXITER", "_DMIN", "_WARM_DOUBLINGS", "_MAX_DOUBLINGS",
+             "_MAX_HALVINGS")
     consts = [(name, getattr(inclusion, name)) for name in names]
     consts.append(("STATIONARY_REL_TOL", objectives.STATIONARY_REL_TOL))
     return (*FLAGS, *("-D" + name.lstrip("_") + "="

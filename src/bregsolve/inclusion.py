@@ -5,15 +5,17 @@ and the coordinate difference quotient DQ of the objective, find y and p'
 with ``p' = p - tau * DQ(y)`` and ``p'`` a subgradient of j (plus box) at y.
 A stationary update (y unchanged, p moved by a Clarke element) is tried
 first.  Otherwise the root of the inclusion residual is bracketed on the
-descent side.  The search probes at the minimal distance dmin =
-1e-8*max(1, |x|) and halves inward if the root is closer still; else it
-jumps to the warm distance ``tau*|v|/2`` (v the Clarke element of least
-magnitude, capped at 2**30*dmin) and doubles outward until the residual
-changes sign.  A bracket that strictly contains the kink of j is split
-there, and :func:`brenth`, Brent's method, polishes the root.  DQ is
-evaluated once per point: here through an ``lru_cache``, and through a
-memo of the coordinate's points in the compiled student-t sweep, which
-runs this search bitwise with the constants below (``_quadpass.flags``).
+descent side of v, the Clarke element of least magnitude, and on the
+other side only if that one has no root.  The search probes at the
+minimal distance dmin = 1e-8*max(1, |x|) and halves inward if the root
+is closer still; else it jumps to the warm distance ``tau*|v|/2`` (capped
+at 2**30*dmin) and doubles outward until the residual changes sign.  A
+bracket that strictly contains the kink of j is split there, and
+:func:`brenth`, Brent's method, polishes the root until its residual is
+at rounding level, ``_BRENT_FTOL``.  DQ is evaluated once per point:
+here through an ``lru_cache``, and through a memo of the coordinate's
+points in the compiled student-t sweep, which runs this search bitwise
+with the constants below (``_quadpass.flags``).
 
 Where the residual changes sign several times along the ray, the root
 returned lies in the first bracket found, not necessarily nearest x: a
@@ -33,6 +35,7 @@ from .bregman import ScalarBregman, interval_project
 #: Absolute residual tolerance for the scalar inclusion.
 RESIDUAL_TOL = 1e-10
 _BRENT_XTOL = 1e-14
+_BRENT_FTOL = 1e-13         #: Brent stops at a residual this small
 _BRENT_RTOL = 4.0 * math.ulp(1.0)
 _BRENT_MAXITER = 100
 _DMIN = 1e-8                #: dmin, relative to max(1, |x|)
@@ -136,18 +139,17 @@ def _finish(prob: InclusionProblem, y: float, mode: str) -> InclusionSolution:
     return InclusionSolution(y, _strip_box(prob.sb, y, t, mode), False)
 
 
-def _candidate_sides(prob: InclusionProblem, dmin: float):
+def _candidate_sides(prob: InclusionProblem, dmin: float, v: float):
     """Search directions ``d``, each with its probe ``y`` at distance dmin
-    in the box, ordered by sampled one-sided descent quotients."""
-    sides = []
-    for d in (1.0, -1.0):
+    in the box: first the descent side of the Clarke element v, the
+    positive one if v is 0.  A sweep keeps p in dJ(x), so a coordinate
+    that is not stationary has no Clarke element 0, and all have v's
+    sign."""
+    first = 1.0 if v <= 0 else -1.0
+    for d in (first, -first):
         y = min(max(prob.x + d * dmin, prob.sb.lower), prob.sb.upper)
         if y != prob.x:
-            sides.append((d, y, d * prob.dq(y)))
-    # More negative quotient first; ties resolve to the positive side,
-    # which (1.0, -1.0) ordering preserves under a stable sort.
-    sides.sort(key=lambda side: side[2])
-    return [(d, y) for d, y, _ in sides]
+            yield d, y
 
 
 def _solve_on_side(prob: InclusionProblem, mode: str, d: float,
@@ -158,8 +160,8 @@ def _solve_on_side(prob: InclusionProblem, mode: str, d: float,
     sb = prob.sb
     bound = sb.upper if d > 0 else sb.lower
     # Near x the residual carries the sign of d on a descent side; if the
-    # probe at dmin, whose DQ the side ordering took, already shows the
-    # far-field sign, the root is closer and we shrink inward instead.
+    # probe at dmin already shows the far-field sign, the root is closer
+    # and we shrink inward instead.
     g_prev = _residual(prob, y_prev)
     if abs(g_prev) <= RESIDUAL_TOL:
         return _finish(prob, y_prev, mode)
@@ -202,16 +204,17 @@ def _shrink_inward(prob: InclusionProblem, mode: str, d: float,
     return None
 
 
-def brenth(f: Callable[[float], float], a: float, b: float) -> float:
+def brenth(f: Callable[[float], float], a: float, b: float,
+           ftol: float = 0.0) -> float:
     """Root of ``f`` in a sign-changing bracket ``[a, b]`` by Brent's method
     (1973) with the steps of SciPy's ``brenth``: secant or hyperbolic
     extrapolation (Bus and Dekker 1975), safeguarded by bisection.  Returns
-    the iterate x once its bracket is narrower than
-    ``_BRENT_XTOL + _BRENT_RTOL*|x|``, within 100 steps."""
+    the first iterate x with ``|f(x)| <= ftol``, or x once its bracket is
+    narrower than ``_BRENT_XTOL + _BRENT_RTOL*|x|``, within 100 steps."""
     xpre, xcur = a, b
     fpre, fcur = f(a), f(b)
-    if fpre == 0 or fcur == 0:
-        return a if fpre == 0 else b
+    if abs(fpre) <= ftol or abs(fcur) <= ftol:
+        return a if abs(fpre) <= ftol else b
     if (fpre < 0) == (fcur < 0):
         raise InclusionError(f"no sign change on [{a}, {b}]")
     xblk = fblk = spre = scur = 0.0
@@ -224,7 +227,7 @@ def brenth(f: Callable[[float], float], a: float, b: float) -> float:
             fpre, fcur, fblk = fcur, fblk, fcur
         delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
+        if abs(fcur) <= ftol or abs(sbis) < delta:
             return xcur
         stry = math.inf     # bisect unless an extrapolation qualifies
         if abs(spre) > delta and abs(fcur) < abs(fpre):
@@ -259,7 +262,7 @@ def _bracketed_root(prob: InclusionProblem, mode: str, a: float, b: float):
             lo = sb.shift
         else:
             hi = sb.shift
-    root = brenth(lambda y: _residual(prob, y), lo, hi)
+    root = brenth(lambda y: _residual(prob, y), lo, hi, _BRENT_FTOL)
     if abs(g := _residual(prob, root)) > RESIDUAL_TOL:
         root = _ulp_root(prob, lo, hi, root, g)
     return _finish(prob, root, mode)
@@ -311,8 +314,8 @@ def solve_inclusion(prob: InclusionProblem,
 def _search(prob: InclusionProblem, mode: str) -> InclusionSolution:
     """The root search of :func:`solve_inclusion`, run when no stationary
     update applies."""
-    # The search revisits points: side probes, bracket ends, Brent's last
-    # iterate and the accepted root.
+    # The search revisits points: bracket ends, Brent's last iterate and
+    # the accepted root.
     prob = replace(prob, dq=lru_cache(maxsize=None)(prob.dq))
     dmin = max(_DMIN, _DMIN * abs(prob.x))
     # The cap keeps a bracket inside the probe to a ratio Brent resolves.
@@ -320,7 +323,7 @@ def _search(prob: InclusionProblem, mode: str) -> InclusionSolution:
     delta0 = min(max(dmin, 0.5 * prob.tau * abs(v)),
                  dmin * 2.0 ** _WARM_DOUBLINGS)
     last_err = None
-    for d, y in _candidate_sides(prob, dmin):
+    for d, y in _candidate_sides(prob, dmin, v):
         try:
             sol = _solve_on_side(prob, mode, d, y, dmin, delta0)
         except (DivergenceError, ConvergenceError) as err:

@@ -361,6 +361,33 @@ class TestBrenth:
         got = brenth(f, a, b)
         assert abs(got - want) <= 2 * (xtol + rtol * abs(want))
 
+    @settings(max_examples=300, deadline=None)
+    @given(root=st.floats(-5.0, 5.0), slope=st.floats(1e-3, 1e3),
+           cubic=st.floats(0.0, 10.0),
+           jump=st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
+           left=st.floats(1e-9, 10.0), right=st.floats(1e-9, 10.0),
+           ftol=st.integers(-16, -1).map(lambda k: 10.0 ** k))
+    def test_ftol_stops_at_the_first_small_residual(self, root, slope, cubic,
+                                                    jump, left, right, ftol):
+        # At ftol > 0 brenth evaluates the points it does at ftol = 0, up
+        # to the first whose residual is at most ftol, and returns it.
+        def f(y):
+            t = y - root
+            return slope * t + cubic * t ** 3 + math.copysign(jump, t)
+
+        def run(tol):
+            points = []
+            return brenth(lambda y: points.append(y) or f(y), root - left,
+                          root + right, tol), points
+        want, full = run(0.0)
+        got, points = run(ftol)
+        small = [y for y in full if abs(f(y)) <= ftol]
+        if small:
+            stop = max(2, full.index(small[0]) + 1)
+            assert got == small[0] and points == full[:stop]
+        else:
+            assert got == want and points == full
+
     def test_errors(self):
         with pytest.raises(InclusionError, match="sign"):
             brenth(lambda y: y + 2.0, -1.0, 1.0)
@@ -368,6 +395,35 @@ class TestBrenth:
         # shrink this bracket to the tolerance.
         with pytest.raises(ConvergenceError):
             brenth(lambda y: math.copysign(1.0, y - 0.1), -1e300, 1e300)
+
+
+class TestSideOrder:
+    @staticmethod
+    def spied(prob):
+        """The solution of ``prob`` and the points its search evaluated."""
+        points, dq = [], prob.dq
+        prob.dq = lambda y: points.append(y) or dq(y)
+        return solve_inclusion(prob), points
+
+    @pytest.mark.parametrize("g, x", [(1.0, 1.0), (-1.0, -1.0),
+                                      (2.0, 0.0), (-0.5, 3.0)])
+    def test_descent_side_alone_is_probed(self, g, x):
+        # p in dJ(x) = {x} and the Clarke pair (g, g): the root lies on the
+        # descent side, -sign(g), and no point on the other is evaluated.
+        prob = make_problem(ScalarBregman(), x, x, 1.0, g, 1.0)
+        sol, points = self.spied(prob)
+        check_solution(prob, sol)
+        assert not sol.stationary and (sol.y - x) * g < 0
+        assert points and all((y - x) * g < 0 for y in points)
+
+    def test_zero_clarke_element_searches_the_positive_side_first(self):
+        # p = 5 lies outside dJ(0) = {0}, and the Clarke interval [-1, 1]
+        # holds 0: no Clarke element makes the step stationary, v = 0, and
+        # the search starts on the positive side, where the root 2.5 is.
+        prob = InclusionProblem(ScalarBregman(), 0.0, 5.0, 1.0,
+                                lambda y: y, (-1.0, 1.0))
+        sol, points = self.spied(prob)
+        assert points[0] > 0.0 and sol.y == pytest.approx(2.5)
 
 
 class TestEvaluationCount:

@@ -724,6 +724,7 @@ class TestRowResidualUpdate:
 
     @pytest.mark.parametrize("owner, name, value", [
         (inclusion, "RESIDUAL_TOL", 2e-10), (inclusion, "_MAX_HALVINGS", 100),
+        (inclusion, "_BRENT_FTOL", 1e-12),
         (objectives, "STATIONARY_REL_TOL", 1e-13)])
     def test_library_names_depend_on_the_search_constants(self, owner, name,
                                                           value, monkeypatch):
@@ -733,6 +734,7 @@ class TestRowResidualUpdate:
                        if flag.startswith("-D"))
         assert float.fromhex(defined["RESIDUAL_TOL"]) == inclusion.RESIDUAL_TOL
         assert int(defined["MAX_HALVINGS"]) == inclusion._MAX_HALVINGS
+        assert float.fromhex(defined["BRENT_FTOL"]) == inclusion._BRENT_FTOL
         before = _quadpass.lib_name()
         monkeypatch.setattr(owner, name, value)
         assert _quadpass.lib_name() != before
@@ -1535,6 +1537,46 @@ def branch_reached(branch, spies):
                    for prob, _, a, b in calls["_bracketed_root"])
     return bool(calls[{"shrink_inward": "_shrink_inward",
                        "ulp_squeeze": "_ulp_root"}[branch]])
+
+
+class TestSearchedCoordinates:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), image=st.booleans(),
+           gamma=st.sampled_from([0.0, 0.5]),
+           tau=st.sampled_from([0.05, 1.0, 20.0]),
+           box=st.sampled_from([(), (0.0, 1.0)]),
+           mode=st.sampled_from(["keep_box", "forget_box"]))
+    def test_no_searched_coordinate_has_a_zero_clarke_element(
+            self, seed, image, gamma, tau, box, mode):
+        # A sweep keeps p in dJ(x), so a coordinate that reaches the search
+        # has no Clarke element 0, and the search's first side, the descent
+        # side of v, is that of every element.  Small student-t images and
+        # l1-quadratics, half of whose coordinates start on a kink; the
+        # first sweep runs compiled where the module loads, the next two
+        # Python's loop from its state.
+        rng = np.random.default_rng(seed)
+        if image:
+            h, w = (int(k) for k in rng.integers(1, 5, 2))
+            x_delta = impulse_noise(rng.uniform(0.2, 0.8, (h, w)), 0.3,
+                                    seed=seed).ravel()
+            V, spec = StudentTObjective(h, w, x_delta), BregmanSpec(
+                x_delta, gamma, *box)
+            x0 = np.where(rng.random(V.n) < 0.5, x_delta,
+                          rng.uniform(0, 1, V.n))
+        else:
+            q, rng = spd_system(int(rng.integers(1, 7)), seed)
+            V, spec = L1QuadraticObjective(q, 0.3), BregmanSpec(
+                np.zeros(q.n), gamma)
+            x0 = np.where(rng.random(V.n) < 0.5, 0.0,
+                          rng.standard_normal(V.n))
+        state, taus = PrimalDualState.initial(spec, x0), np.full(V.n, tau)
+        with counted(inclusion, "_search") as searched:
+            state = bia_sweep(V, spec, state, taus, mode).state
+            with mock.patch.object(solvers, "solve_inclusion", pass_through):
+                for _ in range(2):
+                    state = bia_sweep(V, spec, state, taus, mode).state
+        assert not any(lo <= 0.0 <= hi
+                       for lo, hi in (prob.clarke for prob in searched))
 
 
 @needs_kernel
