@@ -132,8 +132,8 @@ static void quad_pass(Py_ssize_t n, const double *A, double *r, double *y,
 }
 
 /* The inclusion kernel's search of one coordinate, each branch of
- * inclusion._search in its order; NONE where Python's finds no root or
- * raises DivergenceError or ConvergenceError, which the sweep treats alike */
+ * inclusion._search in its order; NONE where Python's raises, which the
+ * sweep then lets Python do */
 
 enum { NONE, FOUND };
 enum { MEMO = 8 };
@@ -141,7 +141,8 @@ enum { MEMO = 8 };
 typedef struct {
     Piece b;
     Stencil s;                          /* s.x: the coordinate's x */
-    double p, tau, memo[MEMO][2];       /* memo: (y, quotient) pairs, a ring */
+    double p, tau, t0, g0;              /* g0: the residual's limit at x */
+    double memo[MEMO][2];               /* (y, quotient) pairs, a ring */
     int err, seen;                      /* err: Python raises another error */
 } Coord;
 
@@ -162,9 +163,12 @@ static double dq(Coord *c, double y)
     return c->memo[k][1] = quotient(&c->s, y, &c->err);
 }
 
-/* inclusion._residual */
+/* inclusion._residual, or at x the limit g0 that stands for it, as
+ * _search's f */
 static double residual(Coord *c, double y)
 {
+    if (y == c->s.x)
+        return c->g0;
     double t = c->p - c->tau * dq(c, y), j[2], s[2];
     c->err |= !(c->b.lower <= y && y <= c->b.upper);
     intervals(&c->b, y, j, s);
@@ -213,7 +217,7 @@ static int brenth(Coord *c, double a, double b, double *root)
 /* inclusion._ulp_root */
 static double ulp_root(Coord *c, double lo, double hi, double root, double g)
 {
-    double glo = residual(c, lo), ghi = residual(c, hi);
+    double glo = residual(c, lo), ghi = residual(c, hi), x = c->s.x;
     if (g * glo > 0)
         lo = root, glo = g;
     else if (g * ghi > 0)
@@ -230,7 +234,7 @@ static double ulp_root(Coord *c, double lo, double hi, double root, double g)
         else
             hi = mid, ghi = gm;
     }
-    return fabs(glo) <= fabs(ghi) ? lo : hi;
+    return hi == x || (lo != x && fabs(glo) <= fabs(ghi)) ? lo : hi;
 }
 
 /* inclusion._bracketed_root */
@@ -248,67 +252,36 @@ static int bracketed(Coord *c, double a, double b, double *root)
     }
     if (brenth(c, lo, hi, root) == NONE)
         return NONE;
-    if (fabs(g = residual(c, *root)) > RESIDUAL_TOL)
+    if (fabs(g = residual(c, *root)) > RESIDUAL_TOL || *root == c->s.x)
         *root = ulp_root(c, lo, hi, *root, g);
     return FOUND;
 }
 
-/* inclusion._shrink_inward */
-static int shrink_inward(Coord *c, double y_out, double g_out, double *root)
+/* inclusion._search after the stationary test, which left in j the piece's
+ * interval at x: the limit g0 = t0 - j_d of the residual at x on the descent
+ * side d of v, the root x if it meets the tolerance, else the probes outward
+ * from x until the residual changes sign */
+static int solve(Coord *c, const double j[2], double *root)
 {
-    for (int it = 0; it < MAX_HALVINGS; it++) {
-        double y = c->s.x + (y_out - c->s.x) * 0.5;
-        if (y == c->s.x)
-            break;
-        double g = residual(c, y);
-        if (fabs(g) <= RESIDUAL_TOL)
-            return *root = y, FOUND;
-        if (g * g_out < 0)
-            return bracketed(c, y, y_out, root);
-        y_out = y, g_out = g;
-    }
-    return NONE;
-}
-
-/* inclusion._solve_on_side */
-static int on_side(Coord *c, double d, double y_prev, double dmin,
-                   double delta0, double *root)
-{
-    double bound = d > 0 ? c->b.upper : c->b.lower;
-    double g_prev = residual(c, y_prev);
-    if (fabs(g_prev) <= RESIDUAL_TOL)
-        return *root = y_prev, FOUND;
-    if (g_prev * d < 0)
-        return shrink_inward(c, y_prev, g_prev, root);
-    for (double step = pmax(delta0, 2.0 * dmin);
+    double x = c->s.x, v = project(0.0, c->s.lo, c->s.hi);
+    double d = v <= 0 ? 1.0 : -1.0, dmin = pmax(DMIN, DMIN * fabs(x));
+    double y_prev = x;
+    c->t0 = c->p - c->tau * (d > 0 ? c->s.hi : c->s.lo);
+    c->g0 = c->t0 - j[d > 0];
+    if (fabs(c->g0) <= RESIDUAL_TOL)
+        return *root = x, FOUND;
+    if (!(c->g0 * d > 0))
+        return NONE;
+    for (double step = pmin(pmax(dmin, 0.5 * c->tau * fabs(v)),
+                            ldexp(dmin, WARM_DOUBLINGS));
          step <= ldexp(dmin, MAX_DOUBLINGS); step *= 2.0) {
-        double y = project(c->s.x + d * step, c->b.lower, c->b.upper);
+        double y = project(x + d * step, c->b.lower, c->b.upper);
         double g = residual(c, y);
         if (fabs(g) <= RESIDUAL_TOL)
             return *root = y, FOUND;
-        if (g * g_prev < 0)
+        if (g * d < 0)
             return bracketed(c, y_prev, y, root);
-        if (y == bound)
-            return NONE;
-        y_prev = y, g_prev = g;
-    }
-    return NONE;
-}
-
-/* inclusion._search up to its fallbacks: the sides of _candidate_sides in
- * their order, the descent side of v first, the other only if it has no
- * root */
-static int solve(Coord *c, double *root)
-{
-    double x = c->s.x, dmin = pmax(DMIN, DMIN * fabs(x));
-    double v = project(0.0, c->s.lo, c->s.hi);
-    double delta0 = pmin(pmax(dmin, 0.5 * c->tau * fabs(v)),
-                         ldexp(dmin, WARM_DOUBLINGS));
-    double d = v <= 0 ? 1.0 : -1.0;
-    for (int k = 0; k < 2 && !c->err; k++, d = -d) {
-        double y = project(x + d * dmin, c->b.lower, c->b.upper);
-        if (y != x && on_side(c, d, y, dmin, delta0, root) == FOUND)
-            return FOUND;
+        y_prev = y;
     }
     return NONE;
 }
@@ -336,9 +309,10 @@ static int longs(PyObject *o, void *b) { return view(o, b, "l", 0); }
 /* The solution of coordinate i of the h x w image y, whose piece is b,
  * written to y[i] and p[i]: the stationary test (inclusion._try_stationary)
  * and, where it fails, the kernel's search and inclusion._finish.  0 where
- * Python must solve it: tau not > 0 (Python raises), x outside the box
- * (Python raises), a search that fails, finds no root or meets an error;
- * no root is x, since each probe and bracket lies strictly to one side. */
+ * Python must solve it: tau not > 0 or x outside the box, where Python
+ * raises, and a search that Python's would end by raising or that meets
+ * an error.  A root x is the limit's, t0 its target; the ulp squeeze skips
+ * x. */
 static int solved(double *y, double *p, double tau, const Piece *b,
                   Py_ssize_t h, Py_ssize_t w, const double phi[2],
                   const double *xd, Py_ssize_t i, int forget)
@@ -352,9 +326,9 @@ static int solved(double *y, double *p, double tau, const Piece *b,
         t = c.p - tau * pmin(pmax(0.0, a[0]), a[1]);
         root = x;
     } else {
-        if (solve(&c, &root) != FOUND)
+        if (solve(&c, j, &root) != FOUND)
             return 0;
-        t = c.p - tau * dq(&c, root);
+        t = root == x ? c.t0 : c.p - tau * dq(&c, root);
         intervals(b, root, j, s);
         if (c.err)
             return 0;

@@ -4,22 +4,28 @@ Given a scalar Bregman piece j, an incoming subgradient p, a time step tau,
 and the coordinate difference quotient DQ of the objective, find y and p'
 with ``p' = p - tau * DQ(y)`` and ``p'`` a subgradient of j (plus box) at y.
 A stationary update (y unchanged, p moved by a Clarke element) is tried
-first.  Otherwise the root of the inclusion residual is bracketed on the
-descent side of v, the Clarke element of least magnitude, and on the
-other side only if that one has no root.  The search probes at the
-minimal distance dmin = 1e-8*max(1, |x|) and halves inward if the root
-is closer still; else it jumps to the warm distance ``tau*|v|/2`` (capped
-at 2**30*dmin) and doubles outward until the residual changes sign.  A
-bracket that strictly contains the kink of j is split there, and
-:func:`brenth`, Brent's method, polishes the root until its residual is
-at rounding level, ``_BRENT_FTOL``.  DQ is evaluated once per point:
-here through an ``lru_cache``, and through a memo of the coordinate's
-points in the compiled student-t sweep, which runs this search bitwise
-with the constants below (``_quadpass.flags``).
+first.  Otherwise the root of the inclusion residual is bracketed from x
+itself, on the descent side d of v, the Clarke element of least magnitude.
+The residual there tends to ``p - tau*v_d - j_d(x)`` as y tends to x, with
+v_d and j_d(x) the ends of the Clarke interval and of the piece's interval
+on side d; since a sweep keeps p in dJ(x), this limit has the sign of d,
+and stands for the residual at x, which is never evaluated.  A limit within
+the tolerance makes x the root, a stationary update by v_d; one of another
+sign means p is not in dJ(x), and raises InclusionError.  The first probe
+sits at the warm distance ``max(dmin, tau*|v|/2)``, with
+dmin = 1e-8*max(1, |x|), capped at 2**30*dmin, and the probes double
+outward until the residual changes sign.  A bracket that strictly
+contains the kink of j is split there, and :func:`brenth`, Brent's method,
+polishes the root until its residual is at rounding level,
+``_BRENT_FTOL``; a root that misses the tolerance, or is x itself, is
+squeezed between adjacent floats.  DQ is evaluated once per point: here
+through an ``lru_cache``, and through a memo of the coordinate's points in
+the compiled student-t sweep, which runs this search bitwise with the
+constants below (``_quadpass.flags``).
 
 Where the residual changes sign several times along the ray, the root
 returned lies in the first bracket found, not necessarily nearest x: a
-pair of sign changes between dmin and the warm distance is skipped, and
+pair of sign changes between x and the first probe is skipped, and
 Brent may settle on any root inside its bracket.
 """
 
@@ -41,7 +47,7 @@ _BRENT_MAXITER = 100
 _DMIN = 1e-8                #: dmin, relative to max(1, |x|)
 _WARM_DOUBLINGS = 30        #: the warm distance is at most 2**30 * dmin
 _MAX_DOUBLINGS = 60         #: and the outward probes at most 2**60 * dmin
-_MAX_HALVINGS = 200         #: steps of the inward halving, the ulp squeeze
+_MAX_HALVINGS = 200         #: steps of the ulp squeeze
 _INF = math.inf
 MODES = ("keep_box", "forget_box")
 
@@ -120,88 +126,9 @@ def _try_stationary(prob: InclusionProblem, mode: str):
     return InclusionSolution(x, shi if shi < t else t, True)
 
 
-def _nearest_stationary(prob: InclusionProblem, mode: str):
-    """Best-effort stationary update when the root collapses onto x: the
-    raw target of the Clarke element (the lower one on a tie) closest to
-    the subdifferential at x."""
-    slo, shi = prob.sb.subdiff_interval(prob.x)
-    best_t, best_d = prob.p - prob.tau * prob.clarke[0], math.inf
-    for t in (prob.p - prob.tau * v for v in prob.clarke):
-        d = abs(t - interval_project(t, slo, shi))
-        if d < best_d:
-            best_t, best_d = t, d
-    return InclusionSolution(prob.x, _strip_box(prob.sb, prob.x, best_t,
-                                                mode), True)
-
-
 def _finish(prob: InclusionProblem, y: float, mode: str) -> InclusionSolution:
     t = prob.p - prob.tau * prob.dq(y)
     return InclusionSolution(y, _strip_box(prob.sb, y, t, mode), False)
-
-
-def _candidate_sides(prob: InclusionProblem, dmin: float, v: float):
-    """Search directions ``d``, each with its probe ``y`` at distance dmin
-    in the box: first the descent side of the Clarke element v, the
-    positive one if v is 0.  A sweep keeps p in dJ(x), so a coordinate
-    that is not stationary has no Clarke element 0, and all have v's
-    sign."""
-    first = 1.0 if v <= 0 else -1.0
-    for d in (first, -first):
-        y = min(max(prob.x + d * dmin, prob.sb.lower), prob.sb.upper)
-        if y != prob.x:
-            yield d, y
-
-
-def _solve_on_side(prob: InclusionProblem, mode: str, d: float,
-                   y_prev: float, dmin: float, delta0: float):
-    """Probe at ``y_prev``, distance dmin along direction d, then at delta0
-    and on doubling distances until the residual changes sign, then
-    root-find.  Returns None if this side has no bracket."""
-    sb = prob.sb
-    bound = sb.upper if d > 0 else sb.lower
-    # Near x the residual carries the sign of d on a descent side; if the
-    # probe at dmin already shows the far-field sign, the root is closer
-    # and we shrink inward instead.
-    g_prev = _residual(prob, y_prev)
-    if abs(g_prev) <= RESIDUAL_TOL:
-        return _finish(prob, y_prev, mode)
-    if g_prev * d < 0:
-        return _shrink_inward(prob, mode, d, y_prev, g_prev)
-
-    # The ceiling does not grow with delta0: far enough out, a residual
-    # such as 1 + |y| - y rounds to 0 on a ray that has no root.
-    ceiling = dmin * 2.0 ** _MAX_DOUBLINGS
-    step = max(delta0, 2.0 * dmin)
-    while step <= ceiling:
-        y = min(max(prob.x + d * step, sb.lower), sb.upper)
-        g = _residual(prob, y)
-        if abs(g) <= RESIDUAL_TOL:
-            return _finish(prob, y, mode)
-        if g * g_prev < 0:
-            return _bracketed_root(prob, mode, y_prev, y)
-        if y == bound:
-            return None
-        y_prev, g_prev = y, g
-        step *= 2.0
-    raise DivergenceError(
-        f"no inclusion root within {ceiling:.3g} of x={prob.x} along "
-        f"d={d}; objective may be unbounded below")
-
-
-def _shrink_inward(prob: InclusionProblem, mode: str, d: float,
-                   y0: float, g0: float):
-    y_out, g_out = y0, g0
-    for _ in range(_MAX_HALVINGS):
-        y = prob.x + (y_out - prob.x) * 0.5
-        if y == prob.x:
-            break
-        g = _residual(prob, y)
-        if abs(g) <= RESIDUAL_TOL:
-            return _finish(prob, y, mode)
-        if g * g_out < 0:
-            return _bracketed_root(prob, mode, y, y_out)
-        y_out, g_out = y, g
-    return None
 
 
 def brenth(f: Callable[[float], float], a: float, b: float,
@@ -247,39 +174,42 @@ def brenth(f: Callable[[float], float], a: float, b: float,
     raise ConvergenceError(f"Brent's method did not converge on [{a}, {b}]")
 
 
-def _bracketed_root(prob: InclusionProblem, mode: str, a: float, b: float):
-    """The solution at the sign change between ``a`` and ``b``: the kink
-    of j inside, Brent's root, or that root squeezed between floats."""
+def _bracketed_root(prob: InclusionProblem, mode: str, f, a: float,
+                   b: float):
+    """The solution at the sign change of the residual ``f`` between ``a``
+    and ``b``: the kink of j inside, Brent's root, or, if that misses the
+    tolerance or is x, a root squeezed between floats."""
     lo, hi = (a, b) if a < b else (b, a)
     sb = prob.sb
     if sb.gamma > 0 and lo < sb.shift < hi:
         # Roots often sit on the kink itself, where the residual jumps
         # and Brent's iterates only crawl towards it.
-        g = _residual(prob, sb.shift)
+        g = f(sb.shift)
         if abs(g) <= RESIDUAL_TOL:
             return _finish(prob, sb.shift, mode)
-        if (g < 0) == (_residual(prob, lo) < 0):
+        if (g < 0) == (f(lo) < 0):
             lo = sb.shift
         else:
             hi = sb.shift
-    root = brenth(lambda y: _residual(prob, y), lo, hi, _BRENT_FTOL)
-    if abs(g := _residual(prob, root)) > RESIDUAL_TOL:
-        root = _ulp_root(prob, lo, hi, root, g)
+    root = brenth(f, lo, hi, _BRENT_FTOL)
+    if abs(g := f(root)) > RESIDUAL_TOL or root == prob.x:
+        root = _ulp_root(f, lo, hi, root, g, prob.x)
     return _finish(prob, root, mode)
 
 
-def _ulp_root(prob: InclusionProblem, lo: float, hi: float, root: float,
-              g: float) -> float:
-    """The root of the sign change on ``[lo, hi]``, whose ends brenth took
-    with opposite residual signs, squeezed between adjacent floats.
+def _ulp_root(f, lo: float, hi: float, root: float, g: float,
+              x: float) -> float:
+    """The root of the sign change of ``f`` on ``[lo, hi]``, whose ends
+    brenth took with opposite signs, squeezed between adjacent floats, and
+    never x.
 
     Near a data kink the difference quotient can have slope ~1/|x - s|,
     so the residual moves by more than the tolerance per ulp and no
     representable y satisfies it; bisect the sign change down to
-    neighbouring floats and return the side with the smaller residual.
+    neighbouring floats and return the side with the smaller residual,
+    or the one that is not x.
     """
-    glo = _residual(prob, lo)
-    ghi = _residual(prob, hi)
+    glo, ghi = f(lo), f(hi)
     if g * glo > 0:
         lo, glo = root, g
     elif g * ghi > 0:
@@ -288,7 +218,7 @@ def _ulp_root(prob: InclusionProblem, lo: float, hi: float, root: float,
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        gm = _residual(prob, mid)
+        gm = f(mid)
         if abs(gm) <= RESIDUAL_TOL:
             return mid
         if (gm < 0) == (glo < 0):
@@ -296,7 +226,7 @@ def _ulp_root(prob: InclusionProblem, lo: float, hi: float, root: float,
         else:
             hi, ghi = mid, gm
     # adjacent floats with opposite residual signs: no better y exists
-    return lo if abs(glo) <= abs(ghi) else hi
+    return lo if hi == x or (lo != x and abs(glo) <= abs(ghi)) else hi
 
 
 def solve_inclusion(prob: InclusionProblem,
@@ -313,28 +243,41 @@ def solve_inclusion(prob: InclusionProblem,
 
 def _search(prob: InclusionProblem, mode: str) -> InclusionSolution:
     """The root search of :func:`solve_inclusion`, run when no stationary
-    update applies."""
+    update applies: the bracket from x on the descent side d of v."""
     # The search revisits points: bracket ends, Brent's last iterate and
     # the accepted root.
     prob = replace(prob, dq=lru_cache(maxsize=None)(prob.dq))
-    dmin = max(_DMIN, _DMIN * abs(prob.x))
-    # The cap keeps a bracket inside the probe to a ratio Brent resolves.
+    x, sb = prob.x, prob.sb
     v = interval_project(0.0, *prob.clarke)
-    delta0 = min(max(dmin, 0.5 * prob.tau * abs(v)),
-                 dmin * 2.0 ** _WARM_DOUBLINGS)
-    last_err = None
-    for d, y in _candidate_sides(prob, dmin, v):
-        try:
-            sol = _solve_on_side(prob, mode, d, y, dmin, delta0)
-        except (DivergenceError, ConvergenceError) as err:
-            # A sign change across a subdifferential jump brackets no root;
-            # the actual root may sit on the other side of x.
-            last_err = err
-            continue
-        if sol is not None:
-            return sol
-    if last_err is not None:
-        raise last_err
-    # No root on either side and no divergence signal: the root collapsed
-    # onto x below resolution; take the best near-stationary update.
-    return _nearest_stationary(prob, mode)
+    d = 1.0 if v <= 0 else -1.0
+    side = d > 0                # the end of an interval on side d
+    t0 = prob.p - prob.tau * prob.clarke[side]
+    g0 = t0 - sb.j_interval(x)[side]
+    if abs(g0) <= RESIDUAL_TOL:
+        return InclusionSolution(x, _strip_box(sb, x, t0, mode), True)
+    if not g0 * d > 0:
+        raise InclusionError(f"p={prob.p} is not a subgradient at x={x}: "
+                             f"the residual's limit there is {g0}")
+
+    def f(y):
+        return g0 if y == x else _residual(prob, y)
+    # The cap keeps a bracket inside the probe to a ratio Brent resolves.
+    # The ceiling does not grow with the warm distance: far enough out, a
+    # residual such as 1 + |y| - y rounds to 0 on a ray that has no root.
+    dmin = max(_DMIN, _DMIN * abs(x))
+    step = min(max(dmin, 0.5 * prob.tau * abs(v)),
+               dmin * 2.0 ** _WARM_DOUBLINGS)
+    # Until the sign changes, each residual has the sign of d, as g0.
+    ceiling, y_prev = dmin * 2.0 ** _MAX_DOUBLINGS, x
+    while step <= ceiling:
+        y = min(max(x + d * step, sb.lower), sb.upper)
+        g = f(y)
+        if abs(g) <= RESIDUAL_TOL:
+            return _finish(prob, y, mode)
+        if g * d < 0:
+            return _bracketed_root(prob, mode, f, y_prev, y)
+        y_prev = y
+        step *= 2.0
+    raise DivergenceError(
+        f"no inclusion root within {ceiling:.3g} of x={x} along "
+        f"d={d}; objective may be unbounded below")

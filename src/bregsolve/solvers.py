@@ -293,12 +293,16 @@ def _l1_coordinate_update(xi, pi, g, c, t, tl, gamma, lam, kappa):
     if not u * sgn_x >= -gamma:
         s = -sgn_x
         B = gamma * s + tl * s - c - kappa * xi
-        C = xi * (c - gamma * s + tl * s)
+        w = c - gamma * s + tl * s      # f(y) = kappa y^2 + B y + xi w
+        # The roots are m times those of kappa z^2 + B/m z + xi w/m^2,
+        # whose coefficients neither overflow nor square to infinity.
+        m = max(abs(B), math.sqrt(abs(xi)) * math.sqrt(abs(w)))
+        B, C = B / m, xi / m * (w / m)
         sq = math.sqrt(B * B - 4.0 * kappa * C)
         # Rounding is monotone, so C <= 0 as computed too; of the stable
         # pair qq / kappa and C / qq, the second is the root nearest zero.
         qq = -0.5 * (B + sq) if B >= 0.0 else -0.5 * (B - sq)
-        y = C / qq if qq * s < 0.0 else qq / kappa
+        y = m * (C / qq if qq * s < 0.0 else qq / kappa)
         if y != 0.0:
             if not 0.0 < y * s < math.inf:
                 raise InvariantViolation(

@@ -279,16 +279,27 @@ class TestL1BsorSweep:
         assert new == (pytest.approx(1.23e-198, rel=1e-2), 0.5)
 
     @pytest.mark.parametrize("x, g", [(0.0, math.nan), (0.3, math.nan),
-                                      (-0.3, math.nan), (-1e160, -1e161)])
+                                      (-0.3, math.nan)])
     def test_nan_or_overflow_raises(self, x, g):
-        # A NaN gradient, or a crossing whose quadratic overflows (the root
-        # near 7.6e160 comes out infinite), raises and returns no value;
-        # NumPy's overflow warning is silenced to reach the raise.
+        # A NaN gradient raises and returns no value.
         q = QuadraticObjective(np.eye(1), np.zeros(1))
         state = PrimalDualState(np.array([x]),
                                 np.array([x + math.copysign(0.5, x)]))
-        with np.errstate(over="ignore"), pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation):
             l1_bsor_sweep(q, state, 0.5, 0.7, 1.5, r=np.array([g]))
+
+    def test_crossing_root_beyond_the_square_of_a_float(self):
+        # From x = -1e160 the crossing root is 7.57e160 (by exact rational
+        # arithmetic), whose quadratic's coefficients square and multiply
+        # past the largest float: scaled, the root comes out finite.
+        q = QuadraticObjective(np.eye(1), np.zeros(1))
+        state = PrimalDualState(np.array([-1e160]), np.array([-1e160 - 0.5]))
+        with np.errstate(all="raise"):
+            new = l1_bsor_sweep(q, state, 0.5, 0.7, 1.5,
+                                r=np.array([-1e161])).state
+        y, p = new.x[0], new.p[0]
+        assert y == pytest.approx(7.5714285714285717e160, rel=1e-12)
+        assert p == y + 0.5
 
     @settings(max_examples=300, deadline=None)
     @given(aii=st.floats(0.2, 5.0), tau=st.floats(0.2, 4.0),
@@ -313,16 +324,18 @@ class TestL1BsorSweep:
         g = (p + h * x - c) / t
         (y, p_new), ref = self.with_oracle(aii, x, p, g, gamma, lam, tau)
         assert abs(y - ref[0]) <= 1e-8
-        # bia_sweep does not resolve a root within its least probe
-        # distance, 1e-8 max(1, |x|), of x: it stays at x with the nearest
-        # stationary p, maybe across the kink.  There the closed form is
-        # checked against the inclusion itself.
-        if y == x or ref[0] != x:
-            assert abs(p_new - ref[1]) <= 1e-8
+        assert abs(p_new - ref[1]) <= 1e-8
         if y != x:
             dq = g + 0.5 * aii * (y - x) + lam * (abs(y) - abs(x)) / (y - x)
             scale = 1.0 + abs(p) + t * abs(g) + h * abs(x)
             assert abs(p_new - (p - t * dq)) <= 1e-9 * scale
+
+    def test_root_nearer_than_the_least_probe_distance(self):
+        # The root 0 lies 1e-69 from x, far inside the first probe at
+        # 1e-8: the bracket from x finds it, and p crosses the kink.
+        x = -1e-69
+        assert self.with_oracle(1.0, x, x - 0.05, x - 0.05 + 0.5 * x, 0.05,
+                                0.0, 1.0) == ((0.0, 0.0), (0.0, 0.0))
 
     def test_invalid_params(self):
         q, _ = spd_system(2, 40)
@@ -742,13 +755,13 @@ class TestRowResidualUpdate:
     @needs_kernel
     def test_search_constants_reach_the_kernel(self, fresh_kernel_cache,
                                                monkeypatch):
-        # With a looser residual tolerance and a farther first probe, the
+        # With a looser residual tolerance, at which Brent stops too, the
         # module built for them, one more in the cache, leaves other bits,
         # and Python's search the same.
         V, spec, state = red_black_setup()
         before = red_black_bits(V, spec, state)
         monkeypatch.setattr(inclusion, "RESIDUAL_TOL", 1e-3)
-        monkeypatch.setattr(inclusion, "_DMIN", 1e-4)
+        monkeypatch.setattr(inclusion, "_BRENT_FTOL", 1e-3)
         _quadpass.load.cache_clear()
         got = red_black_bits(V, spec, state)
         with numpy_pass():
@@ -1512,31 +1525,33 @@ adversarial_pixel = st.sampled_from(
      0.5, 1.0]) | st.floats(-2.0, 2.0)
 
 #: Coordinate 0 of a small image, (h, w, y, x_delta, gamma, box, p, tau),
-#: whose search reaches a branch that reuses a quotient evaluated before:
-#: the side probe that shrinks inward, the bracket end that decides a kink
-#: split and the bracket ends of an ulp squeeze.  The shifts are the data.
+#: with p in dJ(x), whose search reaches a branch that reuses a residual
+#: taken before: the bracket from x, whose first probe is past the root and
+#: whose end x has the residual's limit there; the bracket end that decides
+#: a kink split; the bracket ends of an ulp squeeze; and that squeeze on
+#: Brent's root x, which it skips.  The shifts are the data.
 BRANCH_CASES = {
-    "shrink_inward": (1, 2, [0.25, 1.0], [0.0, 1.0], 0.0, (), -3.0, 0.5),
-    "kink_split": (1, 2, [0.25, 0.0], [0.0, 0.0], 0.5, (), -0.5, 0.5),
-    "ulp_squeeze": (1, 2, [float.fromhex("0x1.c478fd8e243c9p-2"), 0.32],
-                    [float.fromhex("0x1.c478fd8ceb81bp-2"),
-                     float.fromhex("0x1.49cd8ad891bd2p-2")], 0.0,
-                    (0.0, float.fromhex("0x1.c478fd8e7a31ap-2")),
-                    float.fromhex("-0x1.6197b944b7d2ep+1"),
-                    float.fromhex("0x1.5497248826cd1p+3")),
+    "from_x": (1, 2, [0.0, 1.0], [0.7, 0.2], 0.0, (), 0.0, 20.0),
+    "kink_split": (1, 2, [0.84, 0.39], [0.7, 0.1], 0.5, (), 1.34, 1.0),
+    "ulp_squeeze": (1, 2, [0.55, 0.48], [0.5500000000000004, 0.4], 0.0, (),
+                    0.55, 5.0),
+    "squeeze_skips_x": (1, 2, [0.72, 0.63], [0.720000000000001, 0.13], 0.0,
+                        (), 0.72, 5.0),
 }
 
 
 def branch_reached(branch, spies):
     """Whether Python's search took ``branch``, from the calls of the
     spies on its functions."""
-    calls = {name: [c.args for c in spy.call_args_list]
-             for name, spy in spies.items()}
+    brackets = [c.args for c in spies["_bracketed_root"].call_args_list]
+    squeezes = [c.args for c in spies["_ulp_root"].call_args_list]
+    if branch == "from_x":
+        return any(prob.x in (a, b) for prob, _, _, a, b in brackets)
     if branch == "kink_split":
         return any(prob.sb.gamma > 0 and min(a, b) < prob.sb.shift < max(a, b)
-                   for prob, _, a, b in calls["_bracketed_root"])
-    return bool(calls[{"shrink_inward": "_shrink_inward",
-                       "ulp_squeeze": "_ulp_root"}[branch]])
+                   for prob, _, _, a, b in brackets)
+    return any((root == x) == (branch == "squeeze_skips_x")
+               for _, _, _, root, _, x in squeezes)
 
 
 class TestSearchedCoordinates:
@@ -1577,6 +1592,73 @@ class TestSearchedCoordinates:
                     state = bia_sweep(V, spec, state, taus, mode).state
         assert not any(lo <= 0.0 <= hi
                        for lo, hi in (prob.clarke for prob in searched))
+
+
+class TestMovedCoordinates:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), image=st.booleans(),
+           gamma=st.sampled_from([0.0, 0.5]),
+           tau=st.sampled_from([0.05, 1.0, 20.0]),
+           box=st.sampled_from([(), (0.0, 1.0)]),
+           mode=st.sampled_from(["keep_box", "forget_box"]),
+           order=st.sampled_from(["lexicographic", "red_black"]),
+           python=st.booleans())
+    def test_each_moved_coordinate_solves_its_inclusion(
+            self, seed, image, gamma, tau, box, mode, order, python):
+        # Replaying one sweep, each coordinate that moved from x to y has
+        # p_new = p - tau*DQ(y) projected, bitwise, and a residual at y
+        # within the tolerance, or of the other sign than at a float next
+        # to y; at x itself the residual is its limit on the searched side.
+        # A y within STATIONARY_REL_TOL of x reads the Clarke midpoint.
+        # Small student-t images, by the module where it loads or by
+        # Python's loop, and l1-quadratics; half of the coordinates start
+        # on a kink.
+        rng = np.random.default_rng(seed)
+        lo, hi = box or (-1.0, 2.0)
+        if image:
+            h, w = (int(k) for k in rng.integers(1, 5, 2))
+            x_delta = impulse_noise(rng.uniform(0.2, 0.8, (h, w)), 0.3,
+                                    seed=seed).ravel()
+            V, shift = StudentTObjective(h, w, x_delta), x_delta
+        else:
+            q, rng = spd_system(int(rng.integers(1, 7)), seed)
+            V, order = L1QuadraticObjective(q, 0.3), "lexicographic"
+            shift = np.zeros(V.n)
+        spec = BregmanSpec(shift, gamma, *box)
+        x0 = np.where(rng.random(V.n) < 0.5, spec.shift,
+                      rng.uniform(lo, hi, V.n))
+        start = PrimalDualState.initial(spec, x0)
+        with mock.patch.object(solvers, "solve_inclusion", pass_through) \
+                if python else nullcontext():
+            end = bia_sweep(V, spec, start, np.full(V.n, tau), mode,
+                            order).state
+        ctx = V.sweep_context(start.x)
+        idx = V.red_black if order == "red_black" else range(V.n)
+        for i in map(int, idx):
+            x, y, p, sb = ctx.y.item(i), end.x.item(i), start.p[i], \
+                spec.pieces[i]
+            if y == x:
+                continue
+            prob = inclusion.InclusionProblem(sb, x, p, tau, ctx.dq(i),
+                                              ctx.clarke(i))
+            t = p - tau * prob.dq(y)
+            ends = sb.j_interval(y) if mode == "forget_box" \
+                else sb.subdiff_interval(y)
+            assert end.p[i] == min(max(t, ends[0]), ends[1])
+            side = min(max(0.0, prob.clarke[0]), prob.clarke[1]) <= 0
+
+            def residual(z):
+                if z == x:
+                    return p - tau * prob.clarke[side] \
+                        - sb.j_interval(x)[side]
+                return inclusion._residual(prob, z)
+            g = residual(y)
+            near = [z for z in (math.nextafter(y, -math.inf),
+                                math.nextafter(y, math.inf))
+                    if sb.lower <= z <= sb.upper]
+            assert abs(g) <= inclusion.RESIDUAL_TOL or any(
+                (residual(z) < 0) != (g < 0) for z in near)
+            ctx.commit(i, y)
 
 
 @needs_kernel
@@ -1628,14 +1710,15 @@ class TestCompiledProblems:
         # Each problem that a wrapper sees is built when its turn comes,
         # from the image and p that the coordinates before it left: the
         # piece, x, p, tau and Clarke pair that the kernel reads, bitwise.
+        # The start is off the data, with p in dJ(x).
         rng = np.random.default_rng(seed)
         x_delta = impulse_noise(rng.uniform(0.2, 0.8, (h, w)), 0.3,
                                 seed=seed).ravel()
         V = StudentTObjective(h, w, x_delta)
         spec = BregmanSpec(x_delta, 0.5, *((0.0, 1.0) if box else ()))
-        state = PrimalDualState(x_delta, rng.standard_normal(V.n))
+        state = PrimalDualState.initial(spec, rng.uniform(0.0, 1.0, V.n))
         taus, idx = np.full(V.n, 0.5), rng.permutation(V.n)
-        y, p, turns = x_delta.copy(), state.p.copy(), iter(idx.tolist())
+        y, p, turns = state.x.copy(), state.p.copy(), iter(idx.tolist())
         real = solvers.solve_inclusion
 
         def check(prob, mode):
@@ -1751,7 +1834,7 @@ class TestCompiledProblems:
         spec = BregmanSpec(V.x_delta, gamma, *box)
         state = PrimalDualState(np.array(y), np.r_[p, np.zeros(V.n - 1)])
         taus = np.full(V.n, tau)
-        names = ("_shrink_inward", "_bracketed_root", "_ulp_root")
+        names = ("_bracketed_root", "_ulp_root")
         spies = {name: mock.Mock(wraps=getattr(inclusion, name))
                  for name in names}
         with numpy_pass(), mock.patch.multiple(inclusion, **spies):
@@ -1794,14 +1877,17 @@ class TestCompiledProblems:
         # Where the kernel's quotient meets what makes Python raise, the
         # coordinate goes to Python, which raises its own error: pixel 1
         # moving onto its neighbour's 0, where the log1p argument rounds
-        # to -1; pixel 1 of a 1 x 3 image with filter weights of 1e308,
-        # whose stationary Clarke midpoint is unbounded.
-        cases = [(StudentTObjective(1, 2, np.zeros(2)),
-                  np.array([0.0, 1e9]), ValueError),
-                 (StudentTObjective(1, 3, np.zeros(3), (1e308, 1e308)),
-                  np.array([0.0, 1.0, 0.0]), ObjectiveError)]
-        for V, y, error in cases:
-            spec = BregmanSpec(np.zeros(V.n), 0.0, 0.0)
+        # to -1; pixel 1 of a 1 x 3 image with filter weights of 1.5e308,
+        # whose Clarke interval is unbounded and whose kink split reads
+        # its midpoint, at the shift 1e-16 from x.
+        cases = [(StudentTObjective(1, 2, np.zeros(2)), np.array([0.0, 1e9]),
+                  BregmanSpec(np.zeros(2), 0.0, 0.0), ValueError),
+                 (StudentTObjective(1, 3, np.array([0.8, 1e-16, 0.5]),
+                                    (1.5e308, 1.5e308)),
+                  np.array([0.5, 0.0, 0.5]),
+                  BregmanSpec(np.array([0.8, 1e-16, 0.5]), 0.5),
+                  ObjectiveError)]
+        for V, y, spec, error in cases:
             state = PrimalDualState.initial(spec, y)
             taus = np.full(V.n, 1e10)
             with counted(inclusion, "_search") as searches, \
